@@ -48,7 +48,7 @@ chaos:
 		tests/integration/test_resilience_pipeline.py \
 		tests/trace/test_cache_resilience.py -q
 
-# one-step perf trajectory: all four tiers timed interleaved, tier
+# one-step perf trajectory: all three tiers timed interleaved, tier
 # equivalence verified, steady-state + residue breakdown measured, and
 # the $(BENCH_OUT) artifact written with the previous PR's numbers
 # embedded as the before/after record

@@ -1,28 +1,26 @@
 """Perf smoke gate and trajectory artifact for the simulation engine.
 
 Runs the PCC-policy simulation of the quick-scale BFS workload (the
-same one the figures sweep) on the batched engine and compares wall
-time against ``benchmarks/perf_baseline.json``. The gate fails when
-the measured time exceeds ``baseline * --max-ratio`` — a coarse
-tripwire for accidental hot-loop regressions, deliberately loose
-enough to tolerate CI machine jitter.
+same one the figures sweep) on the default columnar engine and
+compares wall time against ``benchmarks/perf_baseline.json``. The gate
+fails when the measured time exceeds ``baseline * --max-ratio`` — a
+coarse tripwire for accidental hot-loop regressions, deliberately
+loose enough to tolerate CI machine jitter.
 
 Beyond the gate, the script measures the full engine story:
 
-* ``--engines`` times all four translation tiers — scalar (the
-  per-access object path), fast (the MRU memo path), batch (the
-  per-quantum bulk-retire path), and columnar (the whole-epoch
-  vectorized path) — and reports accesses/second for each. Tier
-  timings are *interleaved* (round-robin across tiers within one
-  process) so a noisy shared host cannot systematically favor
+* ``--engines`` times all three translation tiers — scalar (the
+  per-access object path), fast (the MRU memo path), and columnar
+  (the whole-epoch vectorized path) — and reports accesses/second for
+  each. Tier timings are *interleaved* (round-robin across tiers within
+  one process) so a noisy shared host cannot systematically favor
   whichever tier happened to run during a calm stretch.
 * The columnar tier must not be slower than the fast tier (within a
   noise tolerance, ``--tier-gate-tolerance``); the gate fails
   otherwise.
 * ``--verify-equivalence`` asserts all tiers produce bit-identical
-  simulation statistics (the property the batch/columnar paths are
-  built on).
-* ``--steady-state`` also times fast/batch/columnar on a 4x-longer
+  simulation statistics (the property the columnar path is built on).
+* ``--steady-state`` also times fast/columnar on a 4x-longer
   trace over the same footprint, where faults amortize and the
   vectorized ceiling shows. The columnar timing carries a *residue
   breakdown* read off the engine's pipeline counters: how much of the
@@ -63,17 +61,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO / "benchmarks" / "perf_baseline.json"
 
-#: engine tier -> Simulator(fast_path=, batch=, columnar=) switches.
-#: ``columnar`` is pinned in every entry because the Simulator defaults
-#: it on — "batch" here must mean the plain per-quantum tier.
-ENGINE_TIERS = {
-    "scalar": {"fast_path": False, "batch": False, "columnar": False},
-    "fast": {"fast_path": True, "batch": False, "columnar": False},
-    "batch": {"fast_path": True, "batch": True, "columnar": False},
-    "columnar": {"fast_path": True, "batch": True, "columnar": True},
-}
-
-
 def _quick_workload():
     from repro.experiments.common import QUICK, build_named_workload, config_for
 
@@ -87,9 +74,11 @@ def _quick_workload():
 
 def _timed_run(workload, config, tier: str):
     from repro.engine.simulation import Simulator
+    from repro.experiments.common import ENGINE_TIER_SWITCHES
     from repro.os.kernel import HugePagePolicy
 
-    simulator = Simulator(config, policy=HugePagePolicy.PCC, **ENGINE_TIERS[tier])
+    simulator = Simulator(config, policy=HugePagePolicy.PCC,
+                          **ENGINE_TIER_SWITCHES[tier])
     run_workload = copy.deepcopy(workload)
     start = time.perf_counter()
     result = simulator.run([run_workload])
@@ -197,16 +186,18 @@ def _fingerprint(result) -> tuple:
 
 
 def verify_equivalence() -> bool:
-    """All four engine tiers must report bit-identical statistics."""
+    """Every engine tier must report bit-identical statistics."""
+    from repro.experiments.common import ENGINE_TIER_SWITCHES
+
     workload, config = _quick_workload()
     prints = {
         tier: _fingerprint(_timed_run(workload, config, tier)[1])
-        for tier in ENGINE_TIERS
+        for tier in ENGINE_TIER_SWITCHES
     }
     reference = prints["scalar"]
     ok = all(fp == reference for fp in prints.values())
     status = "bit-identical" if ok else "DIVERGED"
-    print(f"equivalence (scalar vs fast vs batch vs columnar): {status}")
+    print(f"equivalence ({' vs '.join(prints)}): {status}")
     if not ok:
         for tier, fp in prints.items():
             print(f"  {tier}: {fp}", file=sys.stderr)
@@ -453,7 +444,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--verify-equivalence",
         action="store_true",
-        help="assert scalar/fast/batch/columnar statistics are bit-identical",
+        help="assert scalar/fast/columnar statistics are bit-identical",
     )
     parser.add_argument(
         "--tier-gate-tolerance",
@@ -465,7 +456,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--steady-state",
         action="store_true",
-        help="also time fast/batch/columnar on a 4x-longer trace over the "
+        help="also time fast/columnar on a 4x-longer trace over the "
         "same footprint (fault costs amortized)",
     )
     parser.add_argument(
@@ -509,7 +500,7 @@ def main(argv=None) -> int:
         },
     }
 
-    tier_names = ["fast", "batch", "columnar"]
+    tier_names = ["fast", "columnar"]
     if args.engines:
         tier_names.insert(0, "scalar")
     tiers = measure_tiers(args.rounds, tier_names)
@@ -545,7 +536,7 @@ def main(argv=None) -> int:
         status = 1
 
     if args.steady_state:
-        steady = measure_tiers(args.rounds, ["fast", "batch", "columnar"],
+        steady = measure_tiers(args.rounds, ["fast", "columnar"],
                                access_factor=4)
         artifact["steady_state"] = {
             "workload": "quick BFS x4 accesses, same footprint",
@@ -624,16 +615,17 @@ def main(argv=None) -> int:
                 f"({fan['speedup']:.2f}x)"
             )
 
-    seconds = tiers["batch"]["seconds"]
+    # The gate times the default engine, the one every figure runs.
+    seconds = tiers["columnar"]["seconds"]
     if args.update:
         previous = {}
         if BASELINE_PATH.exists():
             previous = json.loads(BASELINE_PATH.read_text())
         record = {
             "benchmark": f"quick BFS, PCC policy, best-of-{args.rounds}, "
-            "batched engine",
+            "columnar engine",
             "seconds": seconds,
-            "engine": "batch",
+            "engine": "columnar",
         }
         # keep the pre-batching scalar-era baseline for comparison
         legacy = previous.get("scalar_baseline") or (

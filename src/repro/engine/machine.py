@@ -47,68 +47,22 @@ the fast path is bit-identical to the slow path — the property tests
 assert equal walks, hits, cycles, and promotions with the memo on and
 off.
 
-The batched address stream
---------------------------
-
-``batch=True`` (the default, requiring the fast path) lifts the tier-1
-memo check out of Python entirely. Each thread keeps NumPy views of its
-compressed trace — the uint64 VPN array, precomputed L1 set indices and
-2MB region tags, and a prefix-sum of the repeat counts — so a quantum's
-record window falls out of one ``searchsorted`` over the prefix sums
-(the record-r-runs-iff-cumulative-accesses-before-r-is-under-budget
-rule, vectorized). The pipeline then computes, **once per window**, a
-*retirement mask* marking every record that is guaranteed to be a
-tier-1 hint hit when the cursor reaches it; runs of marked records are
-*retired in bulk* — counters advance by the run's record and access
-totals, hit cycles are one multiply, and no per-record Python executes
-— while the gaps between runs go through the scalar tier-2/slow loop.
-
-The mask is assembled from three ingredients, none of which require
-per-window sorting. First, a trace-static *link array* per structure
-(computed once per thread when it binds to a core): for each record,
-the index of the most recent earlier record mapping to the same L1 set,
-kept only when that record carried the same tag. Second, a run-time
-*hint barrier* per thread: links pointing before the barrier are dead,
-because the hints were wholesale-invalidated (epoch bump after an OS
-tick) or another thread's quantum rewrote them (multi-thread cores)
-since the predecessor executed. Third, each 2MB region's *mapping
-state*, memoized per epoch in a dense array indexed by a precomputed
-region index: a 4K-backed region (base PTEs, not promoted) marks
-same-VPN repeats, a huge-backed region marks same-region-tag repeats,
-and anything else (untouched regions, 1GB-backed regions) is left to
-the scalar span.
-
-Exactness follows from two invariants. *(a)* Region state is stable
-within an epoch except for untouched regions being backed by a fault —
-promotions, demotions, collapses, and 1GB promotions happen only
-inside OS ticks, every tick bumps the epoch, and fault handlers refuse
-to huge-map a region that already holds base PTEs; the memo never
-marks a region it sampled as untouched, so mid-epoch fault transitions
-only ever cost retirement coverage, not correctness. *(b)* Every
-access to a page of a 4K-backed (resp. huge-backed) region leaves its
-VPN (resp. region tag) as its set's MRU hint — tier 1 by definition,
-tier 2 and the slow path explicitly. So when the cursor reaches a
-marked record, its live-linked predecessor has already installed
-exactly the hint the mark promises, whether that predecessor was
-itself bulk-retired or ran scalar. A marked record in a huge-backed
-region also safely skips the scalar loop's 4K-set probe and
-first-touch check: a huge-mapped region cannot hold 4K L1 entries
-(promotion shoots them down; ``PageTable.map_huge`` refuses a region
-with base PTEs) and every page in it is mapped, so no fault could
-fire. The batched path therefore produces bit-identical
-``SimulationResult`` stats — property-tested against both the scalar
-reference and the per-record fast path. ``batch=False`` is the escape
-hatch selecting the per-record loops.
+Under tree-PLRU replacement the same loop runs without tier 2: dict
+order no longer tracks recency, so a live hit must take the full path,
+whose lookup performs the tree touch. Tier 1 stays exact — a hint
+match means the set's most recent probe touched this very tag, so the
+tree already points away from its way and the skipped re-touch is a
+no-op (PLRU touch is idempotent).
 
 The columnar epoch tier
 -----------------------
 
-``columnar=True`` (the default, requiring the batch tier) goes one
-step further: between TLB-mutating events there is no reason to stop
-at quantum boundaries at all. In an unobserved run (walk observers
-wrap the per-record translate binding the epoch pass bypasses), the
-machine retires the **entire remaining OS-tick interval** as one
-epoch per live thread:
+``columnar=True`` (the default, requiring the fast path it falls back
+to) leaves the per-record loop behind: between TLB-mutating events
+there is no reason to stop at quantum boundaries at all. In an
+unobserved run (walk observers wrap the per-record translate binding
+the epoch pass bypasses), the machine retires the **entire remaining
+OS-tick interval** as one epoch per live thread:
 
 1. *Window*: the epoch end comes from iterating the per-quantum
    ``searchsorted`` rule until the accumulated accesses cover the
@@ -158,12 +112,11 @@ epoch per live thread:
    invariant check observes precisely the state record-at-a-time
    simulation would have left.
 
-Epoch statistics land in the same pending counters the fast tiers
-use, so ``sync()`` remains the single flush point. The adaptive
-guard mirrors the batch tier's: a slot whose epochs classify under a
-quarter of their records falls back to the quantum tiers and is
-re-probed periodically. ``columnar=False`` selects the quantum tiers
-unconditionally.
+Epoch statistics land in the same pending counters the fast path
+uses, so ``sync()`` remains the single flush point. An adaptive guard
+hands a slot whose epochs classify under a quarter of their records
+back to the quantum tiers and re-probes it periodically.
+``columnar=False`` selects the quantum tiers unconditionally.
 """
 
 from __future__ import annotations
@@ -205,11 +158,10 @@ _GIGA_SHIFT = GIGA_PAGE_SHIFT - HUGE_PAGE_SHIFT
 #: VPN -> 1GB region tag shift.
 _GIGA_SHIFT_FULL = GIGA_PAGE_SHIFT - BASE_PAGE_SHIFT
 
-# 2MB-region mapping states sampled at batch-window start. Only BASE
-# and HUGE regions participate in bulk retirement; EMPTY regions can
-# change state mid-quantum (a first-touch fault may huge-map them) and
-# OTHER (1GB-backed) regions are answered by a TLB structure the MRU
-# hints do not cover.
+# 2MB-region mapping states the epoch classifier routes records by:
+# BASE regions probe the L1-4K, HUGE regions the L1-2M, OTHER (1GB-
+# backed) regions the 1GB L1; an EMPTY region after the fault pre-pass
+# is an unmapped hole. ``state - 1`` is the residue walk-size code.
 _REGION_EMPTY = 0
 _REGION_BASE = 1
 _REGION_HUGE = 2
@@ -217,7 +169,7 @@ _REGION_OTHER = 3
 
 
 def _region_mapping_state(page_table, tag: int) -> int:
-    """Classify 2MB region ``tag``'s mapping for the batch-window mask."""
+    """Classify 2MB region ``tag``'s mapping for the epoch classifier."""
     if page_table.is_giga_promoted(tag >> _GIGA_SHIFT):
         return _REGION_OTHER
     if page_table.is_promoted(tag):
@@ -225,47 +177,6 @@ def _region_mapping_state(page_table, tag: int) -> int:
     if page_table.region_base_pages(tag):
         return _REGION_BASE
     return _REGION_EMPTY
-
-
-def _prev_same_tag_links(sets: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """Per record: index of the previous same-set record, if same tag.
-
-    ``links[r]`` is the index of the most recent earlier record mapping
-    to the same L1 set when that record carried the same tag, else
-    ``-1``. One stable argsort groups records by set index while
-    preserving program order within each set, so the link array falls
-    out of adjacent-in-sorted-order comparison. The relation is a
-    property of the trace alone; it is computed once per thread and
-    every batch window reuses it (a record is a guaranteed tier-1 hit
-    iff its link clears the run-time hint barrier and its region's
-    mapping state selects the structure — see ``_window_retire_mask``).
-    """
-    # Stable argsort on a narrow unsigned key selects numpy's radix
-    # sort — an order of magnitude faster than the comparison sort the
-    # native index dtype would get (set counts are small powers of two).
-    nsets = int(sets.max()) + 1 if sets.size else 1
-    if nsets <= 256:
-        sort_keys = sets.astype(np.uint8)
-    elif nsets <= 65536:
-        sort_keys = sets.astype(np.uint16)
-    else:  # pragma: no cover - no modelled TLB has 64K+ sets
-        sort_keys = sets
-    order = np.argsort(sort_keys, kind="stable")
-    grouped_sets = sets[order]
-    grouped_tags = tags[order]
-    same = np.empty(order.size, dtype=bool)
-    same[0] = False
-    np.logical_and(
-        grouped_sets[1:] == grouped_sets[:-1],
-        grouped_tags[1:] == grouped_tags[:-1],
-        out=same[1:],
-    )
-    links_sorted = np.full(order.size, -1, dtype=np.int64)
-    matched = same[1:]
-    links_sorted[1:][matched] = order[:-1][matched]
-    links = np.empty(order.size, dtype=np.int64)
-    links[order] = links_sorted
-    return links
 
 
 def _initial_stack_arrays(initial: list[list[int]]):
@@ -311,20 +222,15 @@ class _ThreadSlot:
     """One schedulable thread: trace cursor plus pinned identities."""
 
     __slots__ = ("vpns", "counts", "cursor", "length", "pid", "core_id",
-                 "seen", "fault", "bulk_fault", "live", "np_vpns", "cum",
-                 "bsets", "htags", "hsets", "prev_base", "prev_huge",
-                 "region_ridx", "region_tags", "region_state_arr",
-                 "hint_barrier", "batch_epoch", "adapt_seen",
-                 "adapt_retired", "batch_off", "probe_countdown", "stream",
-                 "page_ridx", "page_tags", "seen_np", "columnar_off",
+                 "seen", "fault", "bulk_fault", "live", "stream", "bsets",
+                 "hsets", "region_tags", "seen_np", "columnar_off",
                  "columnar_probe")
 
     def __init__(self, vpns, counts, pid, core_id, seen, fault,
-                 np_vpns=None, np_counts=None, stream=None,
-                 bulk_fault=None):
+                 stream=None, bulk_fault=None):
         # Plain Python lists iterate several times faster than numpy
         # scalar indexing in this (unavoidably sequential) hot loop;
-        # the numpy views exist for the vectorized batch path.
+        # the epoch tier reads the columnar stream's arrays instead.
         self.vpns = vpns
         self.counts = counts
         self.cursor = 0
@@ -337,64 +243,24 @@ class _ThreadSlot:
         # epoch fault pre-pass prefers it over per-fault calls.
         self.bulk_fault = bulk_fault
         self.live = True
-        # Whole-stream columnar encoding (repro.engine.columnar). When
-        # present it supplies the batch path's arrays too, so the two
-        # vectorized tiers share one encoding pass.
+        # Whole-stream columnar encoding (repro.engine.columnar): VPNs,
+        # access prefix sums, region tags and the dense page/region
+        # vocabularies the epoch tier gathers from. None off columnar.
         self.stream = stream
-        if stream is not None:
-            self.np_vpns = stream.vpns
-            self.cum = stream.cum
-            self.page_ridx = stream.page_ridx
-            self.page_tags = stream.page_tags
-        elif np_vpns is None:
-            self.np_vpns = None
-            self.cum = None
-            self.page_ridx = None
-            self.page_tags = None
-        else:
-            self.np_vpns = np.ascontiguousarray(np_vpns, dtype=np.uint64)
-            # cum[r] = accesses before record r; record r runs in a
-            # quantum iff cum[r] - cum[cursor] < budget, so the window
-            # end is one searchsorted over this array.
-            cum = np.empty(self.length + 1, dtype=np.int64)
-            cum[0] = 0
-            np.cumsum(np_counts, out=cum[1:])
-            self.cum = cum
-            self.page_ridx = None
-            self.page_tags = None
         # Conservative positive cache over the unique-page index: True
         # proves the page is in the process seen-set, False means "ask
         # the set" (threads of one process share the set, so another
         # slot may have seen the page first). Allocated on first epoch.
         self.seen_np = None
-        # Adaptive columnar tier state (mirrors batch_off below).
+        # Adaptive columnar tier state: off for columnar_probe epochs
+        # after a low-retirement epoch, then re-probed.
         self.columnar_off = False
         self.columnar_probe = 0
-        # Per-core set-index views and previous-same-set link arrays,
-        # attached by the owning pipeline on first batch use.
+        # Per-core L1 set-index views and the region tags as Python
+        # ints, attached by the owning pipeline on first epoch.
         self.bsets = None
-        self.htags = None
         self.hsets = None
-        self.prev_base = None
-        self.prev_huge = None
-        # Dense 2MB-region index per record plus the per-epoch mapping
-        # state memo it gathers from (region transitions happen only at
-        # OS ticks, which bump the epoch; see _window_retire_mask).
-        self.region_ridx = None
         self.region_tags: list[int] = []
-        self.region_state_arr = None
-        # Records before the barrier cannot vouch for a hint: the memo
-        # was invalidated (epoch bump) or another thread ran on this
-        # core since they executed.
-        self.hint_barrier = 0
-        self.batch_epoch = -1
-        # Adaptive batch tier: recent-window retirement accounting (a
-        # decayed running ratio) plus the fall-back/probe state driven
-        # by TranslationPipeline.run_quantum.
-        self.adapt_seen = 0
-        self.adapt_retired = 0
-        self.batch_off = False
-        self.probe_countdown = 0
 
 
 class ThreadScheduler:
@@ -410,20 +276,16 @@ class ThreadScheduler:
         self.slots: list[_ThreadSlot] = []
         self.remaining = 0
 
-    def add(self, vpns, counts, pid, core_id, seen, fault,
-            np_vpns=None, np_counts=None, stream=None,
+    def add(self, vpns, counts, pid, core_id, seen, fault, stream=None,
             bulk_fault=None) -> _ThreadSlot:
         """Register one thread's compressed trace for scheduling.
 
-        ``np_vpns``/``np_counts`` (the compressed trace's arrays) enable
-        the vectorized batch path for this thread when provided; a
-        :class:`~repro.engine.columnar.ColumnarStream` supplies those
-        plus the whole-stream columns the epoch tier gathers from.
+        ``stream`` (a :class:`~repro.engine.columnar.ColumnarStream`)
+        supplies the whole-stream columns the epoch tier gathers from;
         ``bulk_fault`` (optional) is the kernel's array-batched fault
         entry point for this thread's process.
         """
         slot = _ThreadSlot(vpns, counts, pid, core_id, seen, fault,
-                           np_vpns=np_vpns, np_counts=np_counts,
                            stream=stream, bulk_fault=bulk_fault)
         self.slots.append(slot)
         self.remaining += slot.length
@@ -454,38 +316,22 @@ class TranslationPipeline:
     memo on shootdown/promotion/flush.
     """
 
-    #: below this window size the vector setup cost cannot pay off
-    MIN_BATCH_WINDOW = 32
-
-    #: adaptive tier thresholds: once a slot has ``ADAPT_MIN_SEEN``
-    #: recent records on the books and fewer than half retired in bulk,
-    #: the mask-building overhead is losing to the scalar fast loop —
-    #: batch turns off for that slot and is re-probed every
-    #: ``ADAPT_PROBE_WINDOWS`` quanta (workload phases change). Legal
-    #: because the batch and fast paths are bit-identical (property
-    #: tested); this trades only wall-clock, never statistics.
-    ADAPT_MIN_SEEN = 8192
-    ADAPT_PROBE_WINDOWS = 32
-
     #: below this epoch window (records) the whole-epoch pass cannot
-    #: amortize its setup; delegate the quantum to the batch/fast tiers
+    #: amortize its setup; delegate the quantum to the fast tier
     MIN_EPOCH_RECORDS = 64
     #: epochs retiring under 1/4 of their records switch the slot back
     #: to the quantum tiers for this many epochs before re-probing
     COLUMNAR_PROBE_EPOCHS = 16
 
     def __init__(self, core: Core, fast_path: bool = True,
-                 batch: bool = False, columnar: bool = False) -> None:
+                 columnar: bool = False) -> None:
         self.core = core
         self.fast_path = fast_path
-        # The batch path is a vectorization of the fast path's tier-1
-        # memo; without the memo there is nothing to vectorize, so
-        # fast_path=False wins and selects the reference loop.
-        self.batch = batch and fast_path
         # The columnar epoch tier classifies against the same live set
-        # dicts the batch tier's scalar gaps mutate; it requires the
-        # batch encoding and falls back to it between epochs.
-        self.columnar = columnar and self.batch
+        # dicts and MRU hints the fast loop maintains, and falls back to
+        # that loop between epochs, so fast_path=False wins and selects
+        # the reference loop.
+        self.columnar = columnar and fast_path
         #: bumped on every wholesale invalidation (OS tick shootdowns)
         self.epoch = 0
         l1_base = core.tlb.l1_base
@@ -511,13 +357,6 @@ class TranslationPipeline:
         self.fast_hits = 0
         self.slow_records = 0
         self.invalidations = 0
-        # Batch-path metrics: records retired by vectorized bulk runs
-        # and records handed to the scalar gap spans.
-        self.batch_retired = 0
-        self.batch_scalar_records = 0
-        # Times the adaptive tier switched a slot off batch (low
-        # retirement fraction made the mask overhead a net loss).
-        self.batch_fallbacks = 0
         # Columnar epoch tier counters: epochs run, records retired by
         # classification, records run through the live-residue loop,
         # adaptive fall-backs to the quantum tiers, and a power-of-two
@@ -542,18 +381,9 @@ class TranslationPipeline:
         # epochs take the quantum tiers instead (counted, bit-identical).
         self.columnar_plru_fallbacks = 0
         # Under PLRU the dict-order tier-2 probe is unsound (insertion
-        # order no longer tracks recency) but tier 1 stays exact: a
-        # hint match means the set's most recent probe touched this
-        # very tag, so the tree bits already point away from its way
-        # and skipping the re-touch is a no-op (PLRU touch is
-        # idempotent). The same argument keeps the batch retirement
-        # mask exact — its links only mark records whose immediately
-        # preceding same-set record carried the same tag. The loops
-        # below are swapped for variants without the tier-2 blocks.
+        # order no longer tracks recency); the fast loop skips it, while
+        # tier 1 stays exact (see the module docstring).
         self._plru = core.config.tlb.l1_base.replacement == "plru"
-        if self._plru:
-            self._run_quantum_fast = self._run_quantum_fast_plru
-            self._scalar_spans = self._scalar_spans_plru
         #: the slot whose quantum most recently ran on this core
         self._active_slot = None
 
@@ -566,19 +396,7 @@ class TranslationPipeline:
         the ledger and per-process attribution. Faults are taken on
         first touch, before the access translates.
         """
-        if self._active_slot is not slot:
-            # Another thread's quantum ran on this core: its records
-            # rewrote the MRU hints, so this slot's precomputed links
-            # to older records can no longer vouch for a live hint.
-            self._active_slot = slot
-            slot.hint_barrier = slot.cursor
-        if self.batch and slot.np_vpns is not None:
-            if slot.batch_off:
-                slot.probe_countdown -= 1
-                if slot.probe_countdown > 0:
-                    return self._run_quantum_fast(slot, budget, page_table)
-                slot.batch_off = False  # probe quantum: re-measure
-            return self._run_quantum_batch(slot, budget, page_table)
+        self._active_slot = slot
         if self.fast_path:
             return self._run_quantum_fast(slot, budget, page_table)
         return self._run_quantum_slow(slot, budget, page_table)
@@ -630,6 +448,16 @@ class TranslationPipeline:
         which the tier performs itself, skipping the translate→lookup→
         hit_fast call stack and batching the statistics.
 
+        Under PLRU ``live_probe`` is off and tier 2 is skipped: its
+        del/reinsert *is* the LRU recency update, with no tree analogue,
+        so live-hit records fall through to the full translate path,
+        whose lookup performs the tree touch and counts the hit. That
+        changes only speed, never state: a live-L1-hit record's vpn is
+        provably in the seen-set (the entry was filled by a prior access
+        to it) so the fault check is a no-op, and a vpn resident in
+        L1-4K excludes a covering L1-2M entry (one backing per region
+        between shootdowns), so the 2MB hint cannot answer for it.
+
         Counter bookkeeping is hoisted out of the loop: accesses fall
         out of the budget delta, and fast-hit cycles are one multiply
         over the accumulated repeat counts.
@@ -648,6 +476,7 @@ class TranslationPipeline:
         huge_sets = self._huge_sets
         nbase = self._nbase
         nhuge = self._nhuge
+        live_probe = not self._plru
         miss_level = HitLevel.MISS
         size_base = PageSize.BASE
         size_huge = PageSize.HUGE
@@ -673,21 +502,22 @@ class TranslationPipeline:
                 budget -= repeat
                 i += 1
                 continue
-            entries = base_sets[base_set]
-            size = entries.get(vpn)
-            if size is not None:
-                # Tier 2: live L1-4K hit. The real path's only state
-                # change is this LRU refresh; a 4KB entry is filled by
-                # a prior access to this exact vpn, so the seen-set
-                # already has it.
-                del entries[vpn]
-                entries[vpn] = size
-                base_mru[base_set] = vpn
-                fast_base += 1
-                fast_units += repeat
-                budget -= repeat
-                i += 1
-                continue
+            if live_probe:
+                entries = base_sets[base_set]
+                size = entries.get(vpn)
+                if size is not None:
+                    # Tier 2: live L1-4K hit. The real path's only state
+                    # change is this LRU refresh; a 4KB entry is filled
+                    # by a prior access to this exact vpn, so the
+                    # seen-set already has it.
+                    del entries[vpn]
+                    entries[vpn] = size
+                    base_mru[base_set] = vpn
+                    fast_base += 1
+                    fast_units += repeat
+                    budget -= repeat
+                    i += 1
+                    continue
             # Once a VPN has faulted in it stays mapped (promotion
             # preserves mapped-ness), so a per-process seen-set avoids
             # a page-table probe per record.
@@ -708,18 +538,19 @@ class TranslationPipeline:
                 budget -= repeat
                 i += 1
                 continue
-            hentries = huge_sets[huge_set]
-            hsize = hentries.get(huge_tag)
-            if hsize is not None:
-                # Tier 2, 2MB: live L1-2M hit with its LRU refresh.
-                del hentries[huge_tag]
-                hentries[huge_tag] = hsize
-                huge_mru[huge_set] = huge_tag
-                fast_huge += 1
-                fast_units += repeat
-                budget -= repeat
-                i += 1
-                continue
+            if live_probe:
+                hentries = huge_sets[huge_set]
+                hsize = hentries.get(huge_tag)
+                if hsize is not None:
+                    # Tier 2, 2MB: live L1-2M hit with its LRU refresh.
+                    del hentries[huge_tag]
+                    hentries[huge_tag] = hsize
+                    huge_mru[huge_set] = huge_tag
+                    fast_huge += 1
+                    fast_units += repeat
+                    budget -= repeat
+                    i += 1
+                    continue
             slow += 1
             step_cycles, level, size = translate(vpn, page_table, repeat)
             cycles += step_cycles
@@ -741,396 +572,18 @@ class TranslationPipeline:
         self.slow_records += slow
         return i, start_budget - budget, cycles, walks
 
-    def _run_quantum_fast_plru(self, slot: _ThreadSlot, budget: int,
-                               page_table):
-        """PLRU-mode fast loop: tier 1 only, tier 2 routes to translate.
-
-        Tier 1 survives the policy swap unchanged — a hint match means
-        the set's most recent probe touched this very tag, so the PLRU
-        tree already points away from its way and the skipped re-touch
-        is a no-op (touch idempotence). Tier 2's dict del/reinsert *is*
-        the LRU recency update, so it has no PLRU analogue; live-hit
-        records fall through to the full translate path, whose
-        hierarchy lookup performs the tree touch and counts the hit.
-        The extra fall-throughs change only speed, never state: a
-        live-L1-hit record's vpn is provably in the seen-set (the entry
-        was filled by a prior access to it) so the fault check is a
-        no-op, and a vpn resident in L1-4K excludes a covering L1-2M
-        entry (one backing per region between shootdowns), so the 2MB
-        hint cannot answer for it.
-        """
-        vpns = slot.vpns
-        counts = slot.counts
-        i = slot.cursor
-        n = slot.length
-        seen = slot.seen
-        fault = slot.fault
-        is_mapped = page_table.is_mapped
-        translate = self._translate
-        base_mru = self._base_mru
-        huge_mru = self._huge_mru
-        nbase = self._nbase
-        nhuge = self._nhuge
-        miss_level = HitLevel.MISS
-        size_base = PageSize.BASE
-        size_huge = PageSize.HUGE
-        start_budget = budget
-        fast_units = 0
-        cycles = 0
-        walks = 0
-        fast_base = 0
-        fast_huge = 0
-        slow = 0
-        while budget > 0 and i < n:
-            vpn = vpns[i]
-            repeat = counts[i]
-            base_set = vpn % nbase
-            if base_mru[base_set] == vpn:
-                fast_base += 1
-                fast_units += repeat
-                budget -= repeat
-                i += 1
-                continue
-            if vpn not in seen:
-                seen.add(vpn)
-                vaddr = vpn << BASE_PAGE_SHIFT
-                if not is_mapped(vaddr):
-                    fault(vaddr)
-            huge_tag = vpn >> _HUGE_SHIFT
-            huge_set = huge_tag % nhuge
-            if huge_mru[huge_set] == huge_tag:
-                fast_huge += 1
-                fast_units += repeat
-                budget -= repeat
-                i += 1
-                continue
-            slow += 1
-            step_cycles, level, size = translate(vpn, page_table, repeat)
-            cycles += step_cycles
-            if level is miss_level:
-                walks += 1
-            if size is size_base:
-                base_mru[base_set] = vpn
-            elif size is size_huge:
-                huge_mru[huge_set] = huge_tag
-            budget -= repeat
-            i += 1
-        cycles += self._l1_hit_cycles * fast_units
-        self._pending_base_records += fast_base
-        self._pending_huge_records += fast_huge
-        self._pending_accesses += fast_units
-        self.fast_hits += fast_base + fast_huge
-        self.slow_records += slow
-        return i, start_budget - budget, cycles, walks
-
-    def _attach_batch_views(self, slot: _ThreadSlot) -> None:
-        """Precompute this slot's trace-static batch arrays for this core.
+    def _attach_epoch_views(self, slot: _ThreadSlot) -> None:
+        """Precompute this slot's per-core set-index views, once.
 
         Threads are statically pinned, so the L1 geometries are fixed
         per slot; the modulo stays in uint64 (a mixed uint64/int64
         operand would silently promote to float64) and the results are
-        cast to an indexable integer type once. The previous-same-set
-        link arrays and the dense region index are likewise properties
-        of the trace alone, paid once and reused by every window.
+        cast to an indexable integer type once.
         """
-        vpns = slot.np_vpns
-        slot.bsets = (vpns % np.uint64(self._nbase)).astype(np.intp)
-        if slot.stream is not None:
-            # The whole-stream encoding already holds the region tags
-            # and the dense unique-region index; share them.
-            htags = slot.stream.htags
-            slot.htags = htags
-            slot.region_ridx = slot.stream.region_ridx
-            slot.region_tags = slot.stream.region_tags.tolist()
-        else:
-            htags = vpns >> np.uint64(_HUGE_SHIFT)
-            slot.htags = htags
-            unique_tags, inverse = np.unique(htags, return_inverse=True)
-            slot.region_ridx = inverse.astype(np.intp)
-            slot.region_tags = unique_tags.tolist()
-        slot.hsets = (htags % np.uint64(self._nhuge)).astype(np.intp)
-        slot.prev_base = _prev_same_tag_links(slot.bsets, vpns)
-        slot.prev_huge = _prev_same_tag_links(slot.hsets, htags)
-        slot.region_state_arr = np.full(
-            len(slot.region_tags), -1, dtype=np.int8
-        )
-
-    def _window_retire_mask(self, slot: _ThreadSlot, i: int, end: int,
-                            page_table):
-        """Per-window guaranteed-tier-1 mask (see module docstring).
-
-        Returns ``(retire, is_base)`` boolean arrays over ``[i, end)``:
-        ``retire`` marks records proven to be tier-1 hint hits when the
-        cursor reaches them, ``is_base`` splits the marked records by
-        which L1 structure answers (4K vs 2MB). A record is marked iff
-        its precomputed previous-same-set link clears the slot's hint
-        barrier (the predecessor ran after the last epoch bump and
-        after any other thread's quantum on this core, so the hint it
-        installed is still live) and its 2MB region's mapping state —
-        memoized per epoch, since regions only change state inside OS
-        ticks or, for untouched regions, via faults the memo
-        conservatively leaves unmarked — selects the matching
-        structure.
-        """
-        if slot.batch_epoch != self.epoch:
-            slot.batch_epoch = self.epoch
-            slot.hint_barrier = i
-            slot.region_state_arr[:] = -1
-        barrier = slot.hint_barrier
-        record_state = slot.region_state_arr[slot.region_ridx[i:end]]
-        unknown = record_state < 0
-        if unknown.any():
-            ridx = slot.region_ridx[i:end]
-            tags = slot.region_tags
-            states = slot.region_state_arr
-            for j in np.unique(ridx[unknown]).tolist():
-                state = _region_mapping_state(page_table, tags[j])
-                if state != _REGION_EMPTY:
-                    # Untouched regions stay unknown: a mid-epoch fault
-                    # may back them, so they are re-probed per window
-                    # rather than pinned unmarked for the whole epoch.
-                    states[j] = state
-            record_state = states[ridx]
-        prev_base = slot.prev_base[i:end] >= barrier
-        prev_huge = slot.prev_huge[i:end] >= barrier
-        is_base = (record_state == _REGION_BASE) & prev_base
-        retire = is_base | ((record_state == _REGION_HUGE) & prev_huge)
-        return retire, is_base
-
-    def _run_quantum_batch(self, slot: _ThreadSlot, budget: int, page_table):
-        """Vectorized loop: bulk-retire runs of proven tier-1 hits.
-
-        The quantum's record window comes from one ``searchsorted``
-        over the thread's access prefix sums (a record runs iff the
-        accesses before it are under budget — exactly the scalar
-        ``while budget > 0`` rule). One retirement mask is computed for
-        the whole window (:meth:`_window_retire_mask`); its marked runs
-        retire in bulk and the unmarked gaps run the scalar tier-2/slow
-        loop. The mask never needs recomputing mid-window: a marked
-        record's same-set predecessor installs the promised hint no
-        matter which side of the mask processed it.
-        """
-        if slot.bsets is None:
-            self._attach_batch_views(slot)
-        cum = slot.cum
-        start = slot.cursor
-        # First index whose prefix sum reaches the budget target is the
-        # first record *not* processed (budget may go negative on the
-        # final record, exactly like the scalar loop).
-        end = min(
-            int(np.searchsorted(cum, cum[start] + budget, side="left")),
-            slot.length,
-        )
-        if end <= start:
-            return start, 0, 0, 0
-        if end - start < self.MIN_BATCH_WINDOW:
-            return self._run_quantum_fast(slot, budget, page_table)
-        retire, is_base = self._window_retire_mask(slot, start, end, page_table)
-        length = end - start
-        retired = int(np.count_nonzero(retire))
-        # Bulk totals come straight off the mask — retired records never
-        # execute per-record code, not even segment arithmetic. Their
-        # access units are the window total minus what the scalar gaps
-        # consume (both are prefix-sum differences).
-        fast_base = int(np.count_nonzero(is_base))
-        fast_huge = retired - fast_base
-        window_units = int(cum[end] - cum[start])
-        if retired == length:
-            gap_starts: list[int] = []
-            gap_ends: list[int] = []
-            gap_units = 0
-        else:
-            flips = np.flatnonzero(retire[1:] != retire[:-1])
-            bounds = np.empty(flips.size + 2, dtype=np.int64)
-            bounds[0] = 0
-            bounds[1:-1] = flips
-            bounds[1:-1] += 1
-            bounds[-1] = length
-            # Segments alternate retire/scalar; pick the scalar ones.
-            offset = 1 if retire[0] else 0
-            starts = bounds[offset:bounds.size - 1:2]
-            ends = bounds[offset + 1::2]
-            gap_units = int((cum[start + ends] - cum[start + starts]).sum())
-            gap_starts = (start + starts).tolist()
-            gap_ends = (start + ends).tolist()
-        bulk_units = window_units - gap_units
-        cycles, walks, gap_base, gap_huge, gap_fast_units = (
-            self._scalar_spans(slot, gap_starts, gap_ends, page_table)
-        )
-        fast_base += gap_base
-        fast_huge += gap_huge
-        fast_units = bulk_units + gap_fast_units
-        cycles += self._l1_hit_cycles * fast_units
-        self._pending_base_records += fast_base
-        self._pending_huge_records += fast_huge
-        self._pending_accesses += fast_units
-        self.fast_hits += fast_base + fast_huge
-        self.batch_retired += retired
-        self.batch_scalar_records += length - retired
-        # Adaptive tier bookkeeping: decay-halving keeps the ratio
-        # tracking recent windows rather than the whole run.
-        slot.adapt_seen += length
-        slot.adapt_retired += retired
-        if slot.adapt_seen >= self.ADAPT_MIN_SEEN:
-            if slot.adapt_retired * 2 < slot.adapt_seen:
-                slot.batch_off = True
-                slot.probe_countdown = self.ADAPT_PROBE_WINDOWS
-                self.batch_fallbacks += 1
-            slot.adapt_seen >>= 1
-            slot.adapt_retired >>= 1
-        return end, window_units, cycles, walks
-
-    def _scalar_spans(self, slot: _ThreadSlot, starts: list[int],
-                      ends: list[int], page_table):
-        """Fast loop over record-index spans (the batch path's gaps).
-
-        Identical per-record behaviour to :meth:`_run_quantum_fast`
-        (the batch equivalence property tests pin the two together);
-        bounded by record indices instead of an access budget, and
-        fast-hit cycles are charged by the caller over the combined
-        units. Gaps are typically short and numerous, so one call
-        handles all of a window's spans with the locals bound once.
-        """
-        vpns = slot.vpns
-        counts = slot.counts
-        seen = slot.seen
-        fault = slot.fault
-        is_mapped = page_table.is_mapped
-        translate = self._translate
-        base_mru = self._base_mru
-        huge_mru = self._huge_mru
-        base_sets = self._base_sets
-        huge_sets = self._huge_sets
-        nbase = self._nbase
-        nhuge = self._nhuge
-        miss_level = HitLevel.MISS
-        size_base = PageSize.BASE
-        size_huge = PageSize.HUGE
-        fast_units = 0
-        cycles = 0
-        walks = 0
-        fast_base = 0
-        fast_huge = 0
-        slow = 0
-        for i, stop in zip(starts, ends):
-            while i < stop:
-                vpn = vpns[i]
-                repeat = counts[i]
-                base_set = vpn % nbase
-                if base_mru[base_set] == vpn:
-                    fast_base += 1
-                    fast_units += repeat
-                    i += 1
-                    continue
-                entries = base_sets[base_set]
-                size = entries.get(vpn)
-                if size is not None:
-                    del entries[vpn]
-                    entries[vpn] = size
-                    base_mru[base_set] = vpn
-                    fast_base += 1
-                    fast_units += repeat
-                    i += 1
-                    continue
-                if vpn not in seen:
-                    seen.add(vpn)
-                    vaddr = vpn << BASE_PAGE_SHIFT
-                    if not is_mapped(vaddr):
-                        fault(vaddr)
-                huge_tag = vpn >> _HUGE_SHIFT
-                huge_set = huge_tag % nhuge
-                if huge_mru[huge_set] == huge_tag:
-                    fast_huge += 1
-                    fast_units += repeat
-                    i += 1
-                    continue
-                hentries = huge_sets[huge_set]
-                hsize = hentries.get(huge_tag)
-                if hsize is not None:
-                    del hentries[huge_tag]
-                    hentries[huge_tag] = hsize
-                    huge_mru[huge_set] = huge_tag
-                    fast_huge += 1
-                    fast_units += repeat
-                    i += 1
-                    continue
-                slow += 1
-                step_cycles, level, size = translate(vpn, page_table, repeat)
-                cycles += step_cycles
-                if level is miss_level:
-                    walks += 1
-                if size is size_base:
-                    base_mru[base_set] = vpn
-                elif size is size_huge:
-                    huge_mru[huge_set] = huge_tag
-                i += 1
-        self.slow_records += slow
-        return cycles, walks, fast_base, fast_huge, fast_units
-
-    def _scalar_spans_plru(self, slot: _ThreadSlot, starts: list[int],
-                           ends: list[int], page_table):
-        """PLRU-mode gap loop: :meth:`_run_quantum_fast_plru` over
-        record-index spans, mirroring :meth:`_scalar_spans` for LRU.
-
-        The batch tier itself needs no PLRU variant: the retirement
-        mask only marks records whose immediately preceding same-set
-        record carried the same tag, so every bulk-retired touch is an
-        idempotent re-touch under the tree exactly as a tier-1 hint
-        hit is.
-        """
-        vpns = slot.vpns
-        counts = slot.counts
-        seen = slot.seen
-        fault = slot.fault
-        is_mapped = page_table.is_mapped
-        translate = self._translate
-        base_mru = self._base_mru
-        huge_mru = self._huge_mru
-        nbase = self._nbase
-        nhuge = self._nhuge
-        miss_level = HitLevel.MISS
-        size_base = PageSize.BASE
-        size_huge = PageSize.HUGE
-        fast_units = 0
-        cycles = 0
-        walks = 0
-        fast_base = 0
-        fast_huge = 0
-        slow = 0
-        for i, stop in zip(starts, ends):
-            while i < stop:
-                vpn = vpns[i]
-                repeat = counts[i]
-                base_set = vpn % nbase
-                if base_mru[base_set] == vpn:
-                    fast_base += 1
-                    fast_units += repeat
-                    i += 1
-                    continue
-                if vpn not in seen:
-                    seen.add(vpn)
-                    vaddr = vpn << BASE_PAGE_SHIFT
-                    if not is_mapped(vaddr):
-                        fault(vaddr)
-                huge_tag = vpn >> _HUGE_SHIFT
-                huge_set = huge_tag % nhuge
-                if huge_mru[huge_set] == huge_tag:
-                    fast_huge += 1
-                    fast_units += repeat
-                    i += 1
-                    continue
-                slow += 1
-                step_cycles, level, size = translate(vpn, page_table, repeat)
-                cycles += step_cycles
-                if level is miss_level:
-                    walks += 1
-                if size is size_base:
-                    base_mru[base_set] = vpn
-                elif size is size_huge:
-                    huge_mru[huge_set] = huge_tag
-                i += 1
-        self.slow_records += slow
-        return cycles, walks, fast_base, fast_huge, fast_units
+        stream = slot.stream
+        slot.bsets = (stream.vpns % np.uint64(self._nbase)).astype(np.intp)
+        slot.hsets = (stream.htags % np.uint64(self._nhuge)).astype(np.intp)
+        slot.region_tags = stream.region_tags.tolist()
 
     # ------------------------------------------------------------------
     # the columnar epoch tier
@@ -1148,11 +601,8 @@ class TranslationPipeline:
         interval just like it may overshoot its budget. Returns the
         same ``(cursor, accesses, translation_cycles, walks)`` tuple as
         :meth:`run_quantum`; small or adaptively-disabled windows
-        delegate one quantum to the batch/fast tiers.
+        delegate one quantum to the fast tier.
         """
-        if self._active_slot is not slot:
-            self._active_slot = slot
-            slot.hint_barrier = slot.cursor
         if not self.columnar or slot.stream is None:
             return self.run_quantum(slot, budget, page_table)
         if self._plru:
@@ -1166,7 +616,7 @@ class TranslationPipeline:
             if slot.columnar_probe > 0:
                 return self.run_quantum(slot, budget, page_table)
             slot.columnar_off = False  # probe epoch: re-measure
-        cum = slot.cum
+        cum = slot.stream.cum
         start = slot.cursor
         n = slot.length
         end = start
@@ -1182,7 +632,7 @@ class TranslationPipeline:
         if end - start < self.MIN_EPOCH_RECORDS:
             return self.run_quantum(slot, budget, page_table)
         if slot.bsets is None:
-            self._attach_batch_views(slot)
+            self._attach_epoch_views(slot)
         return self._run_epoch_columnar(slot, start, end, budget, page_table)
 
     def _run_epoch_columnar(self, slot: _ThreadSlot, start: int, end: int,
@@ -1213,8 +663,9 @@ class TranslationPipeline:
                        budget: int, page_table) -> tuple:
         """Replay a planned epoch window through the quantum tiers.
 
-        ``run_quantum``'s searchsorted rule reproduces the epoch
-        planner's quantum boundaries exactly, so iterating it retires
+        ``run_quantum``'s budget rule (a record runs iff the accesses
+        before it are under budget) is the epoch planner's searchsorted
+        rule, so iterating it retires
         precisely ``[start, end)`` in the steps the scalar round loop
         would have taken (the planner stopped at the first quantum
         covering the remaining interval, so no tick fires inside the
@@ -1249,9 +700,9 @@ class TranslationPipeline:
         region, which interacts with allocator state order-sensitively).
         """
         if slot.seen_np is None:
-            slot.seen_np = np.zeros(slot.page_tags.size, dtype=bool)
+            slot.seen_np = np.zeros(slot.stream.page_tags.size, dtype=bool)
         seen_np = slot.seen_np
-        pr_w = slot.page_ridx[start:end]
+        pr_w = slot.stream.page_ridx[start:end]
         uq_pages, first_pos = np.unique(pr_w, return_index=True)
         unseen = ~seen_np[uq_pages]
         if not unseen.any():
@@ -1260,7 +711,7 @@ class TranslationPipeline:
         order = np.argsort(first_pos[unseen], kind="stable")
         seen = slot.seen
         is_mapped = page_table.is_mapped
-        page_tags = slot.page_tags
+        page_tags = slot.stream.page_tags
         bulk = slot.bulk_fault
         if bulk is not None:
             vaddrs: list[int] = []
@@ -1309,7 +760,8 @@ class TranslationPipeline:
         when :func:`residue.l2_alias_conflict` clears the window.
         """
         # ---- phase B: post-fault region states for the window.
-        rr_w = slot.region_ridx[start:end]
+        stream = slot.stream
+        rr_w = stream.region_ridx[start:end]
         uqr = np.unique(rr_w)
         region_tags = slot.region_tags
         st = np.empty(uqr.size, dtype=np.int8)
@@ -1324,8 +776,8 @@ class TranslationPipeline:
         # ---- phase C: exact LRU classification per suppressed L1.
         core = self.core
         tlbH = core.tlb
-        cum = slot.cum
-        vpns_w = slot.np_vpns[start:end]
+        cum = stream.cum
+        vpns_w = stream.vpns[start:end]
         counts_w = cum[start + 1:end + 1] - cum[start:end]
         length = end - start
         base_sets_d = self._base_sets
@@ -1353,7 +805,7 @@ class TranslationPipeline:
             hit_mask[base_idx[b_hits]] = True
             n_bhit = int(np.count_nonzero(b_hits))
         if huge_idx.size:
-            h_tags = slot.htags[start:end][huge_idx]
+            h_tags = stream.htags[start:end][huge_idx]
             h_setw = slot.hsets[start:end][huge_idx]
             ih_sets, ih_tags = _initial_stack_arrays(init_h)
             h_hits, _, h_final = classify_lru_hits(
@@ -1711,9 +1163,6 @@ class TranslationPipeline:
             f"{prefix}.fast_hits": self.fast_hits,
             f"{prefix}.slow_records": self.slow_records,
             f"{prefix}.invalidations": self.invalidations,
-            f"{prefix}.batch_retired": self.batch_retired,
-            f"{prefix}.batch_scalar_records": self.batch_scalar_records,
-            f"{prefix}.batch_fallbacks": self.batch_fallbacks,
             f"{prefix}.columnar_epochs": self.columnar_epochs,
             f"{prefix}.columnar_retired": self.columnar_retired,
             f"{prefix}.columnar_residue_records":
@@ -1861,7 +1310,6 @@ class Machine:
         thread_quantum: int = 2048,
         serialization_cycles_per_access: float = 0.0,
         fast_path: bool = True,
-        batch: bool = True,
         columnar: bool = True,
         tick_fn=None,
         validate: bool = False,
@@ -1885,8 +1333,7 @@ class Machine:
         self.thread_quantum = thread_quantum
         self.serialization_cycles_per_access = serialization_cycles_per_access
         self.fast_path = fast_path
-        self.batch = batch and fast_path
-        self.columnar = columnar and self.batch
+        self.columnar = columnar and fast_path
         self.dump_region = DumpRegion()
         self._tick_fn = tick_fn or self.promotion_tick
         self.cores: list[Core] = []
@@ -1917,7 +1364,7 @@ class Machine:
         ]
         self.pipelines = [
             TranslationPipeline(core, fast_path=self.fast_path,
-                                batch=self.batch, columnar=self.columnar)
+                                columnar=self.columnar)
             for core in self.cores
         ]
         self.ledgers = [CycleAccounting(self.config.timing) for _ in self.cores]
@@ -1978,7 +1425,6 @@ class Machine:
         prog_total = scheduler.remaining
         prog_tier = (
             "columnar" if use_columnar
-            else "batch" if self.batch
             else "fast" if self.fast_path
             else "scalar"
         )
@@ -2085,7 +1531,6 @@ class Machine:
                     "policy": self.policy.value,
                     "cores": len(self.cores),
                     "fast_path": self.fast_path,
-                    "batch": self.batch,
                     "columnar": self.columnar,
                     "promote_every_accesses": self.config.os.promote_every_accesses,
                     "processes": sorted(processes),
@@ -2164,7 +1609,7 @@ class Machine:
             this_round = []
             for i, slot in enumerate(live):
                 c = cur[i]
-                cum = slot.cum
+                cum = slot.stream.cum
                 nxt = int(np.searchsorted(cum, cum[c] + quantum,
                                           side="left"))
                 if nxt > slot.length:
@@ -2211,11 +1656,8 @@ class Machine:
         ctxs = []
         for i, slot in enumerate(live):
             pipeline = pipelines[slot.core_id]
-            if pipeline._active_slot is not slot:
-                pipeline._active_slot = slot
-                slot.hint_barrier = slot.cursor
             if slot.bsets is None:
-                pipeline._attach_batch_views(slot)
+                pipeline._attach_epoch_views(slot)
             ctx = pipeline._epoch_classify(
                 slot, slot.cursor, ends[i][-1], tables[slot.pid]
             )
@@ -2452,8 +1894,7 @@ class Machine:
         names a set's MRU entry, so the entry it vouches for is
         resident, and removing a resident entry always bumps a counter.
         Ticks that promote nothing (always for the NONE policy, often
-        for interval policies) then keep the memo — and the batch
-        path's cross-tick retirement — alive at zero risk to
+        for interval policies) then keep the memo alive at zero risk to
         bit-identity.
         """
         total = 0
@@ -2481,7 +1922,7 @@ class Machine:
         self._core_pid_map = {}
         cores = len(self.cores)
         next_core = 0
-        stream_cache = self._stream_cache() if self.batch else None
+        stream_cache = self._stream_cache()
         for process in workloads:
             seen = fault_path.seen_for(process.pid)
             fault = fault_path.handler_for(process.pid)
@@ -2501,11 +1942,12 @@ class Machine:
                     )
                 thread.core = core
                 self._core_pid_map[core] = process.pid
-                stream = None
-                if self.batch:
-                    stream = thread.columnar_stream(
+                stream = (
+                    thread.columnar_stream(
                         cache=stream_cache, slot=len(scheduler.slots)
                     )
+                    if self.columnar else None
+                )
                 scheduler.add(
                     thread.trace.vpns.tolist(),
                     thread.trace.counts.tolist(),

@@ -95,7 +95,6 @@ class Simulator:
         thread_quantum: int = 2048,
         serialization_cycles_per_access: float = 0.0,
         fast_path: bool = True,
-        batch: bool = True,
         columnar: bool = True,
         validate: bool = False,
         observe: bool | None = None,
@@ -108,7 +107,6 @@ class Simulator:
             thread_quantum=thread_quantum,
             serialization_cycles_per_access=serialization_cycles_per_access,
             fast_path=fast_path,
-            batch=batch,
             columnar=columnar,
             validate=validate,
             observe=observe,

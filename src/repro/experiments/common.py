@@ -314,15 +314,16 @@ def config_for(*workloads: ProcessWorkload, **overrides) -> SystemConfig:
     return scaled_config(memory_bytes=memory_for(*workloads), **overrides)
 
 
-#: Named engine tiers mapped onto :class:`Simulator` switches. ``None``
-#: (or ``columnar``) is the engine default; the ladder the serving
-#: layer degrades along is columnar -> fast -> scalar, all of which are
-#: bit-identical by the differential oracle's invariant.
+#: Named engine tiers mapped onto :class:`Simulator` switches, in trust
+#: order: scalar is the reference. ``None`` (or ``columnar``) is the
+#: engine default; the ladder the serving layer degrades along is
+#: columnar -> fast -> scalar, all of which are bit-identical by the
+#: differential oracle's invariant. ``columnar`` is pinned in every
+#: entry because Simulator defaults it on.
 ENGINE_TIER_SWITCHES: dict[str, dict[str, bool]] = {
-    "scalar": {"fast_path": False, "batch": False, "columnar": False},
-    "fast": {"fast_path": True, "batch": False, "columnar": False},
-    "batch": {"fast_path": True, "batch": True, "columnar": False},
-    "columnar": {"fast_path": True, "batch": True, "columnar": True},
+    "scalar": {"fast_path": False, "columnar": False},
+    "fast": {"fast_path": True, "columnar": False},
+    "columnar": {"fast_path": True, "columnar": True},
 }
 
 
@@ -405,7 +406,7 @@ class RunSpec:
     seed: int | None = None
     #: caller-side tag for reassembling sweep results
     label: str = ""
-    #: engine tier override (``scalar``/``fast``/``batch``/``columnar``);
+    #: engine tier override (``scalar``/``fast``/``columnar``);
     #: ``None`` runs the engine default. Part of the spec so journal
     #: keys distinguish tiers — a degraded re-run never aliases a
     #: full-tier checkpoint.

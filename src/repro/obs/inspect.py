@@ -41,7 +41,7 @@ METRICS_SCHEMA = "repro.metrics/v1"
 _KNOWN_PHASES = {"X", "i", "M", "s", "f"}
 
 #: Engine tiers a progress snapshot may name (see Machine.run).
-_KNOWN_TIERS = {"scalar", "fast", "batch", "columnar"}
+_KNOWN_TIERS = {"scalar", "fast", "columnar"}
 
 #: SSE event names the serving daemon publishes.
 _KNOWN_EVENTS = {"progress", "state", "degraded", "breaker", "message"}
@@ -356,7 +356,7 @@ def _engine_tier_counters(runs: list[dict]) -> dict[str, int]:
 
     The pipeline exports its tier instrumentation per core as
     ``core<N>.fastpath.<counter>``; the inspector folds those into one
-    machine-wide view (fast_hits, batch_retired, columnar_retired,
+    machine-wide view (fast_hits, slow_records, columnar_retired,
     fallbacks, ...) plus the power-of-two epoch-length histogram
     (``columnar_epoch_p2_<k>`` buckets).
     """

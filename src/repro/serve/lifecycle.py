@@ -185,7 +185,7 @@ class JobStore:
 
 #: Per-run counter infix whose per-core readings are folded onto the
 #: process-global bus as ``engine.<name>`` (tier activity: fast hits,
-#: batch retirements, columnar epochs, fallbacks).
+#: columnar epochs and retirements, fallbacks).
 _TIER_COUNTER_MARKER = ".fastpath."
 
 

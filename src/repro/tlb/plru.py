@@ -42,8 +42,8 @@ def touch(bits: int, ways: int, way: int) -> int:
 
     Every internal node on the leaf's path to the root is pointed at
     the *other* subtree. Touching the same way twice is a no-op
-    (idempotence) — the property the engine's fast-path hint and batch
-    retirement tiers rely on to skip re-touches exactly.
+    (idempotence) — the property the engine's fast-path hint tier relies
+    on to skip re-touches exactly.
     """
     if ways <= 1:
         return bits

@@ -2,7 +2,7 @@
 
 The reproduction's central claim is quantitative, so it is only as
 trustworthy as the equivalence of its engine tiers (scalar / fast /
-batch) and the semantic invariants of its OS policy models. This
+columnar) and the semantic invariants of its OS policy models. This
 package provides the machinery that proves both, continuously:
 
 - :mod:`repro.validation.generators` — seeded random simulator

@@ -5,7 +5,7 @@ defect here is a named, reversible monkeypatch that disables one
 correctness mechanism the oracle and invariants are supposed to defend:
 
 - ``stale-hints`` — the fast path's MRU-hint memo is never invalidated
-  after OS ticks mutate TLB state, so the fast/batch tiers serve
+  after OS ticks mutate TLB state, so the fast tier serves
   translations from entries that shootdowns have removed;
 - ``pcc-no-decay`` — the PCC's decay-on-saturation pass is disabled,
   letting frequency counters climb past the architectural

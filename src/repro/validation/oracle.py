@@ -4,12 +4,13 @@ One :class:`~repro.validation.generators.FuzzCase` is judged in three
 moves:
 
 1. **Tier equivalence** (exact). The same (config, stream) runs through
-   the scalar reference (``fast_path=False, batch=False``), the
-   per-record fast path, and the vectorized batch path. Every
-   observable — walks, per-structure hits, cycles, promotions,
-   timelines, per-process stats, and all non-fastpath metrics counters
-   — must be bit-identical. Runtime invariants
-   (:mod:`repro.validation.invariants`) are armed on every run.
+   every tier of :data:`~repro.experiments.common.ENGINE_TIER_SWITCHES`:
+   the scalar reference (``fast_path=False``), the per-record fast path,
+   and the columnar epoch tier. Every observable — walks, per-structure
+   hits, cycles, promotions, timelines, per-process stats, and all
+   non-fastpath metrics counters — must be bit-identical. Runtime
+   invariants (:mod:`repro.validation.invariants`) are armed on every
+   run.
 
 2. **Metamorphic policy relations** (exact where defined). Relations
    that hold by construction, not by luck:
@@ -39,20 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.engine.simulation import SimulationResult, Simulator
+from repro.experiments.common import ENGINE_TIER_SWITCHES
 from repro.os.kernel import HugePagePolicy
 from repro.validation.generators import FuzzCase
 from repro.validation.invariants import InvariantViolation
-
-#: Engine tiers under test, in trust order: scalar is the reference.
-#: ``columnar`` is pinned explicitly in every entry because Simulator
-#: defaults it on — the "batch" tier must stay plain per-quantum batch.
-TIERS: dict[str, dict[str, bool]] = {
-    "scalar": {"fast_path": False, "batch": False, "columnar": False},
-    "fast": {"fast_path": True, "batch": False, "columnar": False},
-    "batch": {"fast_path": True, "batch": True, "columnar": False},
-    "columnar": {"fast_path": True, "batch": True, "columnar": True},
-}
-
 
 class ValidationFailure(AssertionError):
     """A case broke a hard relation; carries a machine-readable domain."""
@@ -101,7 +92,7 @@ def run_case(
         params=params if params is not None else case.build_params(),
         fragmentation=case.fragmentation,
         validate=validate,
-        **TIERS[tier],
+        **ENGINE_TIER_SWITCHES[tier],
     )
     result = simulator.run([case.build_workload()])
     return simulator, result
@@ -170,11 +161,13 @@ def _first_diff(a: dict, b: dict) -> str:
 def check_tiers(
     case: FuzzCase, report: CaseReport
 ) -> tuple[Simulator, SimulationResult]:
-    """All four engine tiers must be bit-identical on this case."""
+    """Every engine tier must be bit-identical on this case."""
     simulator, reference = run_case(case, tier="scalar")
     ref_fp = fingerprint(reference)
     ref_counters = _counters(reference)
-    for tier in ("fast", "batch", "columnar"):
+    for tier in ENGINE_TIER_SWITCHES:
+        if tier == "scalar":
+            continue
         _, candidate = run_case(case, tier=tier)
         fp = fingerprint(candidate)
         if fp != ref_fp:

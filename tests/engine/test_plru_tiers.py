@@ -2,17 +2,18 @@
 
 The adaptive engine's upper tiers encode LRU-specific shortcuts (dict
 reinsert as recency, the columnar epoch classifier's exact-LRU
-algebra). Under ``tlb_replacement="plru"`` each tier either runs a
-policy-correct variant (scalar/fast/batch) or transparently falls back
-a tier (columnar -> quantum), and the observable simulation must stay
-bit-identical across all four — the same guarantee the differential
-oracle enforces for LRU. The fallback is counted so operators can see
+algebra). Under ``tlb_replacement="plru"`` each tier either runs
+policy-correct (scalar, and fast with its live-dict probes off) or
+transparently falls back a tier (columnar -> fast), and the observable
+simulation must stay bit-identical across all three — the same
+guarantee the differential oracle enforces for LRU. The fallback is counted so operators can see
 a plru run quietly degrading columnar epochs in ``repro inspect``.
 """
 
+from repro.experiments.common import ENGINE_TIER_SWITCHES
 from repro.obs import inspect as inspect_module
 from repro.validation.generators import generate_case
-from repro.validation.oracle import TIERS, fingerprint, run_case
+from repro.validation.oracle import fingerprint, run_case
 
 #: wide geometry: off the all-2-way tiny default where PLRU == LRU
 WIDE = {"l1_base": [8, 4], "l2": [16, 8]}
@@ -27,14 +28,14 @@ def _case(replacement):
     )
 
 
-def test_all_four_tiers_are_bit_identical_under_plru():
+def test_all_tiers_are_bit_identical_under_plru():
     case = _case("plru")
     prints = {}
-    for tier in TIERS:
+    for tier in ENGINE_TIER_SWITCHES:
         _, result = run_case(case, tier=tier)
         prints[tier] = fingerprint(result)
+    assert set(prints) == {"scalar", "fast", "columnar"}
     assert prints["fast"] == prints["scalar"]
-    assert prints["batch"] == prints["scalar"]
     assert prints["columnar"] == prints["scalar"]
 
 

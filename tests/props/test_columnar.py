@@ -13,9 +13,11 @@
    tag vocabulary, and initial residency.
 
 On top of those unit properties, the tier's end-to-end contract is
-pinned the same way the fast and batch tiers are: bit-identical
-simulation statistics against the scalar reference on the validation
-fuzz corpus (seeds 0..50; the CI oracle sweep covers 0..199).
+pinned the same way the fast tier is: bit-identical simulation
+statistics against the scalar reference on the validation fuzz corpus
+(seeds 0..50; the CI oracle sweep covers 0..199), and on the randomized
+bursty, tight-interval, fragmented and 1GB-backed inputs of
+``tests/props/test_fastpath_equivalence.py``.
 """
 
 import numpy as np

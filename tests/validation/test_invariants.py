@@ -7,7 +7,8 @@ from repro.os.kernel import HugePagePolicy
 from repro.validation import defects
 from repro.validation.generators import generate_case
 from repro.validation.invariants import InvariantViolation
-from repro.validation.oracle import TIERS, run_case
+from repro.experiments.common import ENGINE_TIER_SWITCHES
+from repro.validation.oracle import run_case
 
 
 def test_monitor_is_off_by_default():
@@ -28,7 +29,7 @@ def test_monitor_is_installed_and_quiet_on_healthy_runs():
         assert result.accesses == case.total_accesses
 
 
-@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("tier", sorted(ENGINE_TIER_SWITCHES))
 def test_monitor_covers_every_tier(tier):
     case = generate_case(3)
     simulator, _ = run_case(case, tier=tier, validate=True)

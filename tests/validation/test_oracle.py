@@ -18,7 +18,7 @@ def test_healthy_cases_pass_all_checks():
     for seed in range(10):
         report = check_case(generate_case(seed))
         assert "tier:fast" in report.checks
-        assert "tier:batch" in report.checks
+        assert "tier:columnar" in report.checks
         assert "determinism" in report.checks
         assert "conservation" in report.checks
         assert "ledger" in report.checks

@@ -117,7 +117,7 @@ def test_same_failure_matches_domain_prefix_only():
 
 def test_write_and_load_round_trip(tmp_path):
     case = generate_case(14)
-    failure = ValidationFailure("tier.batch", "batch diverged", case)
+    failure = ValidationFailure("tier.columnar", "columnar diverged", case)
     path = write_reproducer(case, failure, tmp_path)
     assert path.parent == tmp_path
     assert path.name == f"case-{case.case_id}.json"
@@ -125,13 +125,13 @@ def test_write_and_load_round_trip(tmp_path):
     record = json.loads(path.read_text())
     assert record["schema"] == CORPUS_SCHEMA
     assert record["failure"] == {
-        "domain": "tier.batch",
-        "detail": "batch diverged",
+        "domain": "tier.columnar",
+        "detail": "columnar diverged",
     }
 
     again, past = load_reproducer(path)
     assert again.to_dict() == case.to_dict()
-    assert past["domain"] == "tier.batch"
+    assert past["domain"] == "tier.columnar"
 
 
 def test_load_rejects_unknown_schema(tmp_path):
