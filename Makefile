@@ -20,10 +20,13 @@ test:
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
-# differential oracle: random cases through all engine tiers/policies,
+# differential oracle: random cases through all engine tiers/policies
+# (a second leg forces tree-PLRU TLBs on every case),
 # then replay the regression corpus; failures shrink into tests/corpus/
 fuzz:
 	$(PYTHON) -m repro validate --fuzz $(FUZZ_CASES) --seed $(FUZZ_SEED)
+	$(PYTHON) -m repro validate --fuzz $(FUZZ_CASES) --seed $(FUZZ_SEED) \
+		--tlb-replacement plru
 	$(PYTHON) -m repro validate --replay tests/corpus
 
 # prove the harness catches planted bugs (each must fail + shrink).

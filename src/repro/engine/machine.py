@@ -47,12 +47,13 @@ the fast path is bit-identical to the slow path — the property tests
 assert equal walks, hits, cycles, and promotions with the memo on and
 off.
 
-Under tree-PLRU replacement the same loop runs without tier 2: dict
-order no longer tracks recency, so a live hit must take the full path,
-whose lookup performs the tree touch. Tier 1 stays exact — a hint
-match means the set's most recent probe touched this very tag, so the
-tree already points away from its way and the skipped re-touch is a
-no-op (PLRU touch is idempotent).
+Under tree-PLRU replacement dict order no longer tracks recency, so
+tier 2 probes the L1's tag->way map instead and performs the real
+path's entire state change itself: one masked tree touch
+(``plru.touch_masks``) plus the batched hit count. Tier 1 stays exact —
+a hint match means the set's most recent probe touched this very tag,
+so the tree already points away from its way and the skipped re-touch
+is a no-op (PLRU touch is idempotent).
 
 The columnar epoch tier
 -----------------------
@@ -117,6 +118,13 @@ uses, so ``sync()`` remains the single flush point. An adaptive guard
 hands a slot whose epochs classify under a quarter of their records
 back to the quantum tiers and re-probes it periodically.
 ``columnar=False`` selects the quantum tiers unconditionally.
+
+Under tree-PLRU the classifier's exact-LRU algebra does not apply, so a
+single-thread PLRU epoch plans its window the same way, takes the fault
+pre-pass (policy-blind: faults never touch TLBs), and replays the window
+through the fast loop — the path a declined LRU window takes. Spans of
+several threads run the quantum rounds under PLRU. Both count as
+``columnar_plru_fallbacks``.
 """
 
 from __future__ import annotations
@@ -376,14 +384,19 @@ class TranslationPipeline:
         self.columnar_mt_epochs = 0
         self.columnar_faults_batched = 0
         self.columnar_faults_scalar = 0
-        # Epoch windows declined because the TLBs replace by tree-PLRU:
-        # the whole-epoch classifier is exact-LRU-specific, so PLRU
-        # epochs take the quantum tiers instead (counted, bit-identical).
+        # PLRU epochs: the whole-epoch classifier is exact-LRU-specific,
+        # so a tree-PLRU window runs as fault pre-pass plus fast-loop
+        # replay (and a multi-thread PLRU span, counted once, declines to
+        # the quantum rounds); bit-identical either way.
         self.columnar_plru_fallbacks = 0
-        # Under PLRU the dict-order tier-2 probe is unsound (insertion
-        # order no longer tracks recency); the fast loop skips it, while
-        # tier 1 stays exact (see the module docstring).
+        # Under PLRU dict order no longer tracks recency, so the fast
+        # loop's tier 2 probes the tag->way maps and performs the masked
+        # tree touch instead of the del/reinsert (see the module
+        # docstring); these are the L1s' live PLRU views.
         self._plru = core.config.tlb.l1_base.replacement == "plru"
+        if self._plru:
+            self._base_plru = l1_base.plru_views()
+            self._huge_plru = l1_huge.plru_views()
         #: the slot whose quantum most recently ran on this core
         self._active_slot = None
 
@@ -448,15 +461,16 @@ class TranslationPipeline:
         which the tier performs itself, skipping the translate→lookup→
         hit_fast call stack and batching the statistics.
 
-        Under PLRU ``live_probe`` is off and tier 2 is skipped: its
-        del/reinsert *is* the LRU recency update, with no tree analogue,
-        so live-hit records fall through to the full translate path,
-        whose lookup performs the tree touch and counts the hit. That
-        changes only speed, never state: a live-L1-hit record's vpn is
-        provably in the seen-set (the entry was filled by a prior access
-        to it) so the fault check is a no-op, and a vpn resident in
-        L1-4K excludes a covering L1-2M entry (one backing per region
-        between shootdowns), so the 2MB hint cannot answer for it.
+        Under PLRU the del/reinsert has no meaning (dict order is not
+        recency), so tier 2 probes the L1's tag->way map and performs
+        the masked tree touch the full path's lookup would, with the
+        same batched hit count; one ``if`` per structure picks the
+        policy. The same reasoning keeps both exact: a live-L1-hit
+        record's vpn is provably in the seen-set (the entry was filled
+        by a prior access to it) so the skipped fault check is a no-op,
+        and a vpn resident in L1-4K excludes a covering L1-2M entry (one
+        backing per region between shootdowns), so the 4K-first probe
+        order matches the hierarchy's.
 
         Counter bookkeeping is hoisted out of the loop: accesses fall
         out of the budget delta, and fast-hit cycles are one multiply
@@ -476,7 +490,10 @@ class TranslationPipeline:
         huge_sets = self._huge_sets
         nbase = self._nbase
         nhuge = self._nhuge
-        live_probe = not self._plru
+        plru = self._plru
+        if plru:
+            b_way_of, b_bits, b_keep, b_setm = self._base_plru
+            h_way_of, h_bits, h_keep, h_setm = self._huge_plru
         miss_level = HitLevel.MISS
         size_base = PageSize.BASE
         size_huge = PageSize.HUGE
@@ -502,7 +519,21 @@ class TranslationPipeline:
                 budget -= repeat
                 i += 1
                 continue
-            if live_probe:
+            if plru:
+                way = b_way_of[base_set].get(vpn)
+                if way is not None:
+                    # Tier 2 under PLRU: the real path's only state
+                    # change is this masked tree touch.
+                    b_bits[base_set] = (
+                        (b_bits[base_set] & b_keep[way]) | b_setm[way]
+                    )
+                    base_mru[base_set] = vpn
+                    fast_base += 1
+                    fast_units += repeat
+                    budget -= repeat
+                    i += 1
+                    continue
+            else:
                 entries = base_sets[base_set]
                 size = entries.get(vpn)
                 if size is not None:
@@ -538,7 +569,19 @@ class TranslationPipeline:
                 budget -= repeat
                 i += 1
                 continue
-            if live_probe:
+            if plru:
+                way = h_way_of[huge_set].get(huge_tag)
+                if way is not None:
+                    h_bits[huge_set] = (
+                        (h_bits[huge_set] & h_keep[way]) | h_setm[way]
+                    )
+                    huge_mru[huge_set] = huge_tag
+                    fast_huge += 1
+                    fast_units += repeat
+                    budget -= repeat
+                    i += 1
+                    continue
+            else:
                 hentries = huge_sets[huge_set]
                 hsize = hentries.get(huge_tag)
                 if hsize is not None:
@@ -601,15 +644,10 @@ class TranslationPipeline:
         interval just like it may overshoot its budget. Returns the
         same ``(cursor, accesses, translation_cycles, walks)`` tuple as
         :meth:`run_quantum`; small or adaptively-disabled windows
-        delegate one quantum to the fast tier.
+        delegate one quantum to the fast tier, and tree-PLRU windows
+        replay through it after the fault pre-pass.
         """
         if not self.columnar or slot.stream is None:
-            return self.run_quantum(slot, budget, page_table)
-        if self._plru:
-            # The whole-epoch classifier proves hits against exact-LRU
-            # stack depths; no such closed form exists for tree-PLRU,
-            # so PLRU epochs take the quantum tiers (still bit-exact).
-            self.columnar_plru_fallbacks += 1
             return self.run_quantum(slot, budget, page_table)
         if slot.columnar_off:
             slot.columnar_probe -= 1
@@ -631,6 +669,15 @@ class TranslationPipeline:
             acc = int(cum[end] - cum[start])
         if end - start < self.MIN_EPOCH_RECORDS:
             return self.run_quantum(slot, budget, page_table)
+        if self._plru:
+            # The whole-epoch classifier proves hits against exact-LRU
+            # stack depths; no such closed form exists for tree-PLRU.
+            # The window still takes the fault pre-pass (policy-blind:
+            # faults never touch TLBs) and replays through the fast
+            # loop, the exact path a declined LRU window takes.
+            self.columnar_plru_fallbacks += 1
+            self._epoch_faults(slot, start, end, page_table)
+            return self._replay_window(slot, start, end, budget, page_table)
         if slot.bsets is None:
             self._attach_epoch_views(slot)
         return self._run_epoch_columnar(slot, start, end, budget, page_table)

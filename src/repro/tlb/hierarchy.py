@@ -105,13 +105,17 @@ class TLBHierarchy:
         if self._plru:
             # The inlined lookup() below is LRU-specific (dict
             # delete+reinsert is the recency update); under PLRU the
-            # structures rebound their own methods, so the hierarchy
-            # rebinds lookup to the method-call variant and hoists the
-            # per-structure probes. LRU runs pay nothing for the knob.
-            self._b_hit = self.l1_base.hit_fast
-            self._h_hit = self.l1_huge.hit_fast
-            self._g_hit = self.l1_giga.hit_fast
-            self._l2_hit = self.l2.hit_fast
+            # hierarchy rebinds lookup to a variant inlining the masked
+            # tree touch instead, over hoisted per-structure PLRU state.
+            # LRU runs pay nothing for the knob.
+            (self._b_way_of, self._b_bits,
+             self._b_keep, self._b_setm) = self.l1_base.plru_views()
+            (self._h_way_of, self._h_bits,
+             self._h_keep, self._h_setm) = self.l1_huge.plru_views()
+            (self._g_way_of, self._g_bits,
+             self._g_keep, self._g_setm) = self.l1_giga.plru_views()
+            (self._l2_way_of, self._l2_bits,
+             self._l2_keep, self._l2_setm) = self.l2.plru_views()
             self.lookup = self._lookup_plru
         # Per page size: (vpn shift, L1 structure, L2 or None, stored
         # entry value as a plain int — filling with the IntEnum itself
@@ -199,23 +203,55 @@ class TLBHierarchy:
 
     def _lookup_plru(self, vpn: int) -> AccessResult:
         """PLRU-mode lookup: same probe order and attribution as the
-        inlined LRU path, recency updates delegated to the structures."""
+        inlined LRU path. Each probe is ``TLB._hit_fast_plru`` inlined:
+        tag->way dict get, then the masked tree touch and hit count."""
         self.accesses += 1
-        if self._b_hit(vpn):
+        si = vpn % self._b_n
+        way = self._b_way_of[si].get(vpn)
+        if way is not None:
+            bits = self._b_bits
+            bits[si] = (bits[si] & self._b_keep[way]) | self._b_setm[way]
+            self._b_stats.hits += 1
             return _L1_BASE
         huge_tag = vpn >> _HUGE_SHIFT
-        if self._h_hit(huge_tag):
+        si = huge_tag % self._h_n
+        way = self._h_way_of[si].get(huge_tag)
+        if way is not None:
+            bits = self._h_bits
+            bits[si] = (bits[si] & self._h_keep[way]) | self._h_setm[way]
+            self._h_stats.hits += 1
             return _L1_HUGE
         giga_tag = vpn >> _GIGA_SHIFT
-        if self._g_hit(giga_tag):
+        si = giga_tag % self._g_n
+        way = self._g_way_of[si].get(giga_tag)
+        if way is not None:
+            bits = self._g_bits
+            bits[si] = (bits[si] & self._g_keep[way]) | self._g_setm[way]
+            self._g_stats.hits += 1
             return _L1_GIGA
         self._b_stats.misses += 1
-        if self._l2_hit(vpn):
+
+        l2_way_of = self._l2_way_of
+        l2_n = self._l2_n
+        si = vpn % l2_n
+        way = l2_way_of[si].get(vpn)
+        if way is not None:
+            bits = self._l2_bits
+            bits[si] = (bits[si] & self._l2_keep[way]) | self._l2_setm[way]
+            self._l2_stats.hits += 1
             self._l1_base_fill(vpn, BASE_PAGE_SHIFT)
             return _L2_BASE
-        if self._l2_serves_huge and self._l2_hit(huge_tag):
-            self._l1_huge_fill(huge_tag, HUGE_PAGE_SHIFT)
-            return _L2_HUGE
+        if self._l2_serves_huge:
+            si = huge_tag % l2_n
+            way = l2_way_of[si].get(huge_tag)
+            if way is not None:
+                bits = self._l2_bits
+                bits[si] = (
+                    (bits[si] & self._l2_keep[way]) | self._l2_setm[way]
+                )
+                self._l2_stats.hits += 1
+                self._l1_huge_fill(huge_tag, HUGE_PAGE_SHIFT)
+                return _L2_HUGE
         self._l2_stats.misses += 1
         return _MISS
 

@@ -21,20 +21,53 @@ terminates on a valid way and — for ways >= 2 — never on the way that
 was touched last.
 
 Functions take and return plain ints so callers can store per-set
-state in a flat list, and so the validation defects can monkeypatch
-victim selection at the module boundary (``repro.tlb`` calls these
-through the module attribute, never through a hoisted reference).
+state in a flat list. A touch depends only on the way, so it reduces to
+one AND and one OR with per-way masks (:func:`touch_masks`), which the
+hot paths in ``repro.tlb`` inline. Victim selection stays a call:
+``repro.tlb`` reaches :func:`victim` through the module attribute,
+never through a hoisted reference, so the validation defects can
+monkeypatch it at the module boundary.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def leaf_count(ways: int) -> int:
     """Smallest power of two >= ``ways`` (the tree's leaf width)."""
-    p = 1
-    while p < ways:
-        p <<= 1
-    return p
+    return 1 << (ways - 1).bit_length()
+
+
+@lru_cache(maxsize=None)
+def touch_masks(ways: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-way ``(keep, set)`` masks: ``touch`` as one AND and one OR.
+
+    Touching ``way`` rewrites exactly the nodes on its leaf-to-root
+    path, each to a value fixed by the way alone, so
+    ``touch(bits, ways, w) == (bits & keep[w]) | set[w]``: ``keep[w]``
+    clears the path's node bits (keeping every other node bit) and
+    ``set[w]`` holds the bits the path ends with. The hot paths in
+    :mod:`repro.tlb` hoist these tables and inline the update.
+    """
+    p = leaf_count(ways)
+    full = (1 << p) - 1
+    keep = []
+    set_ = []
+    for way in range(ways):
+        path = 0
+        on = 0
+        node = p + way
+        while node > 1:
+            parent = node >> 1
+            path |= 1 << parent
+            if not node & 1:
+                # touched way lives left of ``parent``: victim goes right
+                on |= 1 << parent
+            node = parent
+        keep.append(full & ~path)
+        set_.append(on)
+    return tuple(keep), tuple(set_)
 
 
 def touch(bits: int, ways: int, way: int) -> int:
@@ -45,18 +78,8 @@ def touch(bits: int, ways: int, way: int) -> int:
     (idempotence) — the property the engine's fast-path hint tier relies
     on to skip re-touches exactly.
     """
-    if ways <= 1:
-        return bits
-    node = leaf_count(ways) + way
-    while node > 1:
-        parent = node >> 1
-        if node & 1:
-            # touched way lives right of ``parent``: victim goes left
-            bits &= ~(1 << parent)
-        else:
-            bits |= 1 << parent
-        node = parent
-    return bits
+    keep, set_ = touch_masks(ways)
+    return (bits & keep[way]) | set_[way]
 
 
 def victim(bits: int, ways: int) -> int:
@@ -69,15 +92,13 @@ def victim(bits: int, ways: int) -> int:
     """
     if ways <= 1:
         return 0
-    p = leaf_count(ways)
+    depth = (ways - 1).bit_length()
+    p = 1 << depth
     node = 1
-    while node < p:
+    for level in range(depth - 1, -1, -1):
         child = node * 2 + ((bits >> node) & 1)
-        # leftmost leaf reachable from ``child``
-        low = child
-        while low < p:
-            low <<= 1
-        if low - p >= ways:
+        # ``child << level`` is the leftmost leaf reachable from it
+        if (child << level) - p >= ways:
             child = node * 2
         node = child
     return node - p

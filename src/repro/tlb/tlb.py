@@ -86,6 +86,8 @@ class TLB:
             self._way_of: list[dict[int, int]] = [
                 dict() for _ in range(config.sets)
             ]
+            #: per-way touch masks: touch == (bits & keep[w]) | set[w]
+            self._keep, self._setm = plru.touch_masks(config.ways)
             self.lookup = self._lookup_plru
             self.hit_fast = self._hit_fast_plru
             self.fill = self._fill_plru
@@ -171,8 +173,9 @@ class TLB:
 
     # ------------------------------------------------------------------
     # tree-PLRU variants (bound over the defaults in __init__ when
-    # config.replacement == "plru"; repro.tlb.plru is always called
-    # through the module attribute so defect injection can intercept it)
+    # config.replacement == "plru"). Touches inline the plru.touch_masks
+    # update; plru.victim is always called through the module attribute
+    # so defect injection can intercept it.
 
     def _lookup_plru(self, tag: int) -> bool:
         si = tag % self._nsets
@@ -180,7 +183,8 @@ class TLB:
         if way is None:
             self.stats.misses += 1
             return False
-        self._bits[si] = plru.touch(self._bits[si], self._ways, way)
+        bits = self._bits
+        bits[si] = (bits[si] & self._keep[way]) | self._setm[way]
         self.stats.hits += 1
         return True
 
@@ -189,7 +193,8 @@ class TLB:
         way = self._way_of[si].get(tag)
         if way is None:
             return False
-        self._bits[si] = plru.touch(self._bits[si], self._ways, way)
+        bits = self._bits
+        bits[si] = (bits[si] & self._keep[way]) | self._setm[way]
         self.stats.hits += 1
         return True
 
@@ -198,15 +203,16 @@ class TLB:
         si = tag % self._nsets
         entries = self._sets[si]
         way_of = self._way_of[si]
+        bits = self._bits
         way = way_of.get(tag)
         if way is not None:
             entries[tag] = size
-            self._bits[si] = plru.touch(self._bits[si], self._ways, way)
+            bits[si] = (bits[si] & self._keep[way]) | self._setm[way]
             return None
         tags = self._way_tags[si]
         victim = None
         if len(way_of) >= self._ways:
-            way = plru.victim(self._bits[si], self._ways)
+            way = plru.victim(bits[si], self._ways)
             victim = tags[way]
             del entries[victim]
             del way_of[victim]
@@ -216,7 +222,7 @@ class TLB:
         tags[way] = tag
         way_of[tag] = way
         entries[tag] = size
-        self._bits[si] = plru.touch(self._bits[si], self._ways, way)
+        bits[si] = (bits[si] & self._keep[way]) | self._setm[way]
         return victim
 
     def _invalidate_plru(self, tag: int) -> bool:
@@ -238,6 +244,17 @@ class TLB:
             for way in range(self._ways):
                 tags[way] = -1
             self._bits[si] = 0
+
+    def plru_views(self) -> tuple:
+        """``(way_of, bits, keep, set)``: the live PLRU state (PLRU only).
+
+        The per-set tag->way dicts and direction-bit list (mutated in
+        place, never rebound, so hoisted references stay live across
+        fills and flushes) and the per-way touch masks. Hot paths that
+        inline the probe-and-touch read these; raises ``AttributeError``
+        under LRU.
+        """
+        return self._way_of, self._bits, self._keep, self._setm
 
     def plru_state(self, index: int) -> tuple[int, list[int]]:
         """(direction bits, way->tag list) of set ``index`` (PLRU only).

@@ -182,8 +182,9 @@ def test_fast_path_is_bit_identical(tier, streams, policy):
 @given(streams=any_page_streams, policy=st.sampled_from(POLICIES))
 @settings(max_examples=30, deadline=None)
 def test_fast_path_is_bit_identical_under_plru(tier, streams, policy):
-    """Under PLRU the fast loop runs tier 1 only (the live-dict probes
-    are LRU-specific) and columnar declines every epoch to it."""
+    """Under PLRU the fast loop's tier 2 does the masked tree touch
+    itself, and columnar replays every epoch through that loop after
+    its fault pre-pass."""
     _assert_tier_matches_scalar(
         tier, streams, policy, config=_plru_wide_config()
     )

@@ -87,6 +87,44 @@ def test_bitmask_matches_the_brute_force_tree(case):
         assert plru.victim(bits, ways) == model.victim()
 
 
+def _path_walk_touch(bits: int, ways: int, way: int) -> int:
+    """Touch by walking the leaf-to-root path node by node."""
+    node = plru.leaf_count(ways) + way
+    while node > 1:
+        parent = node >> 1
+        if node & 1:
+            bits &= ~(1 << parent)
+        else:
+            bits |= 1 << parent
+        node = parent
+    return bits
+
+
+@given(
+    st.integers(min_value=1, max_value=33).flatmap(
+        lambda w: st.tuples(st.just(w), touches(w))
+    )
+)
+@settings(max_examples=300)
+def test_touch_masks_match_the_brute_force_tree(case):
+    """The per-way (keep, set) masks the hot paths inline are the whole
+    touch: one AND and one OR reproduce ``touch`` and a node-by-node
+    path walk, and the masked state nominates the brute-force tree's
+    victim after every step."""
+    ways, sequence = case
+    keep, set_ = plru.touch_masks(ways)
+    assert len(keep) == len(set_) == ways
+    bits = 0
+    model = _PLRUTree(ways)
+    for way in sequence:
+        masked = (bits & keep[way]) | set_[way]
+        assert masked == plru.touch(bits, ways, way)
+        assert masked == _path_walk_touch(bits, ways, way)
+        bits = masked
+        model.touch(way)
+        assert plru.victim(bits, ways) == model.victim()
+
+
 @given(WAYS.flatmap(lambda w: st.tuples(st.just(w), touches(w))))
 @settings(max_examples=100)
 def test_victim_then_touch_visits_every_way(case):
