@@ -519,6 +519,25 @@ async def _http_text(host: str, port: int, path: str,
     return int(head.split(b" ", 2)[1]), body.decode("utf-8", "replace")
 
 
+async def scrape_counters(host: str, port: int) -> dict | None:
+    """Counter totals from ``GET /metrics``; ``None`` if the scrape fails."""
+    sys.path.insert(0, str(REPO / "src"))
+    from repro.metrics.prometheus import parse_exposition
+
+    try:
+        code, text = await _http_text(host, port, "/metrics")
+    except ServerGone:
+        return None
+    if code != 200:
+        return None
+    return {
+        name: int(value)
+        for family in parse_exposition(text).values()
+        if family["type"] == "counter"
+        for name, _, value in family["samples"]
+    }
+
+
 # ----------------------------------------------------------------------
 # artifact
 
@@ -613,15 +632,10 @@ def main() -> int:
         duplicated = None
         if args.chaos:
             duplicated = await assert_no_duplicates(args, host, port_ref)
-        metrics = None
-        try:
-            _, metrics = await http_json(host, port_ref[0], "GET",
-                                         "/v1/metrics")
-        except ServerGone:
-            pass
-        return duplicated, metrics
+        counters = await scrape_counters(host, port_ref[0])
+        return duplicated, counters
 
-    duplicated, metrics = asyncio.run(drive())
+    duplicated, server_counters = asyncio.run(drive())
 
     # the telemetry probe needs the server still up (it runs its own
     # event loops + a blocking SSE tail thread), so it goes between the
@@ -712,7 +726,7 @@ def main() -> int:
             "chaos": bool(args.chaos),
             "lost": lost,
             "duplicated": duplicated,
-            "server_counters": (metrics or {}).get("counters"),
+            "server_counters": server_counters,
         }
         sections["serve"] = section
         if telemetry_section is not None:

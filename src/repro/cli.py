@@ -322,13 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-width", type=int, default=2,
                          help="cap on a job's requested fan-out width "
                          "(default 2)")
-    p_serve.add_argument("--breaker-trip-after", type=int, default=3,
-                         help="consecutive damaged fan-outs before the "
-                         "circuit breaker forces serial execution "
-                         "(default 3)")
-    p_serve.add_argument("--breaker-cooldown", type=float, default=30.0,
-                         help="seconds the tripped breaker stays open "
-                         "before probing the pool again (default 30)")
 
     for experiment_parser in experiment_parsers:
         _add_output_options(experiment_parser, subcommand=True)
@@ -363,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top = sub.add_parser(
         "top",
         help="live ANSI dashboard over a running serve daemon: per-job "
-        "progress bars, tier occupancy, queue depth, breaker state",
+        "progress bars, queue depth, tenant backlog, 1m rates",
     )
     p_top.add_argument(
         "url", nargs="?", default="127.0.0.1:8023",
@@ -448,8 +441,6 @@ def _run_serve(args) -> int:
         tenant_quota=args.tenant_quota,
         executors=args.executors,
         max_width=args.max_width,
-        breaker_trip_after=args.breaker_trip_after,
-        breaker_cooldown_s=args.breaker_cooldown,
     )
     return run_server(config)
 

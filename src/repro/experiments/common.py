@@ -315,29 +315,15 @@ def config_for(*workloads: ProcessWorkload, **overrides) -> SystemConfig:
 
 
 #: Named engine tiers mapped onto :class:`Simulator` switches, in trust
-#: order: scalar is the reference. ``None`` (or ``columnar``) is the
-#: engine default; the ladder the serving layer degrades along is
-#: columnar -> fast -> scalar, all of which are bit-identical by the
-#: differential oracle's invariant. ``columnar`` is pinned in every
-#: entry because Simulator defaults it on.
+#: order: scalar is the reference and columnar the engine default. All
+#: tiers are bit-identical by the differential oracle's invariant, which
+#: walks this table. ``columnar`` is pinned in every entry because
+#: Simulator defaults it on.
 ENGINE_TIER_SWITCHES: dict[str, dict[str, bool]] = {
     "scalar": {"fast_path": False, "columnar": False},
     "fast": {"fast_path": True, "columnar": False},
     "columnar": {"fast_path": True, "columnar": True},
 }
-
-
-def engine_tier_switches(tier: str | None) -> dict[str, bool]:
-    """Simulator keyword switches for a named engine tier."""
-    if tier is None:
-        return {}
-    try:
-        return dict(ENGINE_TIER_SWITCHES[tier])
-    except KeyError:
-        raise ValueError(
-            f"unknown engine tier {tier!r}; "
-            f"choose from {sorted(ENGINE_TIER_SWITCHES)}"
-        ) from None
 
 
 def run_policy(
@@ -347,7 +333,6 @@ def run_policy(
     fragmentation: float = 0.0,
     budget_regions: int | None = None,
     params: KernelParams | None = None,
-    engine_tier: str | None = None,
 ) -> SimulationResult:
     """One simulation run of one workload under one policy."""
     config = config or config_for(workload)
@@ -363,7 +348,6 @@ def run_policy(
         policy=policy,
         params=params,
         fragmentation=fragmentation,
-        **engine_tier_switches(engine_tier),
     )
     return simulator.run([clone_workload(workload)])
 
@@ -406,14 +390,9 @@ class RunSpec:
     seed: int | None = None
     #: caller-side tag for reassembling sweep results
     label: str = ""
-    #: engine tier override (``scalar``/``fast``/``columnar``);
-    #: ``None`` runs the engine default. Part of the spec so journal
-    #: keys distinguish tiers — a degraded re-run never aliases a
-    #: full-tier checkpoint.
-    engine_tier: str | None = None
     #: TLB victim policy ablation axis (``lru``/``plru``). Part of the
-    #: spec for the same journal-keying reason as ``engine_tier``: a
-    #: plru sweep must never resume from an lru checkpoint.
+    #: spec so journal keys distinguish it: a plru sweep must never
+    #: resume from an lru checkpoint.
     tlb_replacement: str = "lru"
 
     @classmethod
@@ -462,7 +441,6 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
         fragmentation=spec.fragmentation,
         budget_regions=budget,
         params=params,
-        engine_tier=spec.engine_tier,
     )
 
 

@@ -90,7 +90,7 @@ def render(
 
     ``counters`` get the ``_total`` suffix and ``counter`` type;
     ``gauges`` map name → value, or name → list of ``(labels, value)``
-    pairs for labeled series (breaker state one-hots, per-tenant queue
+    pairs for labeled series (job-state counts, per-tenant queue
     depths); ``histograms`` render as native cumulative ``_bucket``
     series; ``rates`` is ``{window: {counter: per_second}}`` from the
     windowed aggregator, rendered as ``*_per_second{window="..."}``

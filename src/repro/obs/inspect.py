@@ -44,7 +44,7 @@ _KNOWN_PHASES = {"X", "i", "M", "s", "f"}
 _KNOWN_TIERS = {"scalar", "fast", "columnar"}
 
 #: SSE event names the serving daemon publishes.
-_KNOWN_EVENTS = {"progress", "state", "degraded", "breaker", "message"}
+_KNOWN_EVENTS = {"progress", "state", "message"}
 
 #: ``state`` event payload values (see repro.serve.lifecycle).
 _KNOWN_STATES = {"queued", "running", "done", "failed", "expired"}
@@ -274,12 +274,6 @@ def validate_events(doc) -> list[str]:
                 errors.append(f"{where}: unknown state {data.get('state')!r}")
             if not data.get("job"):
                 errors.append(f"{where}: state event missing job")
-        elif name == "degraded":
-            if not isinstance(data.get("tags"), list):
-                errors.append(f"{where}: degraded event missing tags")
-        elif name == "breaker":
-            if not data.get("state"):
-                errors.append(f"{where}: breaker event missing state")
     return errors
 
 

@@ -164,7 +164,7 @@ class WindowedAggregator:
     def summary(self, windows: tuple[str, ...] = ("10s", "1m", "5m")) -> dict:
         """Rates plus histogram digests for every requested window.
 
-        The shape feeding ``/v1/metrics`` and the SSE metrics frames:
+        A JSON-friendly digest:
         ``{window: {"rates": {...}, "histograms": {name: digest}}}``
         with zero-rate counters elided to keep payloads small.
         """

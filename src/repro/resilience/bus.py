@@ -42,8 +42,6 @@ COUNTER_NAMES = (
     "resilience.serve.expired",
     "resilience.serve.requeued",
     "resilience.serve.recovered",
-    "resilience.serve.degraded",
-    "resilience.breaker.trips",
 )
 
 _REGISTRY = MetricsRegistry()

@@ -5,8 +5,11 @@ existing experiment pipeline. The package composes machinery that
 already exists elsewhere in the repository rather than reimplementing
 it:
 
-* requests run on :func:`repro.experiments.common.run_specs` (the
-  resilient :func:`~repro.experiments.parallel.fan_out`);
+* requests run once, on the engine default, through
+  :func:`repro.experiments.common.run_specs` (the resilient
+  :func:`~repro.experiments.parallel.fan_out`). The fan-out's task
+  retries, pool rebuilds and serial fallback are the only degradation;
+  a run that still fails ends its job ``failed``, loudly;
 * every accepted job is journaled through
   :class:`repro.resilience.journal.RunJournal` *before* the client is
   acknowledged, so a ``kill -9`` of the server loses nothing — jobs
@@ -15,15 +18,12 @@ it:
   ``--resume`` flag uses, so identical requests cost one simulation;
 * admission control (bounded queue, per-tenant fair share, 429 +
   ``Retry-After``) lives in :mod:`repro.serve.admission`;
-* graceful degradation (circuit breaker to serial execution, engine
-  tier fallback columnar -> fast -> scalar) in :mod:`repro.serve.breaker`;
 * the HTTP surface, health/readiness/drain endpoints, and the
   ``serve.accept`` / ``serve.dispatch`` / ``serve.result.publish``
   fault sites in :mod:`repro.serve.server`.
 """
 
 from repro.serve.admission import AdmissionController, AdmissionDecision
-from repro.serve.breaker import TIER_LADDER, CircuitBreaker
 from repro.serve.lifecycle import Job, JobStore, execute_job
 from repro.serve.protocol import (
     SERVE_SCHEMA,
@@ -38,14 +38,12 @@ __all__ = [
     "SERVE_SCHEMA",
     "AdmissionController",
     "AdmissionDecision",
-    "CircuitBreaker",
     "Job",
     "JobRequest",
     "JobStore",
     "RequestError",
     "ServeConfig",
     "SimulationServer",
-    "TIER_LADDER",
     "envelope",
     "execute_job",
     "result_summary",

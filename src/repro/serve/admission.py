@@ -136,5 +136,5 @@ class AdmissionController:
         return self._depth
 
     def tenants(self) -> dict[str, int]:
-        """Queued-job count per tenant (for /readyz and /v1/metrics)."""
+        """Queued-job count per tenant (for /v1/jobs and /metrics)."""
         return {tenant: len(q) for tenant, q in self._queues.items() if q}

@@ -1,9 +1,9 @@
 """Server-Sent Events plumbing for the serving daemon.
 
 :class:`EventBroker` is the in-process pub/sub hub between the job
-lifecycle (state transitions, degradation, breaker trips — published
-from the executor coroutines) plus the progress spool tailer, and any
-number of open ``GET /v1/jobs/<id>/events`` streams. Design points:
+lifecycle (state transitions, published from the executor coroutines)
+plus the progress spool tailer, and any number of open
+``GET /v1/jobs/<id>/events`` streams. Design points:
 
 - **per-channel ids + bounded replay.** Every channel (one per job id,
   plus the ``"*"`` broadcast the dashboard tails) numbers its events

@@ -22,30 +22,28 @@ repository's existing checkpoint journal
   two different jobs asking for the same run share one simulation:
   content-level exactly-once effects on top of at-least-once dispatch.
 
-:func:`execute_job` is the worker-thread body: it walks the engine
-tier ladder (columnar -> fast -> scalar) so an engine-level failure
-degrades the job instead of failing it, and threads the request
-deadline into the fan-out's :class:`~repro.resilience.retry.RetryPolicy`
-timeout (the ``REPRO_TASK_TIMEOUT`` path) so an overrunning fan-out is
-cancelled rather than orphaned.
+:func:`execute_job` is the worker-thread body: it runs the request's
+specs once, on the engine default, and threads the request deadline
+into the fan-out's :class:`~repro.resilience.retry.RetryPolicy` timeout
+(the ``REPRO_TASK_TIMEOUT`` path) so an overrunning fan-out is
+cancelled rather than orphaned. Task retries, pool rebuilds and the
+serial fallback all happen inside
+:func:`~repro.experiments.parallel.fan_out`; a spec that still fails
+fails the job — an engine defect surfaces as a ``failed`` job naming
+the spec, never as a slower success.
 """
 
 from __future__ import annotations
 
-import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.obs.log import get_logger, log_event
 from repro.obs.progress import progress_scope
 from repro.obs.runid import current_run_id
 from repro.resilience import bus
 from repro.resilience.journal import RunJournal
 from repro.resilience.retry import RetryPolicy
-from repro.serve.breaker import TIER_LADDER
 from repro.serve.protocol import JobRequest, result_summary
-
-_LOG = get_logger("serve.lifecycle")
 
 #: Job states. ``queued`` and ``running`` are recoverable; the rest
 #: are terminal.
@@ -80,7 +78,6 @@ class Job:
     finished_ms: int | None = None
     run_id: str = ""
     attempts: int = 0
-    degraded: list = field(default_factory=list)
     results: list | None = None
     error: dict | None = None
 
@@ -123,7 +120,6 @@ class Job:
             "finished_ms": self.finished_ms,
             "run_id": self.run_id,
             "attempts": self.attempts,
-            "degraded": list(self.degraded),
             "results": self.results,
             "error": self.error,
         }
@@ -133,7 +129,7 @@ class Job:
         return cls(**{f: record.get(f) for f in (
             "id", "tenant", "payload", "state", "submitted_ms",
             "finished_ms", "run_id", "attempts", "results", "error",
-        )}, degraded=list(record.get("degraded") or []))
+        )})
 
 
 class JobStore:
@@ -193,8 +189,8 @@ def accumulate_engine_counters(results) -> None:
     """Fold per-run engine-tier counters onto the resilience bus.
 
     The per-run registries are ephemeral (they live on the result
-    object); the serving daemon's ``/metrics`` and ``/v1/metrics``
-    surfaces need cumulative tier activity across every job, so the
+    object); the serving daemon's ``/metrics`` surface needs
+    cumulative tier activity across every job, so the
     tier counters are re-published here under ``engine.*`` — an
     un-prefixed name, hence ``bus.registry()`` rather than
     ``bus.counter`` (which would stamp ``resilience.``).
@@ -213,11 +209,10 @@ def accumulate_engine_counters(results) -> None:
 
 
 class JobExecutionError(RuntimeError):
-    """A job failed on every rung of the tier ladder."""
+    """A job's specs failed after the fan-out's own retries."""
 
-    def __init__(self, message: str, degraded: list, report: dict | None) -> None:
+    def __init__(self, message: str, report: dict | None) -> None:
         super().__init__(message)
-        self.degraded = degraded
         self.report = report
 
 
@@ -248,74 +243,44 @@ def execute_job(
     results_journal: RunJournal | None,
     *,
     jobs: int = 1,
-    ladder: tuple = TIER_LADDER,
     retry_policy: RetryPolicy | None = None,
-) -> tuple[list[dict], list[str], dict | None]:
-    """Run one job's simulations; returns (summaries, degraded, report).
+) -> list[dict]:
+    """Run one job's simulations; returns one summary per run.
 
-    Worker-thread body. Walks ``ladder`` from the engine default
-    downward: any execution failure on a higher tier degrades to the
-    next rung (recorded in the returned ``degraded`` tags) instead of
-    failing the job; only failure on the final rung raises
-    :class:`JobExecutionError`. ``report`` is the last
-    :class:`~repro.experiments.parallel.FanOutReport` observed (for
-    the circuit breaker), ``None`` when every fan-out stayed clean.
+    Worker-thread body. The specs run once, on the engine default.
+    Any failure raises :class:`JobExecutionError` carrying the
+    :class:`~repro.experiments.parallel.FanOutReport` when the fan-out
+    produced one (it names every quarantined spec).
     """
     from repro.experiments.common import run_specs
     from repro.experiments.parallel import FanOutError
 
-    request = job.request()
-    policy = deadline_policy(
-        retry_policy or RetryPolicy.from_env(), job.deadline_remaining()
-    )
-    degraded: list[str] = []
-    report: dict | None = None
-    last_error: Exception | None = None
-    for rung, tier in enumerate(ladder):
-        remaining = job.deadline_remaining()
-        if remaining is not None and remaining <= 0:
-            # the server turns this into EXPIRED, not FAILED
-            raise JobDeadlineExceeded(f"job {job.id} deadline expired")
-        specs = request.to_specs(engine_tier=tier)
-        try:
-            # the scope labels in-process runs with the job id (the
-            # pooled path gets the same label via progress_label ->
-            # worker initargs), so live progress snapshots attribute
-            # to this job whichever execution path runs the specs
-            with progress_scope(job.id):
-                results = run_specs(
-                    specs,
-                    jobs=jobs,
-                    resume=True,
-                    journal=results_journal,
-                    policy=policy,
-                    progress_label=job.id,
-                )
-        except FanOutError as error:
-            report = error.report.as_dict()
-            last_error = error
-        except Exception as error:  # engine/encoding/compile failures
-            last_error = error
-        else:
-            accumulate_engine_counters(results)
-            bus.registry().counter(
-                f"engine.tier.{tier or 'columnar'}.jobs"
-            ).add()
-            return [result_summary(result) for result in results], degraded, report
-        if rung + 1 < len(ladder):
-            tag = f"tier:{ladder[rung + 1]}"
-            degraded.append(tag)
-            bus.counter("serve.degraded").add()
-            log_event(
-                _LOG,
-                "job degraded to a lower engine tier",
-                level=logging.WARNING,
-                job=job.id,
-                tier=ladder[rung + 1],
-                cause=str(last_error)[:300],
+    remaining = job.deadline_remaining()
+    if remaining is not None and remaining <= 0:
+        # the server turns this into EXPIRED, not FAILED
+        raise JobDeadlineExceeded(f"job {job.id} deadline expired")
+    policy = deadline_policy(retry_policy or RetryPolicy.from_env(), remaining)
+    try:
+        # the scope labels in-process runs with the job id (the pooled
+        # path gets the same label via progress_label -> worker
+        # initargs), so live progress snapshots attribute to this job
+        # whichever execution path runs the specs
+        with progress_scope(job.id):
+            results = run_specs(
+                job.request().to_specs(),
+                jobs=jobs,
+                resume=True,
+                journal=results_journal,
+                policy=policy,
+                progress_label=job.id,
             )
-    raise JobExecutionError(
-        f"job {job.id} failed on every engine tier: {last_error}",
-        degraded=degraded,
-        report=report,
-    )
+    except FanOutError as error:
+        raise JobExecutionError(
+            f"job {job.id} failed: {error}", report=error.report.as_dict()
+        ) from error
+    except Exception as error:  # failures outside the per-task retries
+        raise JobExecutionError(
+            f"job {job.id} failed: {type(error).__name__}: {error}", report=None
+        ) from error
+    accumulate_engine_counters(results)
+    return [result_summary(result) for result in results]

@@ -5,12 +5,13 @@ is a JSON object naming a tenant and one or more simulation runs; each
 run maps onto a :class:`~repro.experiments.common.RunSpec`, the same
 picklable value the figure sweeps fan out, so the service schedules
 exactly the computation the CLI does. Responses are **envelopes**: job
-identity and state, the run id that produced any artifacts, a
-``degraded`` list naming every fallback the service took on the job's
-behalf (serial execution, engine-tier descent), and either a result
-summary or a structured error — degradation is data, never a 500.
+identity and state, the run id that produced any artifacts, and either
+a result summary or a structured error. The envelope's ``degraded``
+field is always an empty list: the service never swaps in a fallback
+engine on a job's behalf, so a job either ran as asked or failed.
 
-Validation is strict and front-loaded: a malformed request raises
+Validation is strict and front-loaded: a malformed request — including
+an unknown ``app``, ``dataset`` or ``policy`` — raises
 :class:`RequestError` (rendered as a 400) before anything is journaled
 or queued, so the crash-safe lifecycle only ever stores replayable
 jobs.
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.runid import new_run_id
 from repro.os.kernel import HugePagePolicy
+from repro.workloads.registry import DATASETS, EXTENDED_WORKLOADS, workload_names
 
 #: Schema tag stamped into every response envelope.
 SERVE_SCHEMA = "repro.serve/v1"
@@ -118,13 +120,11 @@ class JobRequest:
             payload=dict(payload),
         )
 
-    def to_specs(self, engine_tier: str | None = None):
-        """The request's runs as :class:`RunSpec` values (one tier)."""
+    def to_specs(self):
+        """The request's runs as :class:`RunSpec` values."""
         from repro.experiments.common import RunSpec
 
-        return [
-            RunSpec(engine_tier=engine_tier, **run) for run in self.runs
-        ]
+        return [RunSpec(**run) for run in self.runs]
 
 
 def _validate_run(index: int, run) -> dict:
@@ -151,6 +151,16 @@ def _validate_run(index: int, run) -> dict:
             raise RequestError(
                 f"runs[{index}].{name} must be {coerce.__name__}"
             ) from None
+    apps = workload_names() + list(EXTENDED_WORKLOADS)
+    if out["app"] not in apps:
+        raise RequestError(
+            f"runs[{index}].app {out['app']!r} unknown; choose from {apps}"
+        )
+    if "dataset" in out and out["dataset"] not in DATASETS:
+        raise RequestError(
+            f"runs[{index}].dataset {out['dataset']!r} unknown; "
+            f"choose from {sorted(DATASETS)}"
+        )
     policy = out.setdefault("policy", HugePagePolicy.PCC.value)
     try:
         HugePagePolicy(policy)
@@ -210,7 +220,9 @@ def envelope(job) -> dict:
             "finished_ms": job.finished_ms,
             "attempts": job.attempts,
         },
-        "degraded": list(job.degraded),
+        # always empty in repro.serve/v1: kept so clients reading it
+        # keep working; a job that cannot run as asked ends failed
+        "degraded": [],
         "result": job.results,
         "error": job.error,
     }

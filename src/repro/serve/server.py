@@ -2,7 +2,7 @@
 
 Stdlib-only: one :func:`asyncio.start_server` loop parses a minimal
 HTTP/1.1 subset (request line, headers, ``Content-Length`` bodies,
-keep-alive) and routes to JSON handlers. All admission, breaker, and
+keep-alive) and routes to JSON handlers. All admission and
 job-registry state is confined to the event loop; only the simulation
 itself runs off-loop, in ``asyncio.to_thread`` executor slots.
 
@@ -12,9 +12,9 @@ Endpoints::
                               400 invalid, 429 saturated + Retry-After,
                               503 draining/fault)
     GET  /v1/jobs/<id>        response envelope for one job
-    GET  /v1/jobs/<id>/events live SSE stream: state transitions,
-                              progress snapshots, degradation, breaker
-                              (Last-Event-ID resumes after reconnect)
+    GET  /v1/jobs/<id>/events live SSE stream: state transitions and
+                              progress snapshots (Last-Event-ID
+                              resumes after reconnect)
     GET  /v1/jobs/<id>/spans  the job's merged span slice from the
                               active tracer (empty + note when off)
     GET  /v1/events           broadcast SSE stream over every job
@@ -22,8 +22,6 @@ Endpoints::
     GET  /healthz             liveness (always 200 while the loop runs)
     GET  /readyz              readiness (503 while draining)
     GET  /metrics             Prometheus text exposition v0.0.4
-    GET  /v1/metrics          JSON counters (deprecated alias; prefer
-                              /metrics)
     POST /v1/drain            stop accepting; exit once queue drains
 
 Live telemetry: the daemon advertises a progress spool
@@ -32,9 +30,8 @@ run — in-process executor threads and fan-out worker processes alike —
 appends ``repro.progress/v1`` snapshots there; a loop task tails the
 spool and republishes each snapshot as an SSE ``progress`` event on
 its job's channel. A second task samples the resilience bus into a
-:class:`~repro.obs.window.WindowedAggregator` so ``/metrics`` and
-``/v1/metrics`` report trailing 10s/1m/5m rates, not just monotone
-totals.
+:class:`~repro.obs.window.WindowedAggregator` so ``/metrics``
+reports trailing 10s/1m/5m rates, not just monotone totals.
 
 Crash safety: a job is journaled (``JobStore.save``) *before* its 202
 is written, and re-journaled at every transition. ``kill -9`` the
@@ -42,6 +39,12 @@ server at any point; on restart :meth:`SimulationServer.recover`
 requeues every non-terminal job, and the content-addressed results
 journal makes the re-execution skip all finished work — zero lost,
 zero duplicated.
+
+Failure: a job runs its specs once, on the engine default. The
+fan-out retries failed tasks, rebuilds a dead process pool and falls
+back to serial execution on its own; whatever still fails after that
+ends the job ``failed`` with the fan-out report in its error. There is
+no second degradation layer here.
 
 Chaos hooks: the ``serve.accept``, ``serve.dispatch``, and
 ``serve.result.publish`` fault sites extend the ``REPRO_FAULTS``
@@ -70,7 +73,6 @@ from repro.resilience.faults import InjectedFault, fault_point
 from repro.resilience.journal import RunJournal
 from repro.serve import lifecycle
 from repro.serve.admission import AdmissionController
-from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, SERIAL_TAG, CircuitBreaker
 from repro.serve.events import (
     BROADCAST,
     EventBroker,
@@ -136,15 +138,13 @@ class ServeConfig:
     executors: int = 2
     #: ceiling on a request's ``jobs`` fan-out width
     max_width: int = 2
-    breaker_trip_after: int = 3
-    breaker_cooldown_s: float = 30.0
 
     def resolved_state_dir(self) -> Path:
         return Path(self.state_dir) if self.state_dir else default_state_dir()
 
 
 class SimulationServer:
-    """One serving instance: registry, queue, breaker, executors."""
+    """One serving instance: registry, queue, executors."""
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
@@ -154,10 +154,6 @@ class SimulationServer:
         self.admission = AdmissionController(
             queue_limit=config.queue_limit,
             tenant_quota=config.tenant_quota,
-        )
-        self.breaker = CircuitBreaker(
-            trip_after=config.breaker_trip_after,
-            cooldown_s=config.breaker_cooldown_s,
         )
         self.jobs: dict[str, Job] = {}
         self.running: set[str] = set()
@@ -301,22 +297,10 @@ class SimulationServer:
             "state": job.state,
             "tenant": job.tenant,
             "attempts": job.attempts,
-            "degraded": list(job.degraded),
             "ts_ms": now_ms(),
         }
         data.update(extra)
         self.broker.publish(job.id, "state", data)
-
-    def _note_breaker(self, before: str, job: Job | None = None) -> None:
-        """Publish a breaker event if its state changed since ``before``."""
-        after = self.breaker.snapshot()
-        if after["state"] == before:
-            return
-        data = {"from": before, **after, "ts_ms": now_ms()}
-        if job is not None:
-            data["job"] = job.id
-        self.broker.publish(job.id if job is not None else BROADCAST,
-                            "breaker", data)
 
     # ------------------------------------------------------------------
     # executors
@@ -356,16 +340,6 @@ class SimulationServer:
             self._finish_failed(job, {"type": "RequestError", "message": str(error)})
             return
         width = min(request.jobs, self.config.max_width)
-        if width > 1 and not self.breaker.allow_pooled():
-            width = 1
-            if SERIAL_TAG not in job.degraded:
-                job.degraded.append(SERIAL_TAG)
-            bus.counter("serve.degraded").add()
-            self.broker.publish(job.id, "degraded", {
-                "job": job.id, "tags": [SERIAL_TAG],
-                "reason": "breaker denied pooled execution",
-                "ts_ms": now_ms(),
-            })
         job.state = lifecycle.RUNNING
         self._transition(job, slot=slot)
         self.running.add(job.id)
@@ -381,21 +355,13 @@ class SimulationServer:
                     jobs=width,
                 )
                 if remaining is not None:
-                    summaries, degraded, report = await asyncio.wait_for(
-                        work, timeout=remaining
-                    )
+                    summaries = await asyncio.wait_for(work, timeout=remaining)
                 else:
-                    summaries, degraded, report = await work
+                    summaries = await work
         except (JobDeadlineExceeded, asyncio.TimeoutError):
             self._finish_expired(job, "deadline exceeded while running")
             return
         except JobExecutionError as error:
-            breaker_before = self.breaker.snapshot()["state"]
-            self.breaker.record_failure()
-            self._note_breaker(breaker_before, job)
-            job.degraded.extend(
-                tag for tag in error.degraded if tag not in job.degraded
-            )
             self._finish_failed(
                 job,
                 {
@@ -421,19 +387,6 @@ class SimulationServer:
         # the terminal state event on the job's SSE stream (the poll
         # task alone could publish them after the stream closed)
         self._pump_progress()
-        breaker_before = self.breaker.snapshot()["state"]
-        if report is not None:
-            self.breaker.record_report(report)
-        else:
-            self.breaker.record_success()
-        self._note_breaker(breaker_before, job)
-        fresh_tags = [tag for tag in degraded if tag not in job.degraded]
-        job.degraded.extend(fresh_tags)
-        if fresh_tags:
-            self.broker.publish(job.id, "degraded", {
-                "job": job.id, "tags": fresh_tags,
-                "reason": "engine tier ladder", "ts_ms": now_ms(),
-            })
         try:
             fault_point("serve.result.publish", detail=f"{job.id} {job.tenant}")
         except InjectedFault as fault:
@@ -572,18 +525,15 @@ class SimulationServer:
                 "draining": not self.accepting,
                 "queue_depth": self.admission.depth,
                 "running": len(self.running),
-                "breaker": self.breaker.snapshot(),
             }
             return (200 if self.accepting else 503), doc, {}
-        if path == "/v1/metrics" and method == "GET":
-            return 200, self._metrics_doc(), {}
         if path == "/v1/drain" and method == "POST":
             self.request_drain()
             return 200, {"draining": True,
                          "queued": self.admission.depth,
                          "running": len(self.running)}, {}
         if path in ("/v1/jobs", "/v1/drain", "/healthz", "/readyz",
-                    "/v1/metrics", "/metrics", "/v1/events") or \
+                    "/metrics", "/v1/events") or \
                 path.startswith("/v1/jobs/"):
             return 405, {"error": f"{method} not allowed on {path}"}, {}
         return 404, {"error": f"no route for {path}"}, {}
@@ -687,53 +637,18 @@ class SimulationServer:
             ],
         }
 
-    def _engine_tier_counters(self) -> dict[str, int]:
-        """The ``engine.*`` tier counters accumulated on the bus."""
-        return {
-            name: value
-            for name, value in bus.snapshot().items()
-            if name.startswith("engine.")
-        }
-
-    def _metrics_doc(self) -> dict:
-        """The deprecated JSON alias of ``/metrics`` (kept stable)."""
-        return {
-            "schema": SERVE_SCHEMA,
-            "run_id": current_run_id(),
-            "counters": bus.snapshot(),
-            "engine_tiers": self._engine_tier_counters(),
-            "breaker": self.breaker.snapshot(),
-            "queue_depth": self.admission.depth,
-            "running": len(self.running),
-            "journal": self.results_journal.stats.as_dict(),
-            "rates": {
-                window: {
-                    name: value
-                    for name, value in self.window.rates(window).items()
-                    if value > 0
-                }
-                for window in ("10s", "1m", "5m")
-            },
-            "deprecated": "prefer GET /metrics (Prometheus text exposition)",
-        }
-
     def _render_prometheus(self) -> str:
         """The ``/metrics`` scrape body (text exposition v0.0.4)."""
         counters = bus.snapshot()
         states: dict[str, int] = {}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
-        breaker_state = self.breaker.snapshot()["state"]
         gauges = {
             "serve.queue_depth": self.admission.depth,
             "serve.running": len(self.running),
             "serve.jobs_known": len(self.jobs),
             "serve.accepting": 1 if self.accepting else 0,
             "serve.uptime_seconds": (now_ms() - self.started_ms) / 1000.0,
-            "serve.breaker_state": [
-                ({"state": state}, 1 if state == breaker_state else 0)
-                for state in (CLOSED, OPEN, HALF_OPEN)
-            ],
             "serve.job_states": [
                 ({"state": state}, count)
                 for state, count in sorted(states.items())
@@ -856,7 +771,7 @@ class SimulationServer:
                     self.broker.last_id(channel), "state",
                     {"job": job.id, "state": job.state,
                      "tenant": job.tenant, "attempts": job.attempts,
-                     "degraded": list(job.degraded), "ts_ms": now_ms()},
+                     "ts_ms": now_ms()},
                 ))
                 terminal = True
             await writer.drain()

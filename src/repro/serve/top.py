@@ -1,18 +1,19 @@
 """``repro top`` / ``repro progress`` — terminal telemetry clients.
 
 A curses-free live dashboard over the serving daemon's telemetry
-plane: ``repro top`` polls the JSON registry + metrics endpoints and
-repaints an ANSI screen (progress bars per running job, queue depth,
-tenant backlogs, breaker state, engine-tier occupancy, windowed
-rates); ``repro progress <job-id>`` tails one job's SSE stream and
-prints each progress snapshot and state transition as a line, resuming
-with ``Last-Event-ID`` across reconnects.
+plane: ``repro top`` polls the JSON registry (``GET /v1/jobs``) and
+the Prometheus exposition (``GET /metrics``, read through
+:func:`~repro.metrics.prometheus.parse_exposition`) and repaints an
+ANSI screen (progress bars per running job, queue depth, tenant
+backlogs, 1m rates); ``repro progress <job-id>`` tails one job's SSE
+stream and prints each progress snapshot and state transition as a
+line, resuming with ``Last-Event-ID`` across reconnects.
 
 Rendering is split from transport: :func:`render_dashboard` and
 :func:`render_progress_line` are pure string functions over plain
 dicts, so the test suite exercises layout without sockets, and the
-fetch layer is a couple of tiny ``http.client`` wrappers (stdlib only,
-matching the server's dependency stance).
+fetch layer is a tiny ``http.client`` wrapper (stdlib only, matching
+the server's dependency stance).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 import time
 from urllib.parse import urlsplit
 
+from repro.metrics.prometheus import parse_exposition
 from repro.serve.events import TERMINAL_STATES, read_events
 
 #: ANSI: home the cursor and clear to end of screen (repaint in place).
@@ -31,10 +33,14 @@ _BOLD = "\x1b[1m"
 _DIM = "\x1b[2m"
 _RESET = "\x1b[0m"
 _STATE_COLOR = {
-    "closed": "\x1b[32m", "open": "\x1b[31m", "half-open": "\x1b[33m",
     "running": "\x1b[36m", "done": "\x1b[32m",
     "failed": "\x1b[31m", "expired": "\x1b[33m",
 }
+
+#: Prometheus name prefix and suffix of the serving counters' windowed
+#: rates (``repro_resilience_serve_<name>_per_second{window=...}``).
+_RATE_PREFIX = "repro_resilience_serve_"
+_RATE_SUFFIX = "_per_second"
 
 
 def split_url(url: str) -> tuple[str, int]:
@@ -45,8 +51,8 @@ def split_url(url: str) -> tuple[str, int]:
     return parts.hostname or "127.0.0.1", parts.port or 8023
 
 
-def fetch_json(host: str, port: int, path: str, timeout: float = 10.0) -> dict:
-    """One GET returning a decoded JSON document."""
+def fetch(host: str, port: int, path: str, timeout: float = 10.0) -> str:
+    """One GET returning the response body as text."""
     conn = http.client.HTTPConnection(host, port, timeout=timeout)
     try:
         conn.request("GET", path)
@@ -56,7 +62,7 @@ def fetch_json(host: str, port: int, path: str, timeout: float = 10.0) -> dict:
         conn.close()
     if response.status != 200 and response.status != 503:
         raise RuntimeError(f"GET {path}: HTTP {response.status}")
-    return json.loads(body)
+    return body.decode("utf-8")
 
 
 def progress_bar(pct: float | None, width: int = 24) -> str:
@@ -73,24 +79,31 @@ def _colored_state(state: str) -> str:
     return f"{color}{state}{_RESET}" if color else state
 
 
-def render_dashboard(registry: dict, metrics: dict, *, ansi: bool = True) -> str:
-    """The full ``repro top`` frame from the two JSON documents.
+def _samples(families: dict, name: str) -> list:
+    return (families.get(name) or {}).get("samples", [])
 
-    ``registry`` is ``GET /v1/jobs``, ``metrics`` is ``GET /v1/metrics``.
-    With ``ansi=False`` the frame carries no escape codes (tests, logs).
+
+def render_dashboard(registry: dict, families: dict, *, ansi: bool = True) -> str:
+    """The full ``repro top`` frame.
+
+    ``registry`` is the ``GET /v1/jobs`` JSON document; ``families`` is
+    ``GET /metrics`` as parsed by
+    :func:`~repro.metrics.prometheus.parse_exposition`, the source of
+    the run id, the running count and the 1m rates. With
+    ``ansi=False`` the frame carries no escape codes (tests, logs).
     """
     bold, dim, reset = (_BOLD, _DIM, _RESET) if ansi else ("", "", "")
 
     def state_of(name: str) -> str:
         return _colored_state(name) if ansi else name
 
-    breaker = metrics.get("breaker", {})
+    info = _samples(families, "repro_serve_info")
+    run_id = info[0][1].get("run_id", "?") if info else "?"
+    running = _samples(families, "repro_serve_running")
     lines = [
-        f"{bold}repro top{reset} — run {metrics.get('run_id', '?')}   "
+        f"{bold}repro top{reset} — run {run_id}   "
         f"queue {registry.get('queue_depth', 0)}   "
-        f"running {metrics.get('running', 0)}   "
-        f"breaker {state_of(breaker.get('state', '?'))}"
-        f" (trips {breaker.get('trips', 0)})",
+        f"running {int(running[0][2]) if running else 0}",
         "",
     ]
 
@@ -125,23 +138,12 @@ def render_dashboard(registry: dict, metrics: dict, *, ansi: bool = True) -> str
             f"{tier:<8} {rate_txt:<14} {eta_txt}"
         )
 
-    tiers = {
-        name.removeprefix("engine.tier.").removesuffix(".jobs"): value
-        for name, value in metrics.get("engine_tiers", {}).items()
-        if name.startswith("engine.tier.") and name.endswith(".jobs")
-    }
-    if tiers:
-        occupancy = "  ".join(
-            f"{tier}:{count}" for tier, count in sorted(tiers.items())
-        )
-        lines.append("")
-        lines.append(f"{bold}engine tiers{reset} (jobs completed)  {occupancy}")
-
-    rates = (metrics.get("rates") or {}).get("1m", {})
     interesting = {
-        name.removeprefix("resilience.serve."): value
-        for name, value in rates.items()
-        if name.startswith("resilience.serve.") and value > 0
+        name.removeprefix(_RATE_PREFIX).removesuffix(_RATE_SUFFIX): value
+        for name, family in families.items()
+        if name.startswith(_RATE_PREFIX) and name.endswith(_RATE_SUFFIX)
+        for _, labels, value in family["samples"]
+        if labels.get("window") == "1m" and value > 0
     }
     if interesting:
         rate_txt = "  ".join(
@@ -178,10 +180,6 @@ def render_progress_line(event: dict, *, ansi: bool = True) -> str:
         if data.get("error"):
             extra = f" ({data['error']})"
         return f"-- {label}{extra}"
-    if kind == "degraded":
-        return f"-- degraded: {', '.join(data.get('tags', []))}"
-    if kind == "breaker":
-        return f"-- breaker: {data.get('from', '?')} -> {data.get('state', '?')}"
     return f"-- {kind}: {json.dumps(data)[:100]}"
 
 
@@ -198,13 +196,13 @@ def run_top(
     painted = 0
     while True:
         try:
-            registry = fetch_json(host, port, "/v1/jobs")
-            metrics = fetch_json(host, port, "/v1/metrics")
+            registry = json.loads(fetch(host, port, "/v1/jobs"))
+            families = parse_exposition(fetch(host, port, "/metrics"))
         except (OSError, RuntimeError, ValueError) as error:
             print(f"repro top: {url}: {error}", file=sys.stderr)
             return 1
         ansi = not once and out.isatty()
-        frame = render_dashboard(registry, metrics, ansi=ansi)
+        frame = render_dashboard(registry, families, ansi=ansi)
         if ansi:
             out.write(CLEAR)
         out.write(frame + "\n")

@@ -35,7 +35,7 @@ def _trace_doc() -> dict:
     }
 
 
-def _metrics_doc() -> dict:
+def _metrics_export() -> dict:
     registry = MetricsRegistry()
     walk = registry.histogram("walk_latency_cycles", unit="cycles")
     walk.record_many([44.0] * 10 + [60.0] * 5 + [120.0])
@@ -112,22 +112,70 @@ class TestTraceValidation:
 
 class TestMetricsValidation:
     def test_aggregate_passes(self):
-        assert inspect_module.validate_metrics(_metrics_doc()) == []
+        assert inspect_module.validate_metrics(_metrics_export()) == []
 
     def test_single_run_export_passes(self):
         export = MetricsRegistry().export(meta={"policy": "pcc"})
         assert inspect_module.validate_metrics(export) == []
 
     def test_missing_counters_flagged(self):
-        doc = _metrics_doc()
+        doc = _metrics_export()
         del doc["runs"][0]["counters"]
         assert any("counters" in e for e in inspect_module.validate_metrics(doc))
 
     def test_distribution_missing_buckets_flagged(self):
-        doc = _metrics_doc()
+        doc = _metrics_export()
         del doc["runs"][0]["distributions"]["walk_latency_cycles"]["buckets"]
         errors = inspect_module.validate_metrics(doc)
         assert any("buckets" in e for e in errors)
+
+
+def _events_doc() -> dict:
+    """A job's SSE capture as ``repro progress`` records it."""
+    return {"events": [
+        {"event": "state", "id": 1,
+         "data": {"job": "j1", "state": "queued"}},
+        {"event": "state", "id": 2,
+         "data": {"job": "j1", "state": "running"}},
+        {"event": "message", "id": 3, "data": {"note": "heartbeat"}},
+        {"event": "state", "id": 4,
+         "data": {"job": "j1", "state": "done"}},
+    ]}
+
+
+class TestEventsValidation:
+    def test_well_formed_capture_passes(self):
+        doc = _events_doc()
+        assert inspect_module.kind_of(doc) == "events"
+        assert inspect_module.validate_document(doc) == []
+
+    @pytest.mark.parametrize("name", ["degraded", "breaker"])
+    def test_retired_event_kinds_are_flagged(self, name):
+        doc = _events_doc()
+        doc["events"].insert(2, {"event": name, "id": 3,
+                                 "data": {"state": "open", "tags": []}})
+        errors = inspect_module.validate_events(doc)
+        assert errors == [f"events[2]: unknown event {name!r}"]
+
+    def test_ids_must_increase(self):
+        doc = _events_doc()
+        doc["events"][3]["id"] = 2
+        errors = inspect_module.validate_events(doc)
+        assert errors == ["events[3]: id 2 does not increase (previous 3)"]
+
+    def test_state_event_needs_a_known_state_and_a_job(self):
+        doc = _events_doc()
+        doc["events"][1]["data"] = {"state": "degraded"}
+        errors = inspect_module.validate_events(doc)
+        assert "events[1]: unknown state 'degraded'" in errors
+        assert "events[1]: state event missing job" in errors
+
+    def test_summary_tells_the_state_story(self):
+        summary = inspect_module.summarize_events(_events_doc())
+        assert summary["states"] == ["queued", "running", "done"]
+        assert summary["terminal"] == "done"
+        assert summary["census"] == {"message": 1, "state": 3}
+        assert summary["progress_events"] == 0
 
 
 class TestGoldenReports:
@@ -136,7 +184,7 @@ class TestGoldenReports:
         assert inspect_module.render(summary) == TRACE_GOLDEN
 
     def test_metrics_report_is_golden(self):
-        summary = inspect_module.summarize_metrics(_metrics_doc())
+        summary = inspect_module.summarize_metrics(_metrics_export())
         assert inspect_module.render(summary) == METRICS_GOLDEN
 
     def test_unobserved_metrics_report_says_so(self):
@@ -149,7 +197,7 @@ class TestGoldenReports:
         assert summary["hot_regions"][0] == [1, 23, 255]
 
     def test_distributions_merge_across_runs(self):
-        doc = _metrics_doc()
+        doc = _metrics_export()
         doc["runs"].append(json.loads(json.dumps(doc["runs"][0])))
         summary = inspect_module.summarize_metrics(doc)
         assert summary["runs"] == 2
@@ -161,7 +209,7 @@ class TestFileEntryPoints:
         trace_path = tmp_path / "trace.json"
         trace_path.write_text(json.dumps(_trace_doc()))
         metrics_path = tmp_path / "metrics.json"
-        metrics_path.write_text(json.dumps(_metrics_doc()))
+        metrics_path.write_text(json.dumps(_metrics_export()))
         assert inspect_module.inspect_file(trace_path)["kind"] == "trace"
         assert inspect_module.inspect_file(metrics_path)["kind"] == "metrics"
 
@@ -175,7 +223,7 @@ class TestFileEntryPoints:
         from repro.cli import main
 
         path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(_metrics_doc()))
+        path.write_text(json.dumps(_metrics_export()))
         assert main(["inspect", str(path), "--check"]) == 0
         out = capsys.readouterr().out
         assert f"inspect: {path}: schema OK" in out
@@ -184,7 +232,7 @@ class TestFileEntryPoints:
     def test_cli_inspect_check_fails_on_violation(self, tmp_path, capsys):
         from repro.cli import main
 
-        doc = _metrics_doc()
+        doc = _metrics_export()
         del doc["runs"][0]["counters"]
         path = tmp_path / "metrics.json"
         path.write_text(json.dumps(doc))

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.metrics.prometheus import parse_exposition
 from repro.serve.server import ServeConfig, SimulationServer
 
 
@@ -36,6 +37,21 @@ class ServerHandle:
             return response.status, doc, dict(response.getheaders())
         finally:
             conn.close()
+
+    def counters(self) -> dict[str, float]:
+        """Counter totals from ``GET /metrics``, by Prometheus sample name."""
+        conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=30)
+        try:
+            conn.request("GET", "/metrics")
+            text = conn.getresponse().read().decode()
+        finally:
+            conn.close()
+        return {
+            name: value
+            for family in parse_exposition(text).values()
+            if family["type"] == "counter"
+            for name, _, value in family["samples"]
+        }
 
     def wait_for_state(self, job_id: str, states=("done", "failed",
                                                   "expired"), timeout=60):

@@ -1,4 +1,4 @@
-"""Job lifecycle: durable records, recovery split, tier-ladder execution."""
+"""Job lifecycle: durable records, recovery split, fail-loud execution."""
 
 import pytest
 
@@ -22,12 +22,16 @@ from repro.serve.protocol import JobRequest
 FAST = RetryPolicy(max_attempts=1, backoff_base=0.0, jitter=0.0)
 
 
-def _request(job_id="j1", **run_overrides) -> JobRequest:
+def _run(**overrides) -> dict:
     run = {"app": "BFS", "policy": "pcc", "graph_scale": 8,
            "proxy_accesses": 2000}
-    run.update(run_overrides)
+    run.update(overrides)
+    return run
+
+
+def _request(job_id="j1", **run_overrides) -> JobRequest:
     return JobRequest.from_payload(
-        {"id": job_id, "tenant": "t", "runs": [run]}
+        {"id": job_id, "tenant": "t", "runs": [_run(**run_overrides)]}
     )
 
 
@@ -98,64 +102,88 @@ class TestDeadlinePolicy:
 class TestExecuteJob:
     def test_clean_execution_returns_summaries(self, tmp_path):
         job = Job.from_request(_request())
-        summaries, degraded, report = execute_job(
+        summaries = execute_job(
             job, RunJournal(tmp_path / "results"), retry_policy=FAST
         )
-        assert degraded == [] and report is None
         assert summaries[0]["policy"] == "pcc"
         assert summaries[0]["total_cycles"] > 0
 
     def test_results_dedupe_through_the_journal(self, tmp_path):
         journal = RunJournal(tmp_path / "results")
-        first, _, _ = execute_job(
+        first = execute_job(
             Job.from_request(_request("a")), journal, retry_policy=FAST
         )
         commits = journal.stats.commits
         # a different job asking the same question replays the shard
-        second, _, _ = execute_job(
+        second = execute_job(
             Job.from_request(_request("b")), journal, retry_policy=FAST
         )
         assert second == first
         assert journal.stats.commits == commits
         assert journal.stats.resumed >= 1
 
-    def test_engine_failure_degrades_down_the_ladder(self, tmp_path):
-        """A columnar-tier blowup yields a degraded answer, not a 500."""
+    def test_engine_failure_fails_the_job_once_per_spec(
+        self, tmp_path, monkeypatch
+    ):
+        """A columnar defect fails the job; nothing re-runs on a slower
+        tier, and the error names the spec that failed."""
+        from repro.experiments import common
         from repro.resilience.faults import injecting
 
-        job = Job.from_request(_request())
+        executed = []
+        original = common.execute_spec
+
+        def counting(spec):
+            executed.append(spec.label)
+            return original(spec)
+
+        monkeypatch.setattr(common, "execute_spec", counting)
+        job = Job.from_request(JobRequest.from_payload({
+            "id": "hurt", "tenant": "t",
+            "runs": [_run(label="first"), _run(label="second", seed=1)],
+        }))
         with injecting("exc@engine.columnar.encode",
                        state_dir=tmp_path / "faults"):
-            summaries, degraded, report = execute_job(
-                job, RunJournal(tmp_path / "results"), retry_policy=FAST
-            )
-        assert degraded == ["tier:fast"]
+            with pytest.raises(JobExecutionError) as excinfo:
+                execute_job(job, RunJournal(tmp_path / "results"),
+                            retry_policy=FAST)
+        assert executed == ["first", "second"]
+        assert "first" in str(excinfo.value)
+        assert "second" not in str(excinfo.value)
+        quarantined = excinfo.value.report["quarantined"]
+        assert [failure["task"] for failure in quarantined] == ["first"]
+        assert not hasattr(excinfo.value, "degraded")
+
+    def test_served_summaries_match_a_direct_run(self, tmp_path):
+        """The service answers exactly what the CLI's spec path computes."""
+        from repro.experiments.common import execute_spec
+        from repro.serve.protocol import result_summary
+
+        request = _request("direct")
+        served = execute_job(Job.from_request(request),
+                             RunJournal(tmp_path / "results"),
+                             retry_policy=FAST)
+        direct = [result_summary(execute_spec(spec))
+                  for spec in request.to_specs()]
+        assert served == direct
+
+    def test_failed_spec_is_recomputed_on_resubmission(self, tmp_path):
+        """A failure journals nothing for the failed spec: the next job
+        asking the same question computes it instead of replaying it."""
+        from repro.resilience.faults import injecting
+
+        journal = RunJournal(tmp_path / "results")
+        with injecting("exc@engine.columnar.encode",
+                       state_dir=tmp_path / "faults"):
+            with pytest.raises(JobExecutionError):
+                execute_job(Job.from_request(_request("hurt")), journal,
+                            retry_policy=FAST)
+        assert journal.stats.commits == 0
+        summaries = execute_job(Job.from_request(_request("retry")), journal,
+                                retry_policy=FAST)
         assert summaries[0]["total_cycles"] > 0
-
-    def test_degraded_results_stay_bit_identical(self, tmp_path):
-        """The tier ladder's whole premise: slower answer, same answer."""
-        from repro.resilience.faults import injecting
-
-        clean, _, _ = execute_job(
-            Job.from_request(_request("clean")),
-            RunJournal(tmp_path / "r1"), retry_policy=FAST,
-        )
-        with injecting("exc@engine.columnar.encode",
-                       state_dir=tmp_path / "faults"):
-            degraded_result, degraded, _ = execute_job(
-                Job.from_request(_request("hurt")),
-                RunJournal(tmp_path / "r2"), retry_policy=FAST,
-            )
-        assert degraded == ["tier:fast"]
-        assert degraded_result == clean
-
-    def test_failure_on_every_rung_raises(self, tmp_path):
-        job = Job.from_request(_request(app="no-such-app"))
-        with pytest.raises(JobExecutionError) as excinfo:
-            execute_job(job, RunJournal(tmp_path / "results"),
-                        retry_policy=FAST)
-        # every fallback the ladder tried is recorded on the error
-        assert excinfo.value.degraded == ["tier:fast", "tier:scalar"]
+        assert journal.stats.commits == 1
+        assert journal.stats.resumed == 0
 
     def test_expired_deadline_raises_deadline_error(self, tmp_path):
         job = Job.from_request(_request())

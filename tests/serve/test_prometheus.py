@@ -1,5 +1,5 @@
 """Prometheus exposition: renderer/parser unit contract plus the live
-``/metrics`` endpoint and its deprecated ``/v1/metrics`` JSON alias."""
+``/metrics`` endpoint, the daemon's only metrics surface."""
 
 import http.client
 import math
@@ -26,14 +26,14 @@ class TestRender:
 
     def test_labeled_gauges(self):
         text = render(gauges={
-            "serve.breaker_state": [
-                ({"state": "closed"}, 1), ({"state": "open"}, 0),
+            "serve.job_states": [
+                ({"state": "done"}, 2), ({"state": "failed"}, 0),
             ],
             "serve.queue_depth": 3,
         })
         families = parse_exposition(text)
-        samples = families["repro_serve_breaker_state"]["samples"]
-        assert (("repro_serve_breaker_state", {"state": "closed"}, 1.0)
+        samples = families["repro_serve_job_states"]["samples"]
+        assert (("repro_serve_job_states", {"state": "done"}, 2.0)
                 in samples)
         assert families["repro_serve_queue_depth"]["samples"][0][2] == 3.0
 
@@ -152,7 +152,6 @@ class TestLiveEndpoints:
         gauges = {name for name, family in families.items()
                   if family["type"] == "gauge"}
         assert "repro_serve_queue_depth" in gauges
-        assert "repro_serve_breaker_state" in gauges
         histograms = [name for name, family in families.items()
                       if family["type"] == "histogram"]
         assert histograms, "no native _bucket families exposed"
@@ -160,14 +159,9 @@ class TestLiveEndpoints:
                     if family["type"] == "counter"}
         assert any(name.startswith("repro_engine_") for name in counters)
 
-    def test_v1_metrics_is_documented_deprecated_alias(self, serve_factory):
+    def test_removed_json_metrics_route_is_a_404(self, serve_factory):
         handle = serve_factory()
-        handle.request("POST", "/v1/jobs", small_job("prom-2"))
-        handle.wait_for_state("prom-2")
-        status, doc, _ = handle.request("GET", "/v1/metrics")
-        assert status == 200
-        assert doc["run_id"]
-        assert "deprecated" in doc and "/metrics" in doc["deprecated"]
-        assert any(key.startswith("engine.tier.")
-                   for key in doc["engine_tiers"])
-        assert set(doc["rates"]) == {"10s", "1m", "5m"}
+        # the JSON alias of /metrics that earlier daemons served
+        status, doc, _ = handle.request("GET", "/v1" + "/metrics")
+        assert status == 404
+        assert "no route" in doc["error"]

@@ -64,6 +64,23 @@ class TestValidation:
         with pytest.raises(RequestError):
             JobRequest.from_payload([1, 2, 3])
 
+    def test_unknown_app_lists_the_accepted_apps(self):
+        with pytest.raises(RequestError, match="no-such-app") as excinfo:
+            JobRequest.from_payload(_payload(runs=[{"app": "no-such-app"}]))
+        message = str(excinfo.value)
+        assert "'BFS'" in message and "'giant-span'" in message
+
+    def test_unknown_dataset_lists_the_accepted_datasets(self):
+        with pytest.raises(RequestError, match="kronecker"):
+            JobRequest.from_payload(
+                _payload(runs=[{"app": "BFS", "dataset": "tiny"}]))
+
+    def test_extended_workloads_and_datasets_validate(self):
+        request = JobRequest.from_payload(_payload(runs=[
+            {"app": "phased"}, {"app": "PR", "dataset": "web"},
+        ]))
+        assert [run["app"] for run in request.runs] == ["phased", "PR"]
+
     def test_runs_cap_is_enforced(self):
         runs = [{"app": "BFS"}] * (MAX_RUNS_PER_JOB + 1)
         with pytest.raises(RequestError, match="capped"):
@@ -71,28 +88,39 @@ class TestValidation:
 
 
 class TestSpecs:
-    def test_runs_become_runspecs_with_tier(self):
+    def test_runs_become_runspecs(self):
         request = JobRequest.from_payload(_payload())
-        specs = request.to_specs(engine_tier="scalar")
+        specs = request.to_specs()
         assert specs[0].app == "BFS"
         assert specs[0].policy == "pcc"
-        assert specs[0].engine_tier == "scalar"
-        # default tier is the engine default
-        assert request.to_specs()[0].engine_tier is None
+        assert specs[0].graph_scale == 10
 
-    def test_distinct_tiers_have_distinct_journal_keys(self):
-        """A degraded rerun must never alias a full-tier checkpoint."""
+    def test_same_question_has_the_same_journal_key(self):
+        """Jobs asking the same question share one results shard."""
         from repro.experiments.common import execute_spec
         from repro.resilience.journal import RunJournal
 
-        request = JobRequest.from_payload(_payload())
         journal = RunJournal("/tmp/unused")
-        keys = {
-            journal.key_for(execute_spec, spec)
-            for tier in (None, "fast", "scalar")
-            for spec in request.to_specs(engine_tier=tier)
-        }
-        assert len(keys) == 3
+        first = JobRequest.from_payload(_payload())
+        second = JobRequest.from_payload(_payload(id="job-2", tenant="other"))
+        assert ([journal.key_for(execute_spec, s) for s in first.to_specs()]
+                == [journal.key_for(execute_spec, s)
+                    for s in second.to_specs()])
+
+    def test_distinct_runs_have_distinct_journal_keys(self):
+        from repro.experiments.common import execute_spec
+        from repro.resilience.journal import RunJournal
+
+        journal = RunJournal("/tmp/unused")
+        request = JobRequest.from_payload(_payload(runs=[
+            {"app": "BFS", "policy": "pcc"},
+            {"app": "BFS", "policy": "pcc", "seed": 1},
+            {"app": "BFS", "policy": "linux-thp"},
+            {"app": "PR", "policy": "pcc"},
+        ]))
+        keys = {journal.key_for(execute_spec, spec)
+                for spec in request.to_specs()}
+        assert len(keys) == 4
 
 
 class TestEnvelope:
@@ -108,3 +136,18 @@ class TestEnvelope:
         assert doc["degraded"] == []
         assert doc["result"] is None
         assert doc["error"] is None
+
+    @pytest.mark.parametrize("state", ["done", "failed"])
+    def test_degraded_is_empty_on_finished_jobs(self, state):
+        """The field stays in repro.serve/v1 but never names a fallback."""
+        from repro.serve.lifecycle import Job
+
+        job = Job.from_request(JobRequest.from_payload(_payload()))
+        job.state = state
+        if state == "done":
+            job.results = [{"policy": "pcc"}]
+        else:
+            job.error = {"type": "JobExecutionError", "message": "boom"}
+        doc = envelope(job)
+        assert doc["job"]["state"] == state
+        assert doc["degraded"] == []

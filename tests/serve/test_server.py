@@ -1,12 +1,13 @@
 """End-to-end serving: HTTP surface, lifecycle, recovery, degradation."""
 
-import time
+import json
 
 from repro.resilience.faults import injecting
 from repro.serve.lifecycle import Job, JobStore
 from repro.serve.protocol import JobRequest
 
 from .conftest import small_job
+from .test_events import collect_stream
 
 
 class TestHttpSurface:
@@ -41,6 +42,19 @@ class TestHttpSurface:
         status, doc, _ = handle.request("POST", "/v1/jobs", body=None)
         assert status == 400
 
+    def test_unknown_app_is_a_400_and_never_journaled(self, serve_factory):
+        handle = serve_factory()
+        payload = small_job("bad-app-1")
+        payload["runs"][0]["app"] = "no-such-app"
+        status, doc, _ = handle.request("POST", "/v1/jobs", payload)
+        assert status == 400
+        assert "no-such-app" in doc["error"]["message"]
+        assert "'BFS'" in doc["error"]["message"]  # lists accepted apps
+        assert handle.request("GET", "/v1/jobs/bad-app-1")[0] == 404
+        store = JobStore(handle.server.config.resolved_state_dir() / "jobs")
+        unfinished, finished = store.recover()
+        assert unfinished == [] and finished == []
+
     def test_unknown_job_is_a_404(self, serve_factory):
         handle = serve_factory()
         status, doc, _ = handle.request("GET", "/v1/jobs/nope")
@@ -58,10 +72,8 @@ class TestHttpSurface:
         assert status == 200 and doc["ok"]
         status, doc, _ = handle.request("GET", "/readyz")
         assert status == 200 and doc["ready"]
-        assert doc["breaker"]["state"] == "closed"
-        status, doc, _ = handle.request("GET", "/v1/metrics")
-        assert status == 200
-        assert "resilience.serve.accepted" in doc["counters"]
+        assert "breaker" not in doc
+        assert "repro_resilience_serve_accepted_total" in handle.counters()
 
 
 class TestBackpressure:
@@ -112,8 +124,7 @@ class TestRecovery:
         handle = serve_factory(state_dir=state)
         final = handle.wait_for_state("orphan-1")
         assert final["job"]["state"] == "done"
-        status, doc, _ = handle.request("GET", "/v1/metrics")
-        assert doc["counters"]["resilience.serve.recovered"] >= 1
+        assert handle.counters()["repro_resilience_serve_recovered_total"] >= 1
 
     def test_finished_jobs_survive_restart(self, serve_factory, tmp_path):
         state = tmp_path / "restart-state"
@@ -151,8 +162,7 @@ class TestDegradation:
             final = handle.wait_for_state("rq-1")
         assert final["job"]["state"] == "done"
         assert final["job"]["attempts"] >= 2
-        status, doc, _ = handle.request("GET", "/v1/metrics")
-        assert doc["counters"]["resilience.serve.requeued"] >= 1
+        assert handle.counters()["repro_resilience_serve_requeued_total"] >= 1
 
     def test_publish_fault_requeues_and_replays_from_journal(
         self, serve_factory, tmp_path
@@ -168,32 +178,55 @@ class TestDegradation:
         # journal instead of recomputing it
         assert handle.server.results_journal.stats.resumed >= 1
 
-    def test_engine_fault_degrades_tier_in_the_envelope(
+    def test_engine_fault_fails_the_job_loudly(
         self, serve_factory, tmp_path, monkeypatch
     ):
+        """A columnar defect ends the job failed on its first attempt,
+        naming the spec; no slower tier quietly answers instead."""
+        from repro.cli import main
+
         monkeypatch.setenv("REPRO_TASK_RETRIES", "1")
         handle = serve_factory()
+        payload = small_job("loud-1")
+        payload["runs"][0]["label"] = "bfs-loud"
         with injecting("exc@engine.columnar.encode",
                        state_dir=tmp_path / "faults"):
-            handle.request("POST", "/v1/jobs", small_job("deg-1"))
-            final = handle.wait_for_state("deg-1")
-        assert final["job"]["state"] == "done"
-        assert "tier:fast" in final["degraded"]
-        assert final["result"][0]["total_cycles"] > 0
+            handle.request("POST", "/v1/jobs", payload)
+            final = handle.wait_for_state("loud-1")
+        assert final["job"]["state"] == "failed"
+        assert final["job"]["attempts"] == 1
+        assert final["degraded"] == []
+        assert final["error"]["type"] == "JobExecutionError"
+        assert "bfs-loud" in final["error"]["message"]
+        assert final["result"] is None
 
-    def test_open_breaker_forces_serial_and_tags_the_job(
-        self, serve_factory
+        events = []
+        collect_stream(handle.port, "/v1/jobs/loud-1/events", events)
+        states = [event["data"]["state"] for event in events
+                  if event["event"] == "state"]
+        assert states == ["queued", "running", "failed"]
+        capture = tmp_path / "loud-1.events.json"
+        capture.write_text(json.dumps({"events": events}))
+        assert main(["inspect", str(capture), "--check"]) == 0
+
+    def test_worker_crash_is_absorbed_by_the_fan_out(
+        self, serve_factory, tmp_path, monkeypatch
     ):
+        """Pool damage heals inside fan_out: the job is done, with
+        nothing degraded, and the rebuild shows on /metrics."""
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "cache"))
         handle = serve_factory()
-        # trip the breaker directly on the loop (unit seam), then show
-        # a pooled request degrading to serial with the tag surfaced
-        for _ in range(handle.server.breaker.trip_after):
-            handle.server.breaker.record_failure()
-        assert handle.server.breaker.state == "open"
-        handle.request("POST", "/v1/jobs", small_job("ser-1", jobs=2))
-        final = handle.wait_for_state("ser-1")
+        rebuilds = "repro_resilience_pool_rebuilds_total"
+        before = handle.counters()[rebuilds]
+        payload = small_job("crash-1", jobs=2)
+        payload["runs"].append(dict(payload["runs"][0], seed=1))
+        with injecting("crash@worker.task", state_dir=tmp_path / "faults"):
+            handle.request("POST", "/v1/jobs", payload)
+            final = handle.wait_for_state("crash-1")
         assert final["job"]["state"] == "done"
-        assert "serial-execution" in final["degraded"]
+        assert final["degraded"] == []
+        assert len(final["result"]) == 2
+        assert handle.counters()[rebuilds] >= max(1, before + 1)
 
 
 class TestDrain:

@@ -3,6 +3,8 @@ clients against a thread-hosted server."""
 
 import io
 
+from repro.metrics.prometheus import parse_exposition, render
+from repro.obs.runid import current_run_id
 from repro.serve.top import (
     progress_bar,
     render_dashboard,
@@ -43,14 +45,14 @@ class TestRenderDashboard:
                              "seq": 9},
             }],
         }
-        metrics = {
-            "run_id": "feedface0123",
-            "running": 1,
-            "breaker": {"state": "closed", "trips": 0},
-            "engine_tiers": {"engine.tier.columnar.jobs": 2},
-            "rates": {"1m": {"resilience.serve.requests": 0.5}},
-        }
-        return registry, metrics
+        families = parse_exposition(render(
+            counters={"resilience.serve.completed": 2},
+            gauges={"serve.running": 1},
+            rates={"10s": {"resilience.serve.requests": 3.0},
+                   "1m": {"resilience.serve.requests": 0.5}},
+            info={"run_id": "feedface0123"},
+        ))
+        return registry, families
 
     def test_plain_frame_has_every_section(self):
         registry, metrics = self._docs()
@@ -58,18 +60,18 @@ class TestRenderDashboard:
         assert "\x1b[" not in frame
         assert "run feedface0123" in frame
         assert "queue 1" in frame
-        assert "breaker closed" in frame
+        assert "running 1" in frame
         assert "job-42" in frame and "40.0%" in frame
         assert "columnar" in frame and "2.00M rec/s" in frame
         assert "eta 3s" in frame
-        assert "columnar:2" in frame  # tier occupancy
-        assert "requests:0.5/s" in frame
+        assert "requests:0.5/s" in frame  # the 1m window only
+        assert "requests:3/s" not in frame
         assert "tenant backlog: acme:1" in frame
 
     def test_ansi_frame_colors_states(self):
         registry, metrics = self._docs()
         frame = render_dashboard(registry, metrics, ansi=True)
-        assert "\x1b[32mclosed\x1b[0m" in frame
+        assert "\x1b[32mdone\x1b[0m" in frame
 
     def test_idle_dashboard(self):
         frame = render_dashboard({}, {}, ansi=False)
@@ -84,7 +86,7 @@ class TestRenderProgressLine:
         assert "50.0%" in line and "fast" in line
         assert "1.50M rec/s" in line and "eta 2s" in line
 
-    def test_state_and_degraded_lines(self):
+    def test_state_lines(self):
         assert render_progress_line(
             {"event": "state", "data": {"state": "done"}}, ansi=False,
         ) == "-- done"
@@ -92,9 +94,6 @@ class TestRenderProgressLine:
             {"event": "state",
              "data": {"state": "failed", "error": "boom"}}, ansi=False)
         assert "failed" in failed and "boom" in failed
-        degraded = render_progress_line(
-            {"event": "degraded", "data": {"tags": ["tier:fast"]}})
-        assert "tier:fast" in degraded
 
 
 class TestLiveClients:
@@ -107,7 +106,7 @@ class TestLiveClients:
         frame = out.getvalue()
         assert "repro top" in frame
         assert "\x1b[" not in frame  # --once means no ANSI
-        assert "columnar:" in frame  # the job landed in tier occupancy
+        assert f"run {current_run_id()}" in frame  # read from /metrics
 
     def test_run_top_against_down_server_fails_cleanly(self):
         out = io.StringIO()
