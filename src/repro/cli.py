@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment("fig6", help="PCC size sensitivity")
 
-    p_fig7 = experiment("fig7", help="90%-fragmented comparison")
+    p_fig7 = experiment("fig7", help="90%%-fragmented comparison")
     p_fig7.add_argument("--apps", help="comma-separated graph-app subset")
     p_fig7.add_argument(
         "--fragmentation", type=float, default=0.9, help="fraction fragmented"
@@ -352,22 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument(
         "--top", type=int, default=10, help="rows per ranking (default 10)"
     )
-
-    p_top = sub.add_parser(
-        "top",
-        help="live ANSI dashboard over a running serve daemon: per-job "
-        "progress bars, queue depth, tenant backlog, 1m rates",
-    )
-    p_top.add_argument(
-        "url", nargs="?", default="127.0.0.1:8023",
-        help="server address, host:port or http://host:port "
-        "(default 127.0.0.1:8023)",
-    )
-    p_top.add_argument("--interval", type=float, default=1.0, metavar="S",
-                       help="repaint interval in seconds (default 1.0)")
-    p_top.add_argument("--once", action="store_true",
-                       help="render one plain-text frame and exit "
-                       "(no ANSI; for scripts and tests)")
 
     p_progress = sub.add_parser(
         "progress",
@@ -676,15 +660,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # client-side commands: no run id, journal, or logging setup
     if args.experiment == "inspect":
         return _run_inspect(args)
-    if args.experiment == "top":
-        from repro.serve.top import run_top
-
-        try:
-            return run_top(args.url, interval_s=args.interval, once=args.once)
-        except KeyboardInterrupt:
-            return 0
     if args.experiment == "progress":
-        from repro.serve.top import run_progress
+        from repro.serve.client import run_progress
 
         try:
             return run_progress(
@@ -699,7 +676,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not inner:
             raise SystemExit("trace: give a command to run, e.g. repro trace fig7")
         args = build_parser().parse_args(inner)
-        if args.experiment in ("trace", "inspect", "top", "progress"):
+        if args.experiment in ("trace", "inspect", "progress"):
             raise SystemExit(f"trace: cannot wrap {args.experiment!r}")
         if not args.trace_out:
             args.trace_out = f"trace-{run_id}.json"

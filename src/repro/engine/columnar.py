@@ -44,9 +44,7 @@ it either finds its own tag (hit), has seen W distinct others (miss),
 or exhausts the chain (miss). The chase runs ``depth`` steps for every
 query lane in parallel; the rare queries still unresolved (ping-pong
 patterns) fall back to an exact per-query Python walk of the same
-chain. ``REPRO_JIT=1`` swaps the chase for a compiled sequential
-simulation (:mod:`repro.engine.jit`) behind the same bit-identity
-contract.
+chain.
 """
 
 from __future__ import annotations
@@ -315,16 +313,6 @@ def classify_lru_hits(
         empty = [[] for _ in range(nsets)] if nsets else None
         return np.zeros(n, dtype=bool), 0, empty
 
-    from repro.engine import jit
-
-    if jit.enabled():
-        kernel = jit.classify_kernel()
-        if kernel is not None:
-            return _classify_with_kernel(
-                kernel, set_ids, tags, ways, init_set_ids, init_tags,
-                nsets=nsets,
-            )
-
     order, g_set, g_tag, run_start, prev_run, prefix = _group_by_set(
         set_ids, tags, init_set_ids, init_tags
     )
@@ -518,45 +506,6 @@ def _chase_one(g_tag: np.ndarray, prev_run: np.ndarray, pos: int,
     return 2
 
 
-def _classify_with_kernel(
-    kernel, set_ids, tags, ways, init_set_ids, init_tags, nsets: int = 0
-) -> tuple[np.ndarray, int, list[list[int]] | None]:
-    """Run a compiled sequential per-set LRU kernel over grouped touches."""
-    prefix = int(init_set_ids.size)
-    if prefix:
-        all_sets = np.concatenate([init_set_ids, set_ids])
-        all_tags = np.concatenate([init_tags, tags])
-    else:
-        all_sets = np.ascontiguousarray(set_ids)
-        all_tags = np.ascontiguousarray(tags)
-    nsets_max = int(all_sets.max()) + 1 if all_sets.size else 1
-    key = all_sets.astype(np.uint8 if nsets_max <= 256 else np.uint16)
-    order = np.argsort(key, kind="stable")
-    g_set = np.ascontiguousarray(all_sets[order], dtype=np.int64)
-    g_tag = np.ascontiguousarray(all_tags[order], dtype=np.uint64)
-    hit_g = kernel(g_set, g_tag, ways)
-    hits = np.empty(int(set_ids.size), dtype=bool)
-    is_real = order >= prefix
-    real_pos = np.flatnonzero(is_real)
-    hits[order[real_pos] - prefix] = hit_g[real_pos]
-    contents = None
-    if nsets:
-        total = int(g_set.size)
-        pair_order = np.lexsort((g_tag, g_set))
-        p_set = g_set[pair_order]
-        p_tag = g_tag[pair_order]
-        pair_start = np.empty(total, dtype=bool)
-        pair_start[0] = True
-        np.logical_or(
-            p_set[1:] != p_set[:-1], p_tag[1:] != p_tag[:-1],
-            out=pair_start[1:],
-        )
-        contents = _final_contents(
-            p_set, p_tag, pair_order, pair_start, total, nsets, ways
-        )
-    return hits, 0, contents
-
-
 def classify_lru_hits_ref(
     set_ids: np.ndarray,
     tags: np.ndarray,
@@ -566,8 +515,8 @@ def classify_lru_hits_ref(
     """Reference classification: simulate each set's LRU directly.
 
     ``initial[s]`` lists set ``s``'s resident tags in LRU→MRU order.
-    Used by the property tests to pin the vectorized chase (and the
-    optional JIT kernel) to ground truth.
+    Used by the property tests to pin the vectorized chase to ground
+    truth.
     """
     sets: dict[int, dict[int, bool]] = {
         s: {int(tag): True for tag in content}

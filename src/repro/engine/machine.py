@@ -88,9 +88,9 @@ OS-tick interval** as one epoch per live thread:
 3. *Classification*: each record is routed to the L1 structure its
    region's mapping state selects, and the structure's whole epoch
    touch stream is classified hit/miss in one exact vectorized LRU
-   pass (:mod:`repro.engine.columnar`; ``REPRO_JIT=1`` swaps in the
-   numba kernel). Classified hits retire in bulk — counters and hit
-   cycles are array reductions, no per-record Python.
+   pass (:mod:`repro.engine.columnar`). Classified hits retire in
+   bulk — counters and hit cycles are array reductions, no per-record
+   Python.
 4. *Residue*: the L1-miss stream is itself classified, not replayed
    (:mod:`repro.engine.residue`). The unified L2 and the 1GB L1 are
    two more whole-epoch LRU streams (4K records at their VPN,

@@ -17,9 +17,7 @@ This module retires that residue as array passes too:
   of raising, which keeps the engine total rather than trap-happy.
 * :func:`pwc_level_outcomes` — exact classification of one page-walk
   cache level's epoch probe stream (memo hit / LRU hit / miss) without
-  touching the structure, plus its reconstructed end state. Dispatches
-  to the compiled kernel when ``REPRO_JIT=1`` and numba is importable
-  (:func:`repro.engine.jit.walk_kernel`), bit-identically.
+  touching the structure, plus its reconstructed end state.
 * :func:`page_table_pass` — the epoch's accessed-bit reads and writes
   as one pass: ``pud_was``/``pmd_was`` per walk fall out of "bit set
   before the epoch, or an earlier walk in the epoch covered the same
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import jit
 from repro.engine.columnar import classify_lru_hits, epoch_evictions
 from repro.vm.address import PageSize
 from repro.vm.pagetable import _HugeRegionState
@@ -118,20 +115,6 @@ def _stack_arrays(initial: list[list[int]]):
     )
 
 
-def _flat_stacks(initial: list[list[int]], nsets: int):
-    """Flatten per-set stacks into the kernel's (tags, offsets) pair."""
-    offsets = np.zeros(nsets + 1, dtype=np.int64)
-    for s, content in enumerate(initial):
-        offsets[s + 1] = offsets[s] + len(content)
-    flat = np.empty(int(offsets[-1]), dtype=np.int64)
-    pos = 0
-    for content in initial:
-        for tag in content:
-            flat[pos] = tag
-            pos += 1
-    return flat, offsets
-
-
 def pwc_level_outcomes(tags, last_tag: int, initial: list[list[int]],
                        nsets: int, ways: int):
     """Classify one PWC level's epoch walk stream without touching it.
@@ -149,18 +132,6 @@ def pwc_level_outcomes(tags, last_tag: int, initial: list[list[int]],
     if n == 0:
         return (np.zeros(0, dtype=np.int8),
                 [list(stack) for stack in initial], 0, last_tag)
-    if jit.enabled():
-        kernel = jit.walk_kernel()
-        if kernel is not None:
-            flat, offsets = _flat_stacks(initial, nsets)
-            out, stacks, depth, evictions, final_last = kernel(
-                np.ascontiguousarray(tags, dtype=np.int64), last_tag,
-                flat, offsets, nsets, ways,
-            )
-            contents = [
-                stacks[s, :depth[s]].tolist() for s in range(nsets)
-            ]
-            return out, contents, int(evictions), int(final_last)
     memo = np.empty(n, dtype=bool)
     memo[0] = int(tags[0]) == last_tag
     np.equal(tags[1:], tags[:-1], out=memo[1:])

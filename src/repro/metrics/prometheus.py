@@ -1,10 +1,11 @@
 """Prometheus text exposition v0.0.4: rendering and a validating parser.
 
 :func:`render` turns the repro metric surfaces — monotone counters from
-the resilience bus, point-in-time gauges from the serving daemon, the
-log-bucketed :class:`~repro.obs.histo.Histogram` distributions, and the
-windowed per-second rates — into the plain-text format every Prometheus
-scraper (and ``promtool``) understands, with no client library.
+the resilience bus, point-in-time gauges from the serving daemon, and
+the log-bucketed :class:`~repro.obs.histo.Histogram` distributions —
+into the plain-text format every Prometheus scraper (and ``promtool``)
+understands, with no client library. Rates are the scraper's job:
+``rate()`` over the ``_total`` counters.
 
 Histograms translate natively: our buckets are half-open geometric
 intervals with fixed boundaries, so the cumulative ``_bucket{le="hi"}``
@@ -15,7 +16,7 @@ closes the series at the total count — exactly the invariants
 Prometheus grammar by s/[.-]/_/ under a ``repro_`` namespace prefix.
 
 :func:`parse_exposition` is the consumer-side half: a strict parser
-used by ``repro top``, the serve load harness, and CI to prove the
+used by the serve load harness, the serve tests, and CI to prove the
 endpoint emits well-formed exposition (sample syntax, label escaping,
 bucket monotonicity, ``+Inf`` == ``_count``) rather than merely
 200-OK text.
@@ -83,7 +84,6 @@ def render(
     counters: dict[str, int] | None = None,
     gauges: dict | None = None,
     histograms: dict[str, Histogram] | None = None,
-    rates: dict[str, dict[str, float]] | None = None,
     info: dict[str, str] | None = None,
 ) -> str:
     """One scrape body. All sections optional; families sorted by name.
@@ -92,9 +92,7 @@ def render(
     ``gauges`` map name → value, or name → list of ``(labels, value)``
     pairs for labeled series (job-state counts, per-tenant queue
     depths); ``histograms`` render as native cumulative ``_bucket``
-    series; ``rates`` is ``{window: {counter: per_second}}`` from the
-    windowed aggregator, rendered as ``*_per_second{window="..."}``
-    gauges; ``info`` becomes the conventional always-1 info gauge
+    series; ``info`` becomes the conventional always-1 info gauge
     carrying identity labels (run id, version).
     """
     lines: list[str] = []
@@ -121,19 +119,6 @@ def render(
                 lines.append(f"{name}{_labels(labels)} {_fmt(point)}")
         else:
             lines.append(f"{name} {_fmt(value)}")
-
-    if rates:
-        seen: dict[str, list[str]] = {}
-        for window in rates:
-            for raw, per_second in rates[window].items():
-                name = metric_name(raw) + "_per_second"
-                seen.setdefault(name, []).append(
-                    f'{name}{{window="{window}"}} {_fmt(per_second)}'
-                )
-        for name in sorted(seen):
-            lines.append(f"# HELP {name} Trailing-window event rate.")
-            lines.append(f"# TYPE {name} gauge")
-            lines.extend(seen[name])
 
     for raw in sorted(histograms or {}):
         histogram = histograms[raw]

@@ -80,9 +80,9 @@ class MetricsRegistry:
     def histograms(self) -> dict[str, Histogram]:
         """Live view of every registered distribution, by name.
 
-        Read-only by convention: the windowed aggregator and the
-        Prometheus renderer walk the live objects rather than paying
-        an ``as_dict`` round trip per scrape.
+        Read-only by convention: the Prometheus renderer walks the
+        live objects rather than paying an ``as_dict`` round trip per
+        scrape.
         """
         return self._histograms
 

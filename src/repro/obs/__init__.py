@@ -1,6 +1,6 @@
 """Deep observability for the reproduction pipeline (``repro.obs``).
 
-Four cooperating pieces, all **off by default** and free when disabled:
+Five cooperating pieces, all **off by default** and free when disabled:
 
 - :mod:`repro.obs.tracer` — a low-overhead hierarchical span tracer
   (context-manager + decorator API over a monotonic clock) whose output
@@ -24,9 +24,7 @@ Four cooperating pieces, all **off by default** and free when disabled:
   (records done, tier, throughput EWMA, ETA) emitted at a bounded
   cadence from the engine's scheduler loop and delivered via scoped
   sinks or the cross-process spool; the feed behind the serving
-  daemon's SSE streams and ``repro top``.
-- :mod:`repro.obs.window` — sliding-window (10s/1m/5m) rates and
-  percentiles over the resilience bus, feeding ``/metrics``.
+  daemon's per-job SSE streams and ``repro progress``.
 
 One stable **run id** (:mod:`repro.obs.runid`) threads through metrics
 exports, journal shards, resilience-bus publications, structured logs,

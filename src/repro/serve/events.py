@@ -5,17 +5,14 @@ lifecycle (state transitions, published from the executor coroutines)
 plus the progress spool tailer, and any number of open
 ``GET /v1/jobs/<id>/events`` streams. Design points:
 
-- **per-channel ids + bounded replay.** Every channel (one per job id,
-  plus the ``"*"`` broadcast the dashboard tails) numbers its events
-  from 1 and keeps the last :data:`HISTORY` in a ring. A client that
-  reconnects with ``Last-Event-ID: n`` replays everything after ``n``
-  that is still in the ring — the standard SSE resumption contract —
-  so a dropped TCP connection loses nothing that happened within the
-  ring's horizon.
-- **late subscribers see the story so far.** A subscription with no
-  ``Last-Event-ID`` replays the full ring too: a client attaching to a
-  job mid-run immediately sees the queued→running transition and the
+- **per-channel ids + bounded replay.** Every channel (one per job
+  id) numbers its events from 1 and keeps the last :data:`HISTORY` in
+  a ring. A new subscription replays the whole ring, so a client
+  attaching to a job mid-run, or re-attaching after a dropped
+  connection, immediately sees the queued→running transition and the
   latest progress snapshots instead of silence until the next emit.
+  The rings live in memory: after a restart each channel starts again
+  from id 1 with the new process's story.
 - **thread-agnostic publish.** Almost everything publishes from the
   event loop; anything else is bounced through
   ``loop.call_soon_threadsafe``. Subscriber queues are plain
@@ -23,8 +20,8 @@ plus the progress spool tailer, and any number of open
 
 The module also carries both wire codecs: :func:`format_event` writes
 the ``id:``/``event:``/``data:`` frame, and :func:`read_events` is the
-blocking client-side parser used by ``repro top``, ``repro progress``,
-the load harness, and the protocol tests.
+blocking client-side parser used by ``repro progress``, the load
+harness, and the protocol tests.
 """
 
 from __future__ import annotations
@@ -34,11 +31,8 @@ import json
 import threading
 from collections import deque
 
-#: Events retained per channel for replay after reconnect.
+#: Events retained per channel for replay to late subscribers.
 HISTORY = 256
-
-#: Channel id carrying every event of every job (the dashboard feed).
-BROADCAST = "*"
 
 #: ``state`` event payload values that end a job's stream.
 TERMINAL_STATES = ("done", "failed", "expired")
@@ -117,31 +111,20 @@ class EventBroker:
     # ------------------------------------------------------------------
     # publishing
 
-    def publish(self, channel: str, event: str, data: dict,
-                broadcast: bool = True) -> None:
-        """Append an event to ``channel`` (and mirror it to ``"*"``).
+    def publish(self, channel: str, event: str, data: dict) -> None:
+        """Append an event to ``channel`` and fan it out to subscribers.
 
         Safe from any thread: off-loop calls are marshalled with
-        ``call_soon_threadsafe``. The broadcast mirror carries its own
-        id sequence and a ``channel`` field so dashboard clients can
-        demultiplex.
+        ``call_soon_threadsafe``.
         """
         if (
             self._loop is not None
             and threading.get_ident() != self._loop_thread
             and self._loop.is_running()
         ):
-            self._loop.call_soon_threadsafe(
-                self._publish, channel, event, data, broadcast
-            )
+            self._loop.call_soon_threadsafe(self._append, channel, event, data)
             return
-        self._publish(channel, event, data, broadcast)
-
-    def _publish(self, channel: str, event: str, data: dict,
-                 broadcast: bool) -> None:
         self._append(channel, event, data)
-        if broadcast and channel != BROADCAST:
-            self._append(BROADCAST, event, {"channel": channel, **data})
 
     def _append(self, channel: str, event: str, data: dict) -> None:
         ring = self._rings.get(channel)
@@ -161,24 +144,17 @@ class EventBroker:
     # subscribing
 
     def subscribe(
-        self, channel: str, last_event_id: int | None = None
+        self, channel: str
     ) -> tuple[asyncio.Queue, list[tuple[int, str, dict]]]:
         """Attach a queue to ``channel``; returns ``(queue, replay)``.
 
-        ``replay`` is every ring entry with id greater than
-        ``last_event_id`` (or the whole ring when ``None``) — emit it
-        before awaiting the queue and the client never sees a gap,
-        because ids are assigned on the loop thread that also fans out
-        to queues.
+        ``replay`` is the channel's whole ring — emit it before awaiting
+        the queue and the client never sees a gap, because ids are
+        assigned on the loop thread that also fans out to queues.
         """
         queue: asyncio.Queue = asyncio.Queue()
         self._queues.setdefault(channel, set()).add(queue)
-        ring = self._rings.get(channel, ())
-        if last_event_id is None:
-            replay = list(ring)
-        else:
-            replay = [entry for entry in ring if entry[0] > last_event_id]
-        return queue, replay
+        return queue, list(self._rings.get(channel, ()))
 
     def unsubscribe(self, channel: str, queue: asyncio.Queue) -> None:
         """Detach a queue (idempotent)."""

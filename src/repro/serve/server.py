@@ -12,12 +12,10 @@ Endpoints::
                               400 invalid, 429 saturated + Retry-After,
                               503 draining/fault)
     GET  /v1/jobs/<id>        response envelope for one job
-    GET  /v1/jobs/<id>/events live SSE stream: state transitions and
-                              progress snapshots (Last-Event-ID
-                              resumes after reconnect)
+    GET  /v1/jobs/<id>/events live SSE stream: the job's state
+                              transitions and progress snapshots
     GET  /v1/jobs/<id>/spans  the job's merged span slice from the
                               active tracer (empty + note when off)
-    GET  /v1/events           broadcast SSE stream over every job
     GET  /v1/jobs             registry summary (states, queue, tenants)
     GET  /healthz             liveness (always 200 while the loop runs)
     GET  /readyz              readiness (503 while draining)
@@ -29,9 +27,8 @@ Live telemetry: the daemon advertises a progress spool
 run — in-process executor threads and fan-out worker processes alike —
 appends ``repro.progress/v1`` snapshots there; a loop task tails the
 spool and republishes each snapshot as an SSE ``progress`` event on
-its job's channel. A second task samples the resilience bus into a
-:class:`~repro.obs.window.WindowedAggregator` so ``/metrics``
-reports trailing 10s/1m/5m rates, not just monotone totals.
+its job's channel. ``/metrics`` exports the resilience bus as
+monotone ``_total`` counters; a scraper derives rates with ``rate()``.
 
 Crash safety: a job is journaled (``JobStore.save``) *before* its 202
 is written, and re-journaled at every transition. ``kill -9`` the
@@ -67,18 +64,12 @@ from repro.obs.log import get_logger, log_event
 from repro.obs.progress import SpoolTailer, disable_spool, enable_spool
 from repro.obs.runid import current_run_id
 from repro.obs.tracer import active_tracer, span
-from repro.obs.window import WindowedAggregator
 from repro.resilience import bus
 from repro.resilience.faults import InjectedFault, fault_point
 from repro.resilience.journal import RunJournal
 from repro.serve import lifecycle
 from repro.serve.admission import AdmissionController
-from repro.serve.events import (
-    BROADCAST,
-    EventBroker,
-    format_comment,
-    format_event,
-)
+from repro.serve.events import EventBroker, format_comment, format_event
 from repro.serve.lifecycle import (
     MAX_JOB_ATTEMPTS,
     Job,
@@ -166,14 +157,10 @@ class SimulationServer:
         self._request_wall = bus.histogram("serve.request_wall_us", unit="us")
         self._job_wall = bus.histogram("serve.job_wall_us", unit="us")
         self._queue_wait = bus.histogram("serve.queue_wait_us", unit="us")
-        # live telemetry plane: SSE broker, progress spool tailer, and
-        # the sliding-window aggregator behind /metrics rates
+        # live telemetry plane: SSE broker and progress spool tailer
         self.broker = EventBroker()
-        self.window = WindowedAggregator()
         self.progress_spool = state / "progress"
-        self.latest_progress: dict[str, dict] = {}
         self._tailer = SpoolTailer(self.progress_spool)
-        self._telemetry_tasks: list = []
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -204,6 +191,10 @@ class SimulationServer:
         self._closed = asyncio.Event()
         self.broker.bind(asyncio.get_running_loop())
         enable_spool(self.progress_spool)
+        # skip what an earlier process spooled: its snapshots are not
+        # this process's story, and would precede a recovered job's
+        # synthetic terminal frame on its stream
+        self._tailer.poll()
         recovered = self.recover()
         if recovered:
             self._wake.set()
@@ -220,22 +211,17 @@ class SimulationServer:
             asyncio.ensure_future(self._executor_loop(slot))
             for slot in range(max(1, self.config.executors))
         ]
-        self._telemetry_tasks = [
-            asyncio.ensure_future(self._window_loop()),
-            asyncio.ensure_future(self._progress_loop()),
-        ]
+        progress = asyncio.ensure_future(self._progress_loop())
         try:
             await self._closed.wait()
         finally:
             disable_spool()
             server.close()
             await server.wait_closed()
-            for task in (*executors, *self._telemetry_tasks, *self._connections):
+            tasks = (*executors, progress, *self._connections)
+            for task in tasks:
                 task.cancel()
-            await asyncio.gather(
-                *executors, *self._telemetry_tasks, *self._connections,
-                return_exceptions=True,
-            )
+            await asyncio.gather(*tasks, return_exceptions=True)
 
     def request_drain(self) -> None:
         """Stop accepting; the server exits once the backlog is done."""
@@ -255,12 +241,6 @@ class SimulationServer:
 
     # ------------------------------------------------------------------
     # telemetry plane
-
-    async def _window_loop(self) -> None:
-        """Sample the bus into the sliding-window aggregator."""
-        while True:
-            self.window.tick()
-            await asyncio.sleep(self.window.resolution_s)
 
     async def _progress_loop(self) -> None:
         """Tail the progress spool; republish snapshots as SSE events."""
@@ -284,7 +264,6 @@ class SimulationServer:
                 job_id = next(iter(self.running))
             if job_id is None or job_id not in self.jobs:
                 continue
-            self.latest_progress[job_id] = snapshot
             self.broker.publish(job_id, "progress", snapshot)
             published += 1
         return published
@@ -480,14 +459,11 @@ class SimulationServer:
                     if not keep_alive:
                         return
                     continue
-                if method == "GET" and (
-                    path == "/v1/events"
-                    or (path.startswith("/v1/jobs/")
-                        and path.endswith("/events"))
-                ):
+                if (method == "GET" and path.startswith("/v1/jobs/")
+                        and path.endswith("/events")):
                     # SSE: the response has no Content-Length and holds
                     # the connection; always closes when the stream ends
-                    await self._stream_events(writer, path, headers)
+                    await self._stream_events(writer, path)
                     return
                 with span("serve.request", cat="serve", method=method, path=path):
                     status, doc, extra = self._route(method, path, body)
@@ -533,8 +509,7 @@ class SimulationServer:
                          "queued": self.admission.depth,
                          "running": len(self.running)}, {}
         if path in ("/v1/jobs", "/v1/drain", "/healthz", "/readyz",
-                    "/metrics", "/v1/events") or \
-                path.startswith("/v1/jobs/"):
+                    "/metrics") or path.startswith("/v1/jobs/"):
             return 405, {"error": f"{method} not allowed on {path}"}, {}
         return 404, {"error": f"no route for {path}"}, {}
 
@@ -600,21 +575,6 @@ class SimulationServer:
                                    "message": f"no job {job_id!r}"}}, {}
         return 200, envelope(job), {}
 
-    def _progress_digest(self, job_id: str) -> dict | None:
-        """Compact progress view of one job for registry summaries."""
-        snapshot = self.latest_progress.get(job_id)
-        if snapshot is None:
-            return None
-        total = snapshot.get("records_total") or 0
-        done = snapshot.get("records_done") or 0
-        return {
-            "pct": round(100.0 * done / total, 1) if total else None,
-            "tier": snapshot.get("tier"),
-            "rate_rps": snapshot.get("rate_rps"),
-            "eta_s": snapshot.get("eta_s"),
-            "seq": snapshot.get("seq"),
-        }
-
     def _registry_summary(self) -> dict:
         states: dict[str, int] = {}
         for job in self.jobs.values():
@@ -625,16 +585,6 @@ class SimulationServer:
             "states": states,
             "queue_depth": self.admission.depth,
             "tenants": self.admission.tenants(),
-            "running_detail": [
-                {
-                    "id": job_id,
-                    "tenant": self.jobs[job_id].tenant,
-                    "attempts": self.jobs[job_id].attempts,
-                    "progress": self._progress_digest(job_id),
-                }
-                for job_id in sorted(self.running)
-                if job_id in self.jobs
-            ],
         }
 
     def _render_prometheus(self) -> str:
@@ -658,19 +608,10 @@ class SimulationServer:
                 for tenant, depth in sorted(self.admission.tenants().items())
             ],
         }
-        rates = {
-            window: {
-                name: value
-                for name, value in self.window.rates(window).items()
-                if value > 0
-            }
-            for window in ("10s", "1m", "5m")
-        }
         return render_prometheus(
             counters=counters,
             gauges=gauges,
             histograms=dict(bus.registry().histograms()),
-            rates=rates,
             info={"run_id": current_run_id()},
         )
 
@@ -722,33 +663,26 @@ class SimulationServer:
     # ------------------------------------------------------------------
     # SSE streaming
 
-    async def _stream_events(self, writer, path: str, headers: dict) -> None:
-        """Serve one ``text/event-stream`` response until terminal/EOF.
+    async def _stream_events(self, writer, path: str) -> None:
+        """Serve one job's ``text/event-stream`` until terminal/EOF.
 
-        Replays ring history (honouring ``Last-Event-ID``), then
-        forwards live events; heartbeats as comment frames keep the
-        connection alive through idle stretches. The stream ends after
-        a terminal ``state`` event, when the client disconnects, or
-        when the server shuts down (the connection task is cancelled).
+        Replays the job's ring (the story so far), then forwards live
+        events; heartbeats as comment frames keep the connection alive
+        through idle stretches. The stream ends after a terminal
+        ``state`` event, when the client disconnects, or when the
+        server shuts down (the connection task is cancelled).
         """
-        if path == "/v1/events":
-            channel = BROADCAST
-        else:
-            channel = path[len("/v1/jobs/"):-len("/events")]
-            if channel not in self.jobs:
-                await _respond(
-                    writer, 404,
-                    {"schema": SERVE_SCHEMA,
-                     "error": {"type": "UnknownJob",
-                               "message": f"no job {channel!r}"}},
-                    keep_alive=False,
-                )
-                return
-        last_event_id: int | None = None
-        raw_last = headers.get("last-event-id", "")
-        if raw_last.isdigit():
-            last_event_id = int(raw_last)
-        queue, replay = self.broker.subscribe(channel, last_event_id)
+        channel = path[len("/v1/jobs/"):-len("/events")]
+        if channel not in self.jobs:
+            await _respond(
+                writer, 404,
+                {"schema": SERVE_SCHEMA,
+                 "error": {"type": "UnknownJob",
+                           "message": f"no job {channel!r}"}},
+                keep_alive=False,
+            )
+            return
+        queue, replay = self.broker.subscribe(channel)
         bus.counter("serve.sse.streams").add()
         try:
             writer.write((
@@ -761,12 +695,11 @@ class SimulationServer:
             terminal = False
             for event_id, event, data in replay:
                 writer.write(format_event(event_id, event, data))
-                terminal = terminal or self._is_terminal_event(channel, event, data)
-            # a job already terminal whose transition rolled out of the
-            # ring still must end the stream with a state event
-            job = self.jobs.get(channel)
-            if (not terminal and job is not None
-                    and job.state in lifecycle.TERMINAL_STATES):
+                terminal = terminal or _is_terminal_event(event, data)
+            # a job that finished before this process started has an
+            # empty ring; its stream still must end with a state event
+            job = self.jobs[channel]
+            if not terminal and job.state in lifecycle.TERMINAL_STATES:
                 writer.write(format_event(
                     self.broker.last_id(channel), "state",
                     {"job": job.id, "state": job.state,
@@ -781,30 +714,25 @@ class SimulationServer:
                         queue.get(), timeout=_SSE_HEARTBEAT_S
                     )
                 except asyncio.TimeoutError:
-                    if self._closed is not None and self._closed.is_set():
-                        return
                     writer.write(format_comment())
                     await writer.drain()
                     continue
                 writer.write(format_event(event_id, event, data))
                 await writer.drain()
-                terminal = self._is_terminal_event(channel, event, data)
+                terminal = _is_terminal_event(event, data)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             self.broker.unsubscribe(channel, queue)
 
-    def _is_terminal_event(self, channel: str, event: str, data: dict) -> bool:
-        """Whether this event ends a per-job stream (broadcast never ends)."""
-        return (
-            channel != BROADCAST
-            and event == "state"
-            and data.get("state") in lifecycle.TERMINAL_STATES
-        )
-
 
 # ----------------------------------------------------------------------
 # HTTP helpers
+
+
+def _is_terminal_event(event: str, data: dict) -> bool:
+    """Whether this event ends a job's stream."""
+    return event == "state" and data.get("state") in lifecycle.TERMINAL_STATES
 
 
 def _parse_head(head: bytes):

@@ -85,8 +85,8 @@ def tlb_plru_drift() -> Iterator[None]:
     Flips the root direction bit before consulting the tree, so a full
     set evicts from the recently-used half. The production ``TLB``
     calls ``plru.victim`` through the module attribute precisely so
-    this patch intercepts every structure at once; with all four tiers
-    drifting together, the tier oracle is blind and only the reference
+    this patch intercepts every structure at once; with all three tiers
+    (scalar, fast, columnar) drifting together, the tier oracle is blind and only the reference
     cross-check's victim comparison trips. Inert under LRU (the tree is
     never consulted) and at 1-way sets (no subtree to get wrong).
     """

@@ -4,9 +4,9 @@ The engine's TLB stack (:mod:`repro.tlb`) is optimized Python: hoisted
 bound methods, insertion-ordered dicts standing in for LRU age
 matrices, a heap-packed bitmask standing in for the tree-PLRU node
 array. Each of those encodings carries a proof obligation, and the
-differential tier oracle cannot discharge it — all four engine tiers
-share the same structures, so an encoding bug is invisible to
-tier-vs-tier comparison.
+differential tier oracle cannot discharge it — all three engine tiers
+(scalar, fast, columnar) share the same structures, so an encoding bug
+is invisible to tier-vs-tier comparison.
 
 This module is the independent witness: a from-scratch model of the
 same hardware written the way an RTL reference model would be —
