@@ -55,6 +55,19 @@ class TestHttpSurface:
         unfinished, finished = store.recover()
         assert unfinished == [] and finished == []
 
+    def test_job_registry_summary(self, serve_factory):
+        handle = serve_factory()
+        handle.request("POST", "/v1/jobs", small_job("sum-1"))
+        handle.wait_for_state("sum-1")
+        status, doc, _ = handle.request("GET", "/v1/jobs")
+        assert status == 200
+        assert set(doc) == {"schema", "jobs", "states", "queue_depth",
+                            "tenants"}
+        assert doc["jobs"] == 1
+        assert doc["states"] == {"done": 1}
+        assert doc["queue_depth"] == 0
+        assert doc["tenants"] == {}
+
     def test_unknown_job_is_a_404(self, serve_factory):
         handle = serve_factory()
         status, doc, _ = handle.request("GET", "/v1/jobs/nope")
