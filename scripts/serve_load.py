@@ -7,8 +7,9 @@ Two modes over the same asyncio client:
   fixed concurrency budget against a server this script spawns (or an
   existing one via ``--host/--port``), measure submit latency and
   end-to-end job wall percentiles plus completed-job throughput, and
-  merge the numbers into a trajectory artifact (``--bench-out
-  BENCH_5.json``) under a ``serve`` section.
+  print them. It gates on every job finishing ``done``; the numbers are
+  informational. The repository benchmark (``python -m bench run``,
+  workload ``serve-mixed``) is what times the service.
 
 * **Chaos** (``--chaos``): same load, but the server is ``kill -9``-ed
   once ~30% of the jobs have finished, then restarted on the same port
@@ -27,8 +28,7 @@ Two modes over the same asyncio client:
   arrive on the stream *before* the envelope is fetched — validates the
   captured events against the ``repro.progress/v1`` schema, and scrapes
   ``/metrics`` through the strict Prometheus parser (native ``_bucket``
-  histogram series included). Numbers land in a ``telemetry`` section
-  of the BENCH artifact.
+  histogram series included).
 
 Jobs reuse a small pool of distinct run specs (``--distinct``), so the
 content-addressed results journal turns most executions into replays —
@@ -39,8 +39,7 @@ Usage::
 
     PYTHONPATH=src python scripts/serve_load.py --requests 1000
     PYTHONPATH=src python scripts/serve_load.py --chaos --requests 60
-    PYTHONPATH=src python scripts/serve_load.py --requests 1000 \
-        --bench-out BENCH_5.json
+    PYTHONPATH=src python scripts/serve_load.py --requests 40 --telemetry
 """
 
 from __future__ import annotations
@@ -331,11 +330,10 @@ async def assert_no_duplicates(args, host, port_ref, sample: int = 0):
 # telemetry probe (SSE streaming + Prometheus exposition)
 
 
-def telemetry_probe(args, host: str, port: int) -> tuple[dict, int]:
+def telemetry_probe(args, host: str, port: int) -> int:
     """Tail one live job's SSE stream and scrape ``/metrics``.
 
-    Returns ``(section, status)`` — the BENCH ``telemetry`` section and
-    a non-zero status if any streaming-contract assertion failed.
+    Returns a non-zero status if any streaming-contract assertion failed.
     """
     import http.client
     import threading
@@ -441,10 +439,6 @@ def telemetry_probe(args, host: str, port: int) -> tuple[dict, int]:
                   file=sys.stderr)
         status = 1
 
-    gaps = [
-        round((b - a) * 1e3, 1)
-        for a, b in zip(progress_times, progress_times[1:])
-    ]
     first_event_ms = (
         round((events[0][0] - submitted) * 1e3, 1) if events else None)
     first_progress_ms = (
@@ -470,27 +464,13 @@ def telemetry_probe(args, host: str, port: int) -> tuple[dict, int]:
               file=sys.stderr)
         status = 1
 
-    section = {
-        "benchmark": "SSE stream of one 200k-access job + /metrics scrape",
-        "sse_events": len(events),
-        "progress_events": len(progress_times),
-        "terminal_state": terminal,
-        "first_event_ms": first_event_ms,
-        "first_progress_ms": first_progress_ms,
-        "progress_cadence_ms": {
-            "p50": percentile(gaps, 0.50), "max": max(gaps, default=0.0),
-        },
-        "metrics_families": len(families),
-        "metrics_histograms": len(histogram_families),
-        "event_schema_errors": len(schema_errors),
-    }
     print(
         f"telemetry: {len(events)} events ({len(progress_times)} progress), "
         f"first event {first_event_ms}ms, first progress "
         f"{first_progress_ms}ms, terminal {terminal}; /metrics: "
         f"{len(families)} families, {len(histogram_families)} histograms"
     )
-    return section, status
+    return status
 
 
 async def _http_text(host: str, port: int, path: str,
@@ -517,42 +497,6 @@ async def _http_text(host: str, port: int, path: str,
             pass
     head, _, body = raw.partition(b"\r\n\r\n")
     return int(head.split(b" ", 2)[1]), body.decode("utf-8", "replace")
-
-
-async def scrape_counters(host: str, port: int) -> dict | None:
-    """Counter totals from ``GET /metrics``; ``None`` if the scrape fails."""
-    sys.path.insert(0, str(REPO / "src"))
-    from repro.metrics.prometheus import parse_exposition
-
-    try:
-        code, text = await _http_text(host, port, "/metrics")
-    except ServerGone:
-        return None
-    if code != 200:
-        return None
-    return {
-        name: int(value)
-        for family in parse_exposition(text).values()
-        if family["type"] == "counter"
-        for name, _, value in family["samples"]
-    }
-
-
-# ----------------------------------------------------------------------
-# artifact
-
-
-def write_bench(args, sections: dict) -> None:
-    out = Path(args.bench_out)
-    artifact = {}
-    if out.exists():
-        try:
-            artifact = json.loads(out.read_text())
-        except ValueError:
-            artifact = {"note": "previous artifact was unreadable"}
-    artifact.update(sections)
-    out.write_text(json.dumps(artifact, indent=2) + "\n")
-    print(f"serve bench section(s) {sorted(sections)} -> {out}")
 
 
 def main() -> int:
@@ -591,9 +535,6 @@ def main() -> int:
                         help="progress snapshot cadence for the spawned "
                         "server (default: 100 with --telemetry, else the "
                         "server default)")
-    parser.add_argument("--bench-out", metavar="FILE", default=None,
-                        help="merge 'serve' (and 'telemetry') sections "
-                        "into this BENCH artifact (e.g. BENCH_6.json)")
     args = parser.parse_args()
     if args.progress_every_ms is None and args.telemetry:
         args.progress_every_ms = 100
@@ -629,22 +570,18 @@ def main() -> int:
                                         server_box, state_dir, trace_out)
             chaos_hook = hook
         await run_load(args, host, port_ref, stats, chaos_hook=chaos_hook)
-        duplicated = None
         if args.chaos:
-            duplicated = await assert_no_duplicates(args, host, port_ref)
-        counters = await scrape_counters(host, port_ref[0])
-        return duplicated, counters
+            return await assert_no_duplicates(args, host, port_ref)
+        return None
 
-    duplicated, server_counters = asyncio.run(drive())
+    duplicated = asyncio.run(drive())
 
     # the telemetry probe needs the server still up (it runs its own
     # event loops + a blocking SSE tail thread), so it goes between the
     # load and the drain
-    telemetry_section = None
     telemetry_status = 0
     if args.telemetry:
-        telemetry_section, telemetry_status = telemetry_probe(
-            args, host, port_ref[0])
+        telemetry_status = telemetry_probe(args, host, port_ref[0])
 
     if not external:
         async def drain():
@@ -707,31 +644,6 @@ def main() -> int:
             print("serve chaos FAILED: restarted server wrote no trace",
                   file=sys.stderr)
             status = 1
-
-    if args.bench_out:
-        sections = {}
-        section = {
-            "benchmark": f"{args.requests} small jobs "
-            f"(BFS scale 8, {args.distinct} distinct specs) at "
-            f"concurrency {args.concurrency}",
-            "requests": args.requests,
-            "concurrency": args.concurrency,
-            "finished": finished,
-            "states": stats["states"],
-            "wall_seconds": round(stats["wall_s"], 2),
-            "throughput_jobs_per_s": round(throughput, 1),
-            "submit_latency": summarize(stats["submit_ms"]),
-            "job_wall": summarize(stats["job_wall_ms"]),
-            "rejected_429": stats["rejected_429"],
-            "chaos": bool(args.chaos),
-            "lost": lost,
-            "duplicated": duplicated,
-            "server_counters": server_counters,
-        }
-        sections["serve"] = section
-        if telemetry_section is not None:
-            sections["telemetry"] = telemetry_section
-        write_bench(args, sections)
 
     if status == 0:
         print("serve load OK")

@@ -1360,7 +1360,6 @@ class Machine:
         columnar: bool = True,
         tick_fn=None,
         validate: bool = False,
-        observe: bool | None = None,
     ) -> None:
         self.config = config
         self.policy = policy
@@ -1369,10 +1368,8 @@ class Machine:
         # the run loop is a few `is not None` tests per OS tick.
         self.validate = validate
         self.monitor = None
-        # Observability (repro.obs). None = auto: observe iff a tracer
-        # is active or REPRO_OBS requests it. False is the hard-off used
-        # by perf A/B runs; True forces histograms even without either.
-        self.observe = observe
+        # Observability (repro.obs): a run is observed iff a tracer is
+        # active or REPRO_OBS requests it, decided once per run.
         self.obs: RunObserver | None = None
         self.kernel = SimulatedKernel(
             config, policy=policy, params=params, fragmentation=fragmentation
@@ -1442,7 +1439,7 @@ class Machine:
         # guards on `obs`/`tracer` being non-None, so a non-observed
         # run pays a couple of branches per quantum/tick and nothing
         # per record (see _attach_walk_observers for the per-walk hook).
-        obs = RunObserver.for_run(self.observe, registry)
+        obs = RunObserver.for_run(registry)
         self.obs = obs
         tracer = obs.tracer if obs is not None else None
         if obs is not None:

@@ -97,7 +97,6 @@ class Simulator:
         fast_path: bool = True,
         columnar: bool = True,
         validate: bool = False,
-        observe: bool | None = None,
     ) -> None:
         self.machine = Machine(
             config,
@@ -109,7 +108,6 @@ class Simulator:
             fast_path=fast_path,
             columnar=columnar,
             validate=validate,
-            observe=observe,
             # Late-bound so post-construction overrides of
             # ``_promotion_tick`` (subclass or monkeypatch) take effect.
             tick_fn=lambda cores, ledgers: self._promotion_tick(cores, ledgers),

@@ -71,16 +71,13 @@ class RunObserver:
         self._first_walk: dict[tuple[int, int], int] = {}
 
     @classmethod
-    def for_run(cls, observe: bool | None, registry) -> "RunObserver | None":
+    def for_run(cls, registry) -> "RunObserver | None":
         """The run's observer, or ``None`` when the run is not observed.
 
-        ``observe=False`` is the hard-off used by perf A/B comparisons;
-        ``observe=None`` auto-enables iff a tracer is active or
-        ``REPRO_OBS`` is truthy; ``observe=True`` forces observation.
+        A run is observed iff a tracer is active or ``REPRO_OBS`` is
+        truthy (:func:`observation_requested`); there is no override.
         """
-        if observe is False:
-            return None
-        if observe is None and not observation_requested():
+        if not observation_requested():
             return None
         return cls(registry, tracer=active_tracer())
 

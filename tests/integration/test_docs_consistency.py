@@ -53,6 +53,44 @@ class TestReadme:
                 )
 
 
+def _makefile_targets() -> tuple[set[str], set[str]]:
+    """The Makefile's rule targets and its ``.PHONY`` list."""
+    text = (ROOT / "Makefile").read_text()
+    targets = set(re.findall(r"^([A-Za-z][\w-]*):(?!=)", text, re.MULTILINE))
+    phony = set(re.search(r"^\.PHONY:(.*)$", text, re.MULTILINE).group(1).split())
+    return targets, phony
+
+
+def _command_sources() -> list[Path]:
+    """Docs and build files that tell a reader which commands to run."""
+    return [ROOT / "README.md", ROOT / "DESIGN.md",
+            *sorted((ROOT / "docs").glob("*.md")),
+            *sorted((ROOT / ".claude" / "skills").glob("*/SKILL.md")),
+            ROOT / ".github" / "workflows" / "ci.yml", ROOT / "Makefile"]
+
+
+class TestCommands:
+    def test_named_scripts_exist(self):
+        for source in _command_sources():
+            for match in re.finditer(r"scripts/(\w+\.py)", source.read_text()):
+                assert (ROOT / "scripts" / match.group(1)).exists(), (
+                    f"{source.relative_to(ROOT)} names scripts/{match.group(1)}"
+                )
+
+    def test_named_make_targets_exist(self):
+        targets, _ = _makefile_targets()
+        for source in _command_sources():
+            for match in re.finditer(r"\bmake ([a-z][\w-]*)", source.read_text()):
+                assert match.group(1) in targets, (
+                    f"{source.relative_to(ROOT)} names `make {match.group(1)}`"
+                )
+
+    def test_every_make_target_is_phony(self):
+        targets, phony = _makefile_targets()
+        assert targets
+        assert targets <= phony, sorted(targets - phony)
+
+
 class TestDesignDoc:
     def test_design_module_references_exist(self):
         """Every `repro.x.y` module path DESIGN.md names must import."""

@@ -23,6 +23,7 @@ from repro.experiments.common import (
 from repro.obs import tracer as tracer_module
 from repro.obs.inspect import validate_trace
 from repro.obs.observer import OBS_ENV
+from repro.obs.progress import progress_scope
 from repro.os.kernel import HugePagePolicy
 
 TINY = ExperimentScale(name="tiny", graph_scale=10, proxy_accesses=25_000)
@@ -64,18 +65,21 @@ def _fingerprint(result) -> tuple:
     )
 
 
-def _run(observe=None):
+def _simulator() -> tuple[Simulator, object]:
     workload = build_named_workload(
         "BFS", graph_scale=TINY.graph_scale, proxy_accesses=TINY.proxy_accesses
     )
-    config = config_for(workload)
-    simulator = Simulator(config, policy=HugePagePolicy.PCC, observe=observe)
+    return Simulator(config_for(workload), policy=HugePagePolicy.PCC), workload
+
+
+def _run():
+    simulator, workload = _simulator()
     return simulator.run([clone_workload(workload)])
 
 
 class TestBitIdentity:
     def test_traced_run_matches_untraced_run_exactly(self, tmp_path):
-        baseline = _run(observe=False)
+        baseline = _run()
         tracer_module.enable(spool_dir=tmp_path / "spool")
         try:
             traced = _run()
@@ -84,10 +88,25 @@ class TestBitIdentity:
         assert _fingerprint(traced) == _fingerprint(baseline)
 
     def test_env_observed_run_matches_too(self, monkeypatch):
-        baseline = _run(observe=False)
+        baseline = _run()
         monkeypatch.setenv(OBS_ENV, "1")
         observed = _run()
         assert _fingerprint(observed) == _fingerprint(baseline)
+
+    def test_disabled_observation_is_the_unobserved_path(self):
+        # No tracer and no REPRO_OBS: the run gets no observer, no walk
+        # wrapper replaces any pipeline's translate binding, and the
+        # epochs still retire on the columnar tier.
+        simulator, workload = _simulator()
+        seen = []
+        with progress_scope("unobserved", seen.append):
+            simulator.run([clone_workload(workload)])
+        assert simulator.machine.obs is None
+        assert simulator.machine.pipelines
+        for pipeline in simulator.machine.pipelines:
+            assert pipeline._translate == pipeline.core.translate
+        assert seen[-1]["final"] is True
+        assert seen[-1]["tier"] == "columnar"
 
     def test_unobserved_run_exports_empty_distributions(self):
         result = _run()

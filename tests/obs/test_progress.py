@@ -195,7 +195,7 @@ class TestSpool:
 
 class TestEngineIntegration:
     @staticmethod
-    def _run_quick(observe=None):
+    def _run_quick():
         import copy
 
         from repro.engine.simulation import Simulator
@@ -206,8 +206,7 @@ class TestEngineIntegration:
             "BFS", graph_scale=8, proxy_accesses=20_000
         )
         config = config_for(workload)
-        simulator = Simulator(config, policy=HugePagePolicy.PCC,
-                              observe=observe)
+        simulator = Simulator(config, policy=HugePagePolicy.PCC)
         return simulator.run([copy.deepcopy(workload)])
 
     def test_engine_emits_progress_snapshots(self, monkeypatch):

@@ -253,3 +253,20 @@ def test_fast_path_handles_giga_promoted_regions(tier):
         result = simulator.run([copy.deepcopy(workload)])
         prints[name] = _result_fingerprint(result)
     assert prints[tier] == prints["scalar"]
+
+
+def test_named_bfs_workload_is_bit_identical_on_every_tier():
+    """A real graph workload, not only fuzz streams, must agree on all
+    three tiers: BFS at the integration tests' TINY scale, under PCC."""
+    from repro.experiments.common import build_named_workload, config_for
+    from repro.validation.oracle import fingerprint
+
+    workload = build_named_workload("BFS", graph_scale=10, proxy_accesses=25_000)
+    config = config_for(workload)
+    prints = {}
+    for name, switches in ENGINE_TIER_SWITCHES.items():
+        simulator = Simulator(config, policy=HugePagePolicy.PCC, **switches)
+        prints[name] = fingerprint(simulator.run([copy.deepcopy(workload)]))
+    assert set(prints) == {"scalar", "fast", "columnar"}
+    assert prints["fast"] == prints["scalar"]
+    assert prints["columnar"] == prints["scalar"]
