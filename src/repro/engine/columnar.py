@@ -36,15 +36,17 @@ structure leaves its tag at the MRU position whether it hit or filled.
 Classification therefore never needs the intermediate hit/miss
 outcomes it is computing.
 
-The vectorized form walks a *previous-run* pointer chain. Records are
-grouped by set (one stable radix argsort); maximal runs of the same
-tag within a set collapse — a run continuation always hits — and each
-run start chases backwards run-by-run, collecting distinct tags, until
-it either finds its own tag (hit), has seen W distinct others (miss),
-or exhausts the chain (miss). The chase runs ``depth`` steps for every
-query lane in parallel; the rare queries still unresolved (ping-pong
-patterns) fall back to an exact per-query Python walk of the same
-chain.
+The vectorized form counts over each touch's *reuse window*. Records
+are grouped by set (one stable radix argsort) and maximal runs of the
+same tag within a set collapse — a run continuation always hits. A
+(set, tag) lexsort of the runs links each run to the next run of its
+tag, ``nxt``. For a run ``i`` whose tag last ran at ``p``, the runs
+``j`` in ``(p, i)`` with ``nxt(j) > i`` are exactly the last touches
+of the distinct other tags in between, so ``i`` hits iff fewer than W
+of them exist. A window shorter than W hits outright; longer ones are
+counted backwards from ``i`` in vectorized blocks that double each
+round, stopping at the W-th last occurrence (miss) or the window's end
+(hit) — ``O(log gap)`` rounds, with no per-query Python walk.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ _HUGE_SHIFT = HUGE_PAGE_SHIFT - BASE_PAGE_SHIFT
 #: Cache entry family name for encoded streams (one namespace beside
 #: the trace generators').
 STREAM_CACHE_NAME = "columnar-stream"
-
-#: Tag sentinel for empty chase slots; no modelled address space
-#: produces tags this large (VPNs are ``vaddr >> 12`` of sub-2^63
-#: addresses).
-_EMPTY_SLOT = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 # ----------------------------------------------------------------------
@@ -232,13 +229,10 @@ def _group_by_set(set_ids: np.ndarray, tags: np.ndarray,
                   init_set_ids: np.ndarray, init_tags: np.ndarray):
     """Group (initial-stack ++ epoch) touches by set, program order kept.
 
-    Returns ``(order, g_set, g_tag, run_start, prev_run, prefix)``:
-    ``order`` the stable argsort over the concatenated arrays, the
-    grouped set/tag views, the run-start mask (a new set or a tag
-    change starts a run), the previous-run pointer (grouped index of
-    the last touch of the previous run in the same set, -1 at the
-    set's first run), and ``prefix`` the count of synthetic initial
-    touches prepended.
+    Returns ``(order, g_set, g_tag, run_start, prefix)``: ``order`` the
+    stable argsort over the concatenated arrays, the grouped set/tag
+    views, the run-start mask (a new set or a tag change starts a run),
+    and ``prefix`` the count of synthetic initial touches prepended.
     """
     prefix = int(init_set_ids.size)
     if prefix:
@@ -260,20 +254,12 @@ def _group_by_set(set_ids: np.ndarray, tags: np.ndarray,
     order = np.argsort(key, kind="stable")
     g_set = all_sets[order]
     g_tag = all_tags[order]
-    new_set = np.empty(total, dtype=bool)
     run_start = np.empty(total, dtype=bool)
     if total:
-        new_set[0] = True
-        np.not_equal(g_set[1:], g_set[:-1], out=new_set[1:])
         run_start[0] = True
         np.not_equal(g_tag[1:], g_tag[:-1], out=run_start[1:])
-        np.logical_or(run_start, new_set, out=run_start)
-    idx = np.arange(total, dtype=np.int64)
-    start_pos = np.maximum.accumulate(np.where(run_start, idx, 0))
-    prev_run = np.where(
-        (start_pos > 0) & ~new_set[start_pos], start_pos - 1, np.int64(-1)
-    )
-    return order, g_set, g_tag, run_start, prev_run, prefix
+        run_start[1:] |= g_set[1:] != g_set[:-1]
+    return order, g_set, g_tag, run_start, prefix
 
 
 def classify_lru_hits(
@@ -282,22 +268,23 @@ def classify_lru_hits(
     ways: int,
     init_set_ids: np.ndarray,
     init_tags: np.ndarray,
-    depth: int = 0,
     nsets: int = 0,
-) -> tuple[np.ndarray, int, list[list[int]] | None]:
+) -> tuple[np.ndarray, list[list[int]] | None]:
     """Exact hit/miss classification of one structure's epoch touches.
 
     ``set_ids``/``tags`` are the structure's touch stream for the epoch
     in program order; ``init_set_ids``/``init_tags`` encode the
     structure's resident entries at epoch start as synthetic older
     touches (per set in LRU→MRU order — exactly the insertion order of
-    the live set dicts). Returns ``(hits, fallbacks, contents)``: a
-    boolean mask aligned with the epoch touches, the count of queries
-    the vectorized chase left for the per-query fallback, and — when
-    ``nsets`` is positive — the structure's final per-set contents in
-    LRU→MRU order (the engine's phase-E reconstruction; derived from
-    the same (set, tag) grouping the classification builds, so it
-    costs one extra slice per set rather than a per-set ``unique``).
+    the live set dicts). Returns ``(hits, contents)``: a boolean mask
+    aligned with the epoch touches and — when ``nsets`` is positive —
+    the structure's final per-set contents in LRU→MRU order (the
+    engine's phase-E reconstruction; derived from the same (set, tag)
+    grouping the classification builds, so it costs one extra slice
+    per set rather than a per-set ``unique``).
+
+    Each run start that is neither a first touch nor in a small set is
+    classified by counting over its reuse window (:func:`_window_hits`).
     """
     n = int(set_ids.size)
     if n == 0:
@@ -308,81 +295,104 @@ def classify_lru_hits(
             for s, tag in zip(init_set_ids.tolist(), init_tags.tolist()):
                 contents[s].append(tag)
             contents = [stack[-ways:] if ways > 0 else [] for stack in contents]
-        return np.zeros(0, dtype=bool), 0, contents
+        return np.zeros(0, dtype=bool), contents
     if ways <= 0:
         empty = [[] for _ in range(nsets)] if nsets else None
-        return np.zeros(n, dtype=bool), 0, empty
+        return np.zeros(n, dtype=bool), empty
 
-    order, g_set, g_tag, run_start, prev_run, prefix = _group_by_set(
+    order, g_set, g_tag, run_start, prefix = _group_by_set(
         set_ids, tags, init_set_ids, init_tags
     )
-    total = order.size
     # A run continuation re-touches the tag the set just touched: MRU,
-    # guaranteed hit. Only run starts need the chase.
-    hit_g = ~run_start
-    is_real = order >= prefix
-
-    # Small-set fast path: a set whose combined (resident + epoch) tag
-    # vocabulary fits in the ways can never evict — fills only happen
-    # on first touches, of which there are at most ``ways`` — so every
-    # touch hits iff its tag appeared at all before it. This resolves
-    # exactly the sets where the backward chase degenerates (few
-    # distinct tags ping-ponging means the chain back to a tag's
-    # previous touch can span the whole epoch without ever collecting
-    # ``ways`` distinct others).
-    pair_order = np.lexsort((g_tag, g_set))
-    p_set = g_set[pair_order]
-    p_tag = g_tag[pair_order]
-    pair_start = np.empty(total, dtype=bool)
+    # guaranteed hit. Only run starts need classifying, so the rest of
+    # the work is over the run-collapsed stream.
+    runs = np.flatnonzero(run_start)
+    r_set = g_set[runs]
+    r_tag = g_tag[runs]
+    nruns = runs.size
+    # lexsort is stable over the grouped (program-order-within-set)
+    # stream with initial touches first, so each (set, tag) group lists
+    # that pair's runs in order: consecutive members link prv/nxt.
+    pair_order = np.lexsort((r_tag, r_set))
+    p_set = r_set[pair_order]
+    p_tag = r_tag[pair_order]
+    pair_start = np.empty(nruns, dtype=bool)
     pair_start[0] = True
     np.logical_or(
         p_set[1:] != p_set[:-1], p_tag[1:] != p_tag[:-1], out=pair_start[1:]
     )
-    distinct_per_set = np.bincount(p_set[pair_start])
-    # lexsort is stable over the grouped (program-order-within-set)
-    # stream with initial touches first, so the first element of each
-    # (set, tag) group is that tag's earliest touch.
-    first_occ = np.zeros(total, dtype=bool)
-    first_occ[pair_order[pair_start]] = True
-    small = distinct_per_set[g_set] <= ways
-    small_starts = run_start & small
-    hit_g[small_starts] = ~first_occ[small_starts]
+    linked = ~pair_start[1:]
+    earlier = pair_order[:-1][linked]
+    later = pair_order[1:][linked]
+    prv = np.full(nruns, -1, dtype=np.int64)
+    prv[later] = earlier
+    nxt = np.full(nruns, nruns, dtype=np.int64)
+    nxt[earlier] = later
 
     # A first touch of a (set, tag) pair can never hit — the tag was
-    # neither resident nor previously filled. Excluding these from the
-    # chase matters doubly: cold touches are common (every faulted-in
-    # page's first probe) and their chains are the deepest possible
-    # (the walk would scan the set's entire history before concluding
-    # "absent"). ``hit_g`` is already False at run starts.
-    query = np.flatnonzero(run_start & is_real & ~small & ~first_occ)
-    fallbacks = 0
+    # neither resident nor previously filled. Small-set fast path: a
+    # set whose combined (resident + epoch) tag vocabulary fits in the
+    # ways can never evict — fills only happen on first touches, of
+    # which there are at most ``ways`` — so every touch hits iff its
+    # tag appeared at all before it. That also settles exactly the sets
+    # where windows grow longest (few distinct tags ping-ponging).
+    hit_r = prv >= 0
+    distinct_per_set = np.bincount(p_set[pair_start])
+    query = np.flatnonzero(
+        hit_r & (distinct_per_set[r_set] > ways) & (order[runs] >= prefix)
+    )
     if query.size:
-        if query.size <= 24:
-            # Few queries: the per-lane walk beats the vectorized
-            # chase's fixed per-step dispatch cost.
-            states = [
-                _chase_one(g_tag, prev_run, int(q), ways)
-                for q in query.tolist()
-            ]
-            hit_g[query] = np.asarray(states, dtype=np.int8) == 1
-        else:
-            if depth <= 0:
-                depth = 4 * ways + 8
-            state = _chase(g_tag, prev_run, query, ways, depth)
-            undecided = np.flatnonzero(state == 0)
-            fallbacks = int(undecided.size)
-            for qi in undecided.tolist():
-                state[qi] = _chase_one(g_tag, prev_run, int(query[qi]), ways)
-            hit_g[query] = state == 1
+        hit_r[query] = _window_hits(nxt, query, prv[query], ways)
+    hit_g = ~run_start
+    hit_g[runs] = hit_r
     hits = np.empty(n, dtype=bool)
-    real_pos = np.flatnonzero(is_real)
-    hits[order[real_pos] - prefix] = hit_g[real_pos]
+    is_real = order >= prefix
+    hits[order[is_real] - prefix] = hit_g[is_real]
     contents = None
     if nsets:
         contents = _final_contents(
-            p_set, p_tag, pair_order, pair_start, total, nsets, ways
+            p_set, p_tag, pair_order, pair_start, nruns, nsets, ways
         )
-    return hits, fallbacks, contents
+    return hits, contents
+
+
+def _window_hits(nxt: np.ndarray, query: np.ndarray, prev: np.ndarray,
+                 ways: int) -> np.ndarray:
+    """Hit mask of query runs ``query`` whose previous same-tag runs are
+    ``prev``, by counting last occurrences in each reuse window.
+
+    Run ``j`` in the window ``(prev, query)`` is the last touch of its
+    tag before the query iff ``nxt[j] > query``, so those runs number
+    exactly the distinct other tags touched since the query tag's
+    previous touch. A window shorter than ``ways`` hits outright; the
+    rest count backwards from the query in blocks — gather ``nxt`` of
+    the block, compare, sum — until the count reaches ``ways`` (miss)
+    or the window ends (hit). Blocks double each round, so a window of
+    ``g`` runs resolves in ``O(log g)`` rounds.
+    """
+    gap = query - prev - 1
+    hit = gap < ways
+    todo = np.flatnonzero(~hit)
+    pos = query[todo]
+    gap = gap[todo]
+    count = np.zeros(todo.size, dtype=np.int64)
+    scanned = 0
+    width = ways
+    while todo.size:
+        width = min(width, int(gap.max()) - scanned)
+        step = np.arange(scanned + 1, scanned + width + 1)
+        j = pos[:, None] - step
+        last = nxt[np.maximum(j, 0)] > pos[:, None]
+        last &= step <= gap[:, None]
+        count += last.sum(axis=1)
+        scanned += width
+        miss = count >= ways
+        done = miss | (gap <= scanned)
+        hit[todo[done & ~miss]] = True
+        keep = ~done
+        todo, pos, gap, count = todo[keep], pos[keep], gap[keep], count[keep]
+        width *= 2
+    return hit
 
 
 def _final_contents(p_set, p_tag, pair_order, pair_start, total, nsets,
@@ -391,8 +401,8 @@ def _final_contents(p_set, p_tag, pair_order, pair_start, total, nsets,
 
     The final content of a W-way true-LRU set is its last W distinct
     tags ordered by last touch. The pair grouping (lexsort by set then
-    tag, stable over grouped program order with initial synthetic
-    touches first) gives each pair's last touch as the grouped index of
+    tag, stable over the grouped run stream with initial synthetic
+    touches first) gives each pair's last touch as the run index of
     its group's last element — untouched initial residents keep their
     stack order because their synthetic positions precede every epoch
     touch of the set.
@@ -420,92 +430,6 @@ def _final_contents(p_set, p_tag, pair_order, pair_start, total, nsets,
     return out
 
 
-def _chase(g_tag: np.ndarray, prev_run: np.ndarray, query: np.ndarray,
-           ways: int, depth: int) -> np.ndarray:
-    """Vectorized backward chase over the previous-run chain.
-
-    Per query lane: walk up to ``depth`` runs back, collecting distinct
-    tags; resolve hit on finding the query's own tag with fewer than
-    ``ways`` distinct others collected, miss on the ways-th distinct
-    other or chain exhaustion. Returns the per-lane state array
-    (0 undecided, 1 hit, 2 miss).
-    """
-    nq = query.size
-    state = np.zeros(nq, dtype=np.int8)
-    # Lanes compact as they resolve: ``lane`` maps each active row back
-    # to its query, so the per-step cost tracks the undecided count
-    # (most lanes resolve within a few steps).
-    lane = np.arange(nq)
-    target = g_tag[query]
-    q = prev_run[query]
-    wm1 = ways - 1
-    slots = (
-        np.full((wm1, nq), _EMPTY_SLOT, dtype=np.uint64) if wm1 else None
-    )
-    used = np.zeros(nq, dtype=np.int64)
-    for _ in range(depth):
-        if lane.size == 0:
-            break
-        dead = q < 0
-        if dead.any():
-            state[lane[dead]] = 2
-            keep = ~dead
-            lane, target, q, used = lane[keep], target[keep], q[keep], used[keep]
-            if wm1:
-                slots = slots[:, keep]
-            if lane.size == 0:
-                break
-        t = g_tag[q]
-        found = t == target
-        if found.any():
-            state[lane[found]] = 1
-            keep = ~found
-            lane, target, q, used = lane[keep], target[keep], q[keep], used[keep]
-            t = t[keep]
-            if wm1:
-                slots = slots[:, keep]
-            if lane.size == 0:
-                break
-        if wm1:
-            fresh = ~(slots == t).any(axis=0)
-            overflow = fresh & (used == wm1)
-            if overflow.any():
-                state[lane[overflow]] = 2
-                keep = ~overflow
-                lane, target, q, used = (
-                    lane[keep], target[keep], q[keep], used[keep]
-                )
-                t, fresh, slots = t[keep], fresh[keep], slots[:, keep]
-                if lane.size == 0:
-                    break
-            if fresh.any():
-                slots[used[fresh], np.flatnonzero(fresh)] = t[fresh]
-                used[fresh] += 1
-        else:
-            # Direct-mapped ways=1: any intervening different tag evicts.
-            state[lane] = 2
-            break
-        q = prev_run[q]
-    return state
-
-
-def _chase_one(g_tag: np.ndarray, prev_run: np.ndarray, pos: int,
-               ways: int) -> int:
-    """Exact per-query fallback: walk the chain until resolution."""
-    target = g_tag[pos]
-    others: set[int] = set()
-    p = int(prev_run[pos])
-    while p >= 0:
-        value = g_tag[p]
-        if value == target:
-            return 1
-        others.add(int(value))
-        if len(others) >= ways:
-            return 2
-        p = int(prev_run[p])
-    return 2
-
-
 def classify_lru_hits_ref(
     set_ids: np.ndarray,
     tags: np.ndarray,
@@ -515,8 +439,8 @@ def classify_lru_hits_ref(
     """Reference classification: simulate each set's LRU directly.
 
     ``initial[s]`` lists set ``s``'s resident tags in LRU→MRU order.
-    Used by the property tests to pin the vectorized chase to ground
-    truth.
+    Used by the property tests to pin the vectorized classifier to
+    ground truth.
     """
     sets: dict[int, dict[int, bool]] = {
         s: {int(tag): True for tag in content}

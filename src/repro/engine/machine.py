@@ -846,7 +846,7 @@ class TranslationPipeline:
             b_tags = vpns_w[base_idx]
             b_setw = slot.bsets[start:end][base_idx]
             ib_sets, ib_tags = _initial_stack_arrays(init_b)
-            b_hits, _, b_final = classify_lru_hits(
+            b_hits, b_final = classify_lru_hits(
                 b_setw, b_tags, ways_b, ib_sets, ib_tags, nsets=nbase
             )
             hit_mask[base_idx[b_hits]] = True
@@ -855,7 +855,7 @@ class TranslationPipeline:
             h_tags = stream.htags[start:end][huge_idx]
             h_setw = slot.hsets[start:end][huge_idx]
             ih_sets, ih_tags = _initial_stack_arrays(init_h)
-            h_hits, _, h_final = classify_lru_hits(
+            h_hits, h_final = classify_lru_hits(
                 h_setw, h_tags, ways_h, ih_sets, ih_tags, nsets=nhuge
             )
             hit_mask[huge_idx[h_hits]] = True
@@ -907,7 +907,7 @@ class TranslationPipeline:
             l2_setw = (l2_tags % np.uint64(l2_n)).astype(np.intp)
             init_l2 = [list(entries) for entries in tlbH._l2_sets]
             il_sets, il_tags = _initial_stack_arrays(init_l2)
-            l2_hits, _, l2_final = classify_lru_hits(
+            l2_hits, l2_final = classify_lru_hits(
                 l2_setw, l2_tags, tlbH.l2.config.ways, il_sets, il_tags,
                 nsets=l2_n,
             )
@@ -921,7 +921,7 @@ class TranslationPipeline:
             g_setw = (g_tags % np.uint64(g_n)).astype(np.intp)
             init_g = [list(entries) for entries in tlbH._g_sets]
             ig_sets, ig_tags = _initial_stack_arrays(init_g)
-            g_hits, _, g_final = classify_lru_hits(
+            g_hits, g_final = classify_lru_hits(
                 g_setw, g_tags, tlbH.l1_giga.config.ways, ig_sets,
                 ig_tags, nsets=g_n,
             )

@@ -143,7 +143,7 @@ def pwc_level_outcomes(tags, last_tag: int, initial: list[list[int]],
     probe_tags = tags[probe_pos].astype(np.uint64)
     probe_sets = (probe_tags % np.uint64(nsets)).astype(np.intp)
     init_sets, init_tags = _stack_arrays(initial)
-    hits, _, contents = classify_lru_hits(
+    hits, contents = classify_lru_hits(
         probe_sets, probe_tags, ways, init_sets, init_tags, nsets=nsets
     )
     outcomes[probe_pos[hits]] = 1

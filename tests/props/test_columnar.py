@@ -10,7 +10,8 @@
    classifier must agree with a direct per-set LRU simulation on hits,
    and its epoch-end reconstruction must agree on final per-set
    contents — for any set count, way count, tag vocabulary, and initial
-   residency.
+   residency, for adversarially long reuse windows, and on every
+   classifier call of a real columnar BFS run.
 
 On top of those unit properties, the tier's end-to-end contract is
 pinned the same way the fast tier is: bit-identical simulation
@@ -167,7 +168,7 @@ def _init_arrays(initial):
 def test_classifier_matches_per_set_lru_simulation(epoch):
     nsets, ways, set_ids, tags, initial = epoch
     init_set_ids, init_tags = _init_arrays(initial)
-    hits, _, contents = classify_lru_hits(
+    hits, contents = classify_lru_hits(
         set_ids, tags, ways, init_set_ids, init_tags, nsets=nsets
     )
     expected = classify_lru_hits_ref(set_ids, tags, ways, initial)
@@ -207,7 +208,7 @@ def test_classifier_pinned_epochs(case):
     tags = np.asarray(tag_list, dtype=np.int64)
     set_ids = tags % nsets
     init_set_ids, init_tags = _init_arrays(initial)
-    hits, _, contents = classify_lru_hits(
+    hits, contents = classify_lru_hits(
         set_ids, tags, ways, init_set_ids, init_tags, nsets=nsets
     )
     assert hits.tolist() == expected
@@ -216,6 +217,133 @@ def test_classifier_pinned_epochs(case):
             hits, classify_lru_hits_ref(set_ids, tags, ways, initial)
         )
     assert contents == expected_contents
+
+
+def _assert_matches_reference(nsets, ways, set_ids, tags, initial):
+    init_set_ids, init_tags = _init_arrays(initial)
+    hits, contents = classify_lru_hits(
+        set_ids, tags, ways, init_set_ids, init_tags, nsets=nsets
+    )
+    np.testing.assert_array_equal(
+        hits, classify_lru_hits_ref(set_ids, tags, ways, initial)
+    )
+    assert contents == final_lru_contents(
+        set_ids, tags, nsets, ways, initial
+    )
+    return hits
+
+
+@st.composite
+def adversarial_lru_epochs(draw):
+    """Epochs whose reuse windows are long: hot-set, scan and ping-pong
+    patterns over per-set vocabularies straddling the way count, with
+    long same-tag runs, so window counts cross several block rounds."""
+    nsets = draw(st.integers(1, 4))
+    ways = draw(st.sampled_from((1, 2, 4, 8, 12)))
+    vocab = max(1, draw(st.sampled_from(
+        (ways - 1, ways, ways + 1, 2 * ways))))
+    pattern = draw(st.sampled_from(("hot", "scan", "ping-pong")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    # the length is drawn from the seed, not shrunk towards zero, so
+    # most examples are long enough for multi-round windows
+    n = int(rng.integers(0, draw(st.sampled_from((100, 1_000, 3_000))) + 1))
+    picks: list[int] = []
+    while len(picks) < n:
+        if pattern == "hot":
+            # mostly a hot subset of ways-1 tags, now and then a cold one
+            hot = max(1, ways - 1)
+            k = (int(rng.integers(0, hot)) if rng.random() < 0.9
+                 else int(rng.integers(0, vocab)))
+            picks.extend([k] * int(rng.integers(1, 9)))
+        elif pattern == "scan":
+            for k in range(vocab):
+                picks.extend([k] * int(rng.integers(1, 4)))
+        else:
+            # long A/B alternations, then a jump to a fresh pair
+            a, b = (int(x) for x in rng.integers(0, vocab, size=2))
+            for _ in range(int(rng.integers(1, 80))):
+                picks.extend([a] * int(rng.integers(1, 4)))
+                picks.extend([b] * int(rng.integers(1, 4)))
+    sets = rng.integers(0, nsets, size=n)
+    tags = sets + nsets * np.asarray(picks[:n], dtype=np.int64)
+    initial = [
+        [s + nsets * int(k)
+         for k in rng.permutation(vocab)[: rng.integers(0, ways + 1)]]
+        for s in range(nsets)
+    ]
+    return nsets, ways, sets, tags, initial
+
+
+@given(epoch=adversarial_lru_epochs())
+@settings(max_examples=300, deadline=None)
+def test_classifier_matches_reference_on_long_reuse_windows(epoch):
+    _assert_matches_reference(*epoch)
+
+
+@pytest.mark.parametrize("ways", [2, 4, 8])
+@pytest.mark.parametrize("others,hit", [(-1, True), (0, False)],
+                         ids=["ways-1-others-hit", "ways-others-miss"])
+def test_long_window_hits_iff_fewer_than_ways_distinct_others(
+        ways, others, hit):
+    """One set: ``ways`` fillers, target tag 0, then over 4*ways runs
+    cycling through ``ways + others`` distinct other tags, then 0."""
+    fillers = list(range(100, 100 + ways))
+    cycle = list(range(1, ways + others + 1))
+    tags = np.asarray(fillers + [0] + cycle * (4 * ways + 1) + [0],
+                      dtype=np.int64)
+    hits = _assert_matches_reference(1, ways, tags * 0, tags, [[]])
+    assert hits[-1] == hit
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4, 8])
+def test_cycle_of_ways_plus_one_tags_never_hits(ways):
+    tags = np.arange(500, dtype=np.int64) % (ways + 1)
+    hits = _assert_matches_reference(1, ways, tags * 0, tags, [[]])
+    assert not hits.any()
+
+
+def test_classifier_is_exact_on_real_bfs_traffic(monkeypatch):
+    """Every classifier call of a columnar run of the named BFS workload
+    (PCC, 90% fragmentation) agrees with the per-set LRU simulation."""
+    import copy
+
+    from repro.engine import machine, residue
+    from repro.engine.simulation import Simulator
+    from repro.experiments.common import (
+        ENGINE_TIER_SWITCHES,
+        build_named_workload,
+        config_for,
+    )
+    from repro.os.kernel import HugePagePolicy
+
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = classify_lru_hits(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(machine, "classify_lru_hits", recording)
+    monkeypatch.setattr(residue, "classify_lru_hits", recording)
+    workload = build_named_workload("BFS", graph_scale=10,
+                                    proxy_accesses=25_000)
+    simulator = Simulator(config_for(workload), policy=HugePagePolicy.PCC,
+                          fragmentation=0.9,
+                          **ENGINE_TIER_SWITCHES["columnar"])
+    simulator.run([copy.deepcopy(workload)])
+    assert calls
+    for args, kwargs, (hits, contents) in calls:
+        set_ids, tags, ways, init_set_ids, init_tags = args
+        nsets = kwargs["nsets"]
+        initial = [[] for _ in range(nsets)]
+        for s, tag in zip(init_set_ids.tolist(), init_tags.tolist()):
+            initial[s].append(tag)
+        np.testing.assert_array_equal(
+            hits, classify_lru_hits_ref(set_ids, tags, ways, initial)
+        )
+        assert contents == final_lru_contents(
+            set_ids, tags, nsets, ways, initial
+        )
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_vectorized_l2_matches_scalar_replay(epoch):
         value_of.update(entries)
     set_ids = (tags % np.uint64(nsets)).astype(np.intp)
     init_sets, init_tags = _stack_arrays(initial)
-    hits, _, final = classify_lru_hits(
+    hits, final = classify_lru_hits(
         set_ids, tags, ways, init_sets, init_tags, nsets=nsets
     )
     occ0 = np.fromiter((len(s) for s in initial), np.int64, nsets)
