@@ -114,23 +114,21 @@ OS-tick interval** as one epoch per live thread:
    simulation would have left.
 
 Epoch statistics land in the same pending counters the fast path
-uses, so ``sync()`` remains the single flush point. An adaptive guard
-hands a slot whose epochs classify under a quarter of their records
-back to the quantum tiers and re-probes it periodically.
+uses, so ``sync()`` remains the single flush point.
 ``columnar=False`` selects the quantum tiers unconditionally.
 
 Under tree-PLRU the classifier's exact-LRU algebra does not apply, so a
-single-thread PLRU epoch plans its window the same way, takes the fault
-pre-pass (policy-blind: faults never touch TLBs), and replays the window
-through the fast loop — the path a declined LRU window takes. Spans of
-several threads run the quantum rounds under PLRU. Both count as
-``columnar_plru_fallbacks``.
+PLRU epoch or multi-thread span plans its window the same way, takes
+the fault pre-pass (policy-blind: faults never touch TLBs), and replays
+the window through the fast loop — the path a declined LRU window
+takes. Each counts once as ``columnar_plru_fallbacks``.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,24 +185,74 @@ def _region_mapping_state(page_table, tag: int) -> int:
     return _REGION_EMPTY
 
 
-def _initial_stack_arrays(initial: list[list[int]]):
-    """Flatten per-set LRU stacks into (set, tag) arrays, LRU→MRU.
+class _SetsEpoch(NamedTuple):
+    """One LRU structure's classified epoch (:func:`_classify_sets`)."""
 
-    The epoch classifier prepends these as synthetic older touches:
-    within a set the stable group-sort keeps them in order before the
-    epoch's real touches, which reproduces the structure's exact
-    recency state at epoch start.
+    #: the structure's touch tags, program order
+    tags: np.ndarray
+    #: per-touch hit mask
+    hits: np.ndarray
+    #: every set's end-of-epoch contents, LRU→MRU
+    final: list
+    #: fills that evict, counted against start-of-epoch occupancy
+    evictions: int
+
+
+def _classify_sets(sets_dicts, setw, tags, ways: int) -> _SetsEpoch:
+    """Classify one LRU structure's epoch touch stream, read-only.
+
+    ``sets_dicts`` are the structure's live set dicts (insertion order
+    is LRU→MRU); their contents enter the classifier as synthetic older
+    touches, which reproduces the exact recency state at epoch start.
+    ``setw``/``tags`` are the epoch's touches in program order.
+    Evictions need no replay: occupancy never falls mid-epoch (no
+    invalidations between ticks) and every classified miss fills one
+    entry, so per set the fills beyond the start-of-epoch headroom
+    each evict.
     """
-    sets_out: list[int] = []
-    tags_out: list[int] = []
-    for set_index, content in enumerate(initial):
-        if content:
-            sets_out.extend([set_index] * len(content))
-            tags_out.extend(content)
-    return (
-        np.asarray(sets_out, dtype=np.intp),
-        np.asarray(tags_out, dtype=np.uint64),
+    nsets = len(sets_dicts)
+    init_sets, init_tags = residue.stack_arrays(sets_dicts)
+    hits, final = classify_lru_hits(
+        setw, tags, ways, init_sets, init_tags, nsets=nsets
     )
+    occ0 = np.fromiter((len(entries) for entries in sets_dicts), np.int64,
+                       nsets)
+    evictions = epoch_evictions(setw[~hits], nsets, ways, occ0)
+    return _SetsEpoch(tags, hits, final, evictions)
+
+
+def _rebuild_sets(sets_dicts, stats, epoch: _SetsEpoch, entry,
+                  mru=None) -> None:
+    """Commit a :func:`_classify_sets` result to the live structure.
+
+    Counts the evictions into ``stats`` and rebuilds every set dict to
+    its end-of-epoch contents, LRU→MRU. ``entry`` is the value a fill
+    stores: one int, or — for the unified L2, whose 4K and 2MB fills
+    store different values — an array of one value per touch; a hit
+    keeps the stored value, so the fill history is replayed over the
+    initial values. ``mru`` (an L1's hint list) is re-pointed at every
+    set's rebuilt MRU tag.
+    """
+    stats.evictions += epoch.evictions
+    if isinstance(entry, np.ndarray):
+        value_of = {}
+        for entries in sets_dicts:
+            value_of.update(entries)
+        miss = ~epoch.hits
+        value_of.update(zip(epoch.tags[miss].tolist(),
+                            entry[miss].tolist()))
+        for entries, content in zip(sets_dicts, epoch.final):
+            entries.clear()
+            for tag in content:
+                entries[tag] = value_of[tag]
+    else:
+        for entries, content in zip(sets_dicts, epoch.final):
+            entries.clear()
+            for tag in content:
+                entries[tag] = entry
+    if mru is not None:
+        for s, content in enumerate(epoch.final):
+            mru[s] = content[-1] if content else -1
 
 
 class _EpochContext:
@@ -213,16 +261,16 @@ class _EpochContext:
     Produced read-only by ``TranslationPipeline._epoch_classify`` and
     consumed by ``_epoch_finish``; splitting the two lets multi-thread
     epochs interleave the page-table pass across cores between them.
+    ``base``/``huge``/``l2``/``giga`` are the four classified LRU
+    structures (L1-4K, L1-2M, unified L2, L1-1G), each a
+    :class:`_SetsEpoch` or None when the window never touches it.
     """
 
     __slots__ = (
-        "start", "end", "length", "window_units", "hit_units",
-        "res_units", "base_idx", "b_setw", "b_hits", "b_final", "n_bhit",
-        "huge_idx", "h_setw", "h_hits", "h_final", "n_hhit",
-        "res_counts", "l2_part_idx", "l2_kind_huge", "l2_tags",
-        "l2_setw", "l2_hits", "l2_final", "other_idx", "g_setw",
-        "g_hits", "g_final", "walk_vpns", "walk_sizes", "walk_repeats",
-        "walk_ridx", "walk_plan", "walk_pud", "walk_pmd",
+        "start", "end", "window_units", "hit_units", "base", "huge",
+        "l2", "giga", "res_counts", "l2_rows", "l2_fills", "giga_rows",
+        "walk_vpns", "walk_sizes", "walk_repeats", "walk_ridx",
+        "walk_plan", "walk_pud", "walk_pmd",
     )
 
 
@@ -231,8 +279,7 @@ class _ThreadSlot:
 
     __slots__ = ("vpns", "counts", "cursor", "length", "pid", "core_id",
                  "seen", "fault", "bulk_fault", "live", "stream", "bsets",
-                 "hsets", "region_tags", "seen_np", "columnar_off",
-                 "columnar_probe")
+                 "hsets", "region_tags", "seen_np")
 
     def __init__(self, vpns, counts, pid, core_id, seen, fault,
                  stream=None, bulk_fault=None):
@@ -260,10 +307,6 @@ class _ThreadSlot:
         # the set" (threads of one process share the set, so another
         # slot may have seen the page first). Allocated on first epoch.
         self.seen_np = None
-        # Adaptive columnar tier state: off for columnar_probe epochs
-        # after a low-retirement epoch, then re-probed.
-        self.columnar_off = False
-        self.columnar_probe = 0
         # Per-core L1 set-index views and the region tags as Python
         # ints, attached by the owning pipeline on first epoch.
         self.bsets = None
@@ -327,19 +370,10 @@ class TranslationPipeline:
     #: below this epoch window (records) the whole-epoch pass cannot
     #: amortize its setup; delegate the quantum to the fast tier
     MIN_EPOCH_RECORDS = 64
-    #: epochs retiring under 1/4 of their records switch the slot back
-    #: to the quantum tiers for this many epochs before re-probing
-    COLUMNAR_PROBE_EPOCHS = 16
 
-    def __init__(self, core: Core, fast_path: bool = True,
-                 columnar: bool = False) -> None:
+    def __init__(self, core: Core, fast_path: bool = True) -> None:
         self.core = core
         self.fast_path = fast_path
-        # The columnar epoch tier classifies against the same live set
-        # dicts and MRU hints the fast loop maintains, and falls back to
-        # that loop between epochs, so fast_path=False wins and selects
-        # the reference loop.
-        self.columnar = columnar and fast_path
         #: bumped on every wholesale invalidation (OS tick shootdowns)
         self.epoch = 0
         l1_base = core.tlb.l1_base
@@ -367,7 +401,7 @@ class TranslationPipeline:
         self.invalidations = 0
         # Columnar epoch tier counters: epochs run, records retired by
         # classification, records run through the live-residue loop,
-        # adaptive fall-backs to the quantum tiers, and a power-of-two
+        # windows the classifier declined, and a power-of-two
         # histogram of epoch lengths in records (bucket k counts epochs
         # of 2^(k-1) < length <= 2^k - 1 ... i.e. bit_length() == k).
         self.columnar_epochs = 0
@@ -385,9 +419,8 @@ class TranslationPipeline:
         self.columnar_faults_batched = 0
         self.columnar_faults_scalar = 0
         # PLRU epochs: the whole-epoch classifier is exact-LRU-specific,
-        # so a tree-PLRU window runs as fault pre-pass plus fast-loop
-        # replay (and a multi-thread PLRU span, counted once, declines to
-        # the quantum rounds); bit-identical either way.
+        # so a tree-PLRU window or multi-thread span (counted once) runs
+        # as fault pre-pass plus fast-loop replay; bit-identical.
         self.columnar_plru_fallbacks = 0
         # Under PLRU dict order no longer tracks recency, so the fast
         # loop's tier 2 probes the tag->way maps and performs the masked
@@ -643,17 +676,10 @@ class TranslationPipeline:
         after every quantum and the final quantum may overshoot the
         interval just like it may overshoot its budget. Returns the
         same ``(cursor, accesses, translation_cycles, walks)`` tuple as
-        :meth:`run_quantum`; small or adaptively-disabled windows
-        delegate one quantum to the fast tier, and tree-PLRU windows
-        replay through it after the fault pre-pass.
+        :meth:`run_quantum`; small windows delegate one quantum to the
+        fast tier, and tree-PLRU windows replay through it after the
+        fault pre-pass.
         """
-        if not self.columnar or slot.stream is None:
-            return self.run_quantum(slot, budget, page_table)
-        if slot.columnar_off:
-            slot.columnar_probe -= 1
-            if slot.columnar_probe > 0:
-                return self.run_quantum(slot, budget, page_table)
-            slot.columnar_off = False  # probe epoch: re-measure
         cum = slot.stream.cum
         start = slot.cursor
         n = slot.length
@@ -704,7 +730,7 @@ class TranslationPipeline:
         ctx.walk_pud, ctx.walk_pmd = residue.page_table_pass(
             page_table, ctx.walk_vpns, ctx.walk_sizes
         )
-        return self._epoch_finish(slot, ctx)
+        return self._epoch_finish(ctx)
 
     def _replay_window(self, slot: _ThreadSlot, start: int, end: int,
                        budget: int, page_table) -> tuple:
@@ -826,40 +852,22 @@ class TranslationPipeline:
         cum = stream.cum
         vpns_w = stream.vpns[start:end]
         counts_w = cum[start + 1:end + 1] - cum[start:end]
-        length = end - start
-        base_sets_d = self._base_sets
-        huge_sets_d = self._huge_sets
-        nbase = self._nbase
-        nhuge = self._nhuge
-        ways_b = tlbH.l1_base.config.ways
-        ways_h = tlbH.l1_huge.config.ways
         base_idx = np.flatnonzero(rec_state == _REGION_BASE)
         huge_idx = np.flatnonzero(rec_state == _REGION_HUGE)
-        hit_mask = np.zeros(length, dtype=bool)
-        n_bhit = n_hhit = 0
-        b_setw = b_hits = None
-        h_setw = h_hits = None
-        init_b = [list(entries) for entries in base_sets_d]
-        init_h = [list(entries) for entries in huge_sets_d]
-        b_final = h_final = None
+        hit_mask = np.zeros(end - start, dtype=bool)
+        base = huge = None
         if base_idx.size:
-            b_tags = vpns_w[base_idx]
-            b_setw = slot.bsets[start:end][base_idx]
-            ib_sets, ib_tags = _initial_stack_arrays(init_b)
-            b_hits, b_final = classify_lru_hits(
-                b_setw, b_tags, ways_b, ib_sets, ib_tags, nsets=nbase
+            base = _classify_sets(
+                self._base_sets, slot.bsets[start:end][base_idx],
+                vpns_w[base_idx], tlbH.l1_base.config.ways,
             )
-            hit_mask[base_idx[b_hits]] = True
-            n_bhit = int(np.count_nonzero(b_hits))
+            hit_mask[base_idx[base.hits]] = True
         if huge_idx.size:
-            h_tags = stream.htags[start:end][huge_idx]
-            h_setw = slot.hsets[start:end][huge_idx]
-            ih_sets, ih_tags = _initial_stack_arrays(init_h)
-            h_hits, h_final = classify_lru_hits(
-                h_setw, h_tags, ways_h, ih_sets, ih_tags, nsets=nhuge
+            huge = _classify_sets(
+                self._huge_sets, slot.hsets[start:end][huge_idx],
+                stream.htags[start:end][huge_idx], tlbH.l1_huge.config.ways,
             )
-            hit_mask[huge_idx[h_hits]] = True
-            n_hhit = int(np.count_nonzero(h_hits))
+            hit_mask[huge_idx[huge.hits]] = True
         window_units = int(cum[end] - cum[start])
         hit_units = int(counts_w[hit_mask].sum())
         res_idx = np.flatnonzero(~hit_mask)
@@ -885,86 +893,64 @@ class TranslationPipeline:
             (tag for entries in tlbH._l2_sets for tag in entries),
             np.uint64,
         )
-        base_vpns = res_vpns[is_base]
-        huge_vpns = res_vpns[is_huge]
         other_vpns = res_vpns[is_other]
-        if residue.l2_alias_conflict(resident, base_vpns, huge_vpns,
-                                     other_vpns, serves_huge):
+        if residue.l2_alias_conflict(resident, res_vpns[is_base],
+                                     res_vpns[is_huge], other_vpns,
+                                     serves_huge):
             return None
 
         # Unified L2 stream: 4K records at their VPN, huge-backed ones
         # (when served) at their region tag, merged in program order.
-        l2_part_idx = (np.flatnonzero(is_base | is_huge) if serves_huge
-                       else np.flatnonzero(is_base))
-        l2_kind_huge = l2_tags = l2_setw = l2_hits = l2_final = None
-        if l2_part_idx.size:
-            l2_kind_huge = is_huge[l2_part_idx]
-            sel = res_vpns[l2_part_idx]
-            l2_tags = np.where(
-                l2_kind_huge, sel >> np.uint64(_HUGE_SHIFT), sel
+        l2_rows = (np.flatnonzero(is_base | is_huge) if serves_huge
+                   else np.flatnonzero(is_base))
+        l2 = l2_fills = None
+        if l2_rows.size:
+            kind_huge = is_huge[l2_rows]
+            sel = res_vpns[l2_rows]
+            l2_tags = np.where(kind_huge, sel >> np.uint64(_HUGE_SHIFT), sel)
+            l2 = _classify_sets(
+                tlbH._l2_sets,
+                (l2_tags % np.uint64(tlbH._l2_n)).astype(np.intp),
+                l2_tags, tlbH.l2.config.ways,
             )
-            l2_n = tlbH._l2_n
-            l2_setw = (l2_tags % np.uint64(l2_n)).astype(np.intp)
-            init_l2 = [list(entries) for entries in tlbH._l2_sets]
-            il_sets, il_tags = _initial_stack_arrays(init_l2)
-            l2_hits, l2_final = classify_lru_hits(
-                l2_setw, l2_tags, tlbH.l2.config.ways, il_sets, il_tags,
-                nsets=l2_n,
-            )
+            l2_fills = np.where(kind_huge, plan[PageSize.HUGE][3],
+                                plan[PageSize.BASE][3])
 
         # 1GB L1 stream: every 1GB-backed record touches it.
-        other_idx = np.flatnonzero(is_other)
-        g_setw = g_hits = g_final = None
-        if other_idx.size:
+        giga_rows = np.flatnonzero(is_other)
+        giga = None
+        if giga_rows.size:
             g_tags = other_vpns >> np.uint64(_GIGA_SHIFT_FULL)
-            g_n = tlbH._g_n
-            g_setw = (g_tags % np.uint64(g_n)).astype(np.intp)
-            init_g = [list(entries) for entries in tlbH._g_sets]
-            ig_sets, ig_tags = _initial_stack_arrays(init_g)
-            g_hits, g_final = classify_lru_hits(
-                g_setw, g_tags, tlbH.l1_giga.config.ways, ig_sets,
-                ig_tags, nsets=g_n,
+            giga = _classify_sets(
+                tlbH._g_sets,
+                (g_tags % np.uint64(tlbH._g_n)).astype(np.intp),
+                g_tags, tlbH.l1_giga.config.ways,
             )
 
         # Live-walk subset, program order: classified L2 misses,
         # huge-backed records the L2 cannot serve, 1GB-L1 misses.
         walk_mask = np.zeros(res_idx.size, dtype=bool)
-        if l2_part_idx.size:
-            walk_mask[l2_part_idx[~l2_hits]] = True
+        if l2 is not None:
+            walk_mask[l2_rows[~l2.hits]] = True
         if not serves_huge:
             walk_mask[is_huge] = True
-        if other_idx.size:
-            walk_mask[other_idx[~g_hits]] = True
+        if giga is not None:
+            walk_mask[giga_rows[~giga.hits]] = True
         walk_idx = np.flatnonzero(walk_mask)
 
         ctx = _EpochContext()
         ctx.start = start
         ctx.end = end
-        ctx.length = length
         ctx.window_units = window_units
         ctx.hit_units = hit_units
-        ctx.res_units = window_units - hit_units
-        ctx.base_idx = base_idx
-        ctx.b_setw = b_setw
-        ctx.b_hits = b_hits
-        ctx.b_final = b_final
-        ctx.n_bhit = n_bhit
-        ctx.huge_idx = huge_idx
-        ctx.h_setw = h_setw
-        ctx.h_hits = h_hits
-        ctx.h_final = h_final
-        ctx.n_hhit = n_hhit
+        ctx.base = base
+        ctx.huge = huge
+        ctx.l2 = l2
+        ctx.giga = giga
         ctx.res_counts = res_counts
-        ctx.l2_part_idx = l2_part_idx
-        ctx.l2_kind_huge = l2_kind_huge
-        ctx.l2_tags = l2_tags
-        ctx.l2_setw = l2_setw
-        ctx.l2_hits = l2_hits
-        ctx.l2_final = l2_final
-        ctx.other_idx = other_idx
-        ctx.g_setw = g_setw
-        ctx.g_hits = g_hits
-        ctx.g_final = g_final
+        ctx.l2_rows = l2_rows
+        ctx.l2_fills = l2_fills
+        ctx.giga_rows = giga_rows
         ctx.walk_vpns = res_vpns[walk_idx]
         ctx.walk_sizes = (res_states[walk_idx] - 1).astype(np.int8)
         ctx.walk_repeats = res_counts[walk_idx]
@@ -976,7 +962,7 @@ class TranslationPipeline:
         ctx.walk_pmd = None
         return ctx
 
-    def _epoch_finish(self, slot: _ThreadSlot, ctx: _EpochContext) -> tuple:
+    def _epoch_finish(self, ctx: _EpochContext) -> tuple:
         """Commit a classified epoch: stats, PCCs, reconstructions.
 
         Everything the old live-residue loop mutated record-at-a-time
@@ -989,23 +975,19 @@ class TranslationPipeline:
         """
         core = self.core
         tlbH = core.tlb
-        plan = tlbH._fill_plan
-        entry_base = plan[PageSize.BASE][3]
-        entry_huge = plan[PageSize.HUGE][3]
-        entry_giga = plan[PageSize.GIGA][3]
         l1_cyc = core._l1_hit_cycles
         l2_cyc = core._l2_hit_cycles
         res_counts = ctx.res_counts
         n_res = int(res_counts.size)
 
         n_l2hit = l2hit_units = 0
-        if ctx.l2_part_idx.size:
-            hit_rows = ctx.l2_part_idx[ctx.l2_hits]
+        if ctx.l2 is not None:
+            hit_rows = ctx.l2_rows[ctx.l2.hits]
             n_l2hit = int(hit_rows.size)
             l2hit_units = int(res_counts[hit_rows].sum())
         n_ghit = ghit_units = 0
-        if ctx.other_idx.size:
-            g_rows = ctx.other_idx[ctx.g_hits]
+        if ctx.giga is not None:
+            g_rows = ctx.giga_rows[ctx.giga.hits]
             n_ghit = int(g_rows.size)
             ghit_units = int(res_counts[g_rows].sum())
         walk_repeats = ctx.walk_repeats
@@ -1054,89 +1036,33 @@ class TranslationPipeline:
                                     pmd_candidates=n_pmd)
 
         # ---- phase E: reconstruct every classified structure. No live
-        # code touched their dicts, so occupancy still reads as of
-        # epoch start; every classified miss fills exactly one entry,
-        # and the final content of a W-way LRU set is the last W
-        # distinct tags by last touch.
-        if ctx.base_idx.size:
-            base_sets_d = self._base_sets
-            nbase = self._nbase
-            occ0 = np.fromiter(
-                (len(entries) for entries in base_sets_d), np.int64, nbase
-            )
-            tlbH.l1_base.stats.evictions += epoch_evictions(
-                ctx.b_setw[~ctx.b_hits], nbase,
-                tlbH.l1_base.config.ways, occ0
-            )
-            base_mru = self._base_mru
-            for s, content in enumerate(ctx.b_final):
-                entries = base_sets_d[s]
-                entries.clear()
-                for tag in content:
-                    entries[tag] = entry_base
-                base_mru[s] = content[-1] if content else -1
-        if ctx.huge_idx.size:
-            huge_sets_d = self._huge_sets
-            nhuge = self._nhuge
-            occ0 = np.fromiter(
-                (len(entries) for entries in huge_sets_d), np.int64, nhuge
-            )
-            tlbH.l1_huge.stats.evictions += epoch_evictions(
-                ctx.h_setw[~ctx.h_hits], nhuge,
-                tlbH.l1_huge.config.ways, occ0
-            )
-            huge_mru = self._huge_mru
-            for s, content in enumerate(ctx.h_final):
-                entries = huge_sets_d[s]
-                entries.clear()
-                for tag in content:
-                    entries[tag] = entry_huge
-                huge_mru[s] = content[-1] if content else -1
-        if ctx.l2_part_idx.size:
-            l2_sets_d = tlbH._l2_sets
-            l2_n = tlbH._l2_n
-            occ0 = np.fromiter(
-                (len(entries) for entries in l2_sets_d), np.int64, l2_n
-            )
-            tlbH.l2.stats.evictions += epoch_evictions(
-                ctx.l2_setw[~ctx.l2_hits], l2_n, tlbH.l2.config.ways, occ0
-            )
-            # Entry values: a hit keeps the stored value, a fill stores
-            # the filling size's entry — replay the fill history over
-            # the initial values, then rebuild from the final contents.
-            value_of = {}
-            for entries in l2_sets_d:
-                value_of.update(entries)
-            miss = ~ctx.l2_hits
-            for tag, kind in zip(ctx.l2_tags[miss].tolist(),
-                                 ctx.l2_kind_huge[miss].tolist()):
-                value_of[tag] = entry_huge if kind else entry_base
-            for s, content in enumerate(ctx.l2_final):
-                entries = l2_sets_d[s]
-                entries.clear()
-                for tag in content:
-                    entries[tag] = value_of[tag]
-        if ctx.other_idx.size:
-            g_sets_d = tlbH._g_sets
-            g_n = tlbH._g_n
-            occ0 = np.fromiter(
-                (len(entries) for entries in g_sets_d), np.int64, g_n
-            )
-            tlbH.l1_giga.stats.evictions += epoch_evictions(
-                ctx.g_setw[~ctx.g_hits], g_n, tlbH.l1_giga.config.ways,
-                occ0
-            )
-            for s, content in enumerate(ctx.g_final):
-                entries = g_sets_d[s]
-                entries.clear()
-                for tag in content:
-                    entries[tag] = entry_giga
+        # code touched their dicts since classification, and the final
+        # content of a W-way LRU set is the last W distinct tags by
+        # last touch.
+        plan = tlbH._fill_plan
+        if ctx.base is not None:
+            _rebuild_sets(self._base_sets, tlbH.l1_base.stats, ctx.base,
+                          plan[PageSize.BASE][3], mru=self._base_mru)
+        if ctx.huge is not None:
+            _rebuild_sets(self._huge_sets, tlbH.l1_huge.stats, ctx.huge,
+                          plan[PageSize.HUGE][3], mru=self._huge_mru)
+        if ctx.l2 is not None:
+            _rebuild_sets(tlbH._l2_sets, tlbH.l2.stats, ctx.l2,
+                          ctx.l2_fills)
+        if ctx.giga is not None:
+            _rebuild_sets(tlbH._g_sets, tlbH.l1_giga.stats, ctx.giga,
+                          plan[PageSize.GIGA][3])
 
         # ---- statistics flush. Classified L1 hits ride the pending
         # counters (sync() stays the single flush point); residue
         # counters land directly, exactly as the live calls would have.
-        self._pending_base_records += ctx.n_bhit
-        self._pending_huge_records += ctx.n_hhit
+        n_bhit = n_hhit = 0
+        if ctx.base is not None:
+            n_bhit = int(np.count_nonzero(ctx.base.hits))
+        if ctx.huge is not None:
+            n_hhit = int(np.count_nonzero(ctx.huge.hits))
+        self._pending_base_records += n_bhit
+        self._pending_huge_records += n_hhit
         self._pending_accesses += ctx.hit_units
         tlbH.accesses += n_res
         tlbH._b_stats.misses += n_res - n_ghit
@@ -1144,26 +1070,18 @@ class TranslationPipeline:
         tlbH._l2_stats.hits += n_l2hit
         tlbH._l2_stats.misses += n_walks
         stats = core.stats
-        stats.accesses += ctx.res_units
+        stats.accesses += ctx.window_units - ctx.hit_units
         stats.l1_hits += l1h_d
         stats.l2_hits += n_l2hit
         stats.walks += n_walks
         stats.translation_cycles += tcyc_d
         self.columnar_epochs += 1
-        retired = ctx.n_bhit + ctx.n_hhit
-        self.columnar_retired += retired
+        self.columnar_retired += n_bhit + n_hhit
         self.columnar_residue_records += n_res
         self.columnar_l2_retired += n_l2hit + n_ghit
         self.columnar_live_walked += n_walks
-        self.columnar_epoch_buckets[min(ctx.length.bit_length(), 31)] += 1
-        # Adaptive guard: an epoch that classifies almost nothing pays
-        # several vector passes for little retirement; hand the slot
-        # back to the quantum tiers for a while (bit-identical either
-        # way). Vectorized L2/1GB retirements count as classified work.
-        if (retired + n_l2hit + n_ghit) * 4 < ctx.length:
-            slot.columnar_off = True
-            slot.columnar_probe = self.COLUMNAR_PROBE_EPOCHS
-            self.columnar_fallbacks += 1
+        length = ctx.end - ctx.start
+        self.columnar_epoch_buckets[min(length.bit_length(), 31)] += 1
         return ctx.end, ctx.window_units, cycles, n_walks
 
     # ------------------------------------------------------------------
@@ -1407,8 +1325,7 @@ class Machine:
             for i in range(self.config.cores)
         ]
         self.pipelines = [
-            TranslationPipeline(core, fast_path=self.fast_path,
-                                columnar=self.columnar)
+            TranslationPipeline(core, fast_path=self.fast_path)
             for core in self.cores
         ]
         self.ledgers = [CycleAccounting(self.config.timing) for _ in self.cores]
@@ -1500,31 +1417,24 @@ class Machine:
                         # quantum switch can interleave, so the whole
                         # remaining interval retires as one epoch.
                         slot = live[0]
-                        pipeline = pipelines[slot.core_id]
-                        if pipeline.columnar and slot.stream is not None:
-                            ledger = ledgers[slot.core_id]
-                            table = processes[slot.pid].page_table
-                            cursor, accesses, cycles, walks = (
-                                pipeline.run_epoch(
-                                    slot,
-                                    quantum,
-                                    table,
-                                    ticks.interval
-                                    - ticks.accesses_since_tick,
-                                )
+                        ledger = ledgers[slot.core_id]
+                        cursor, accesses, cycles, walks = (
+                            pipelines[slot.core_id].run_epoch(
+                                slot,
+                                quantum,
+                                processes[slot.pid].page_table,
+                                ticks.interval - ticks.accesses_since_tick,
                             )
-                            scheduler.advance(slot, cursor)
-                            ledger.charge_translation(cycles)
-                            ledger.charge_accesses(accesses)
-                            walks_by_pid[slot.pid] += walks
-                            ticks.note(accesses)
-                            huge_z, base_z, migrated = drain_fault_work()
-                            ledger.charge_fault_work(huge_z, base_z, migrated)
-                            if ticks.due:
-                                self._run_tick(ticks, monitor, obs)
-                                if monitor is not None:
-                                    monitor.after_tick(ticks)
-                            continue
+                        )
+                        scheduler.advance(slot, cursor)
+                        ledger.charge_translation(cycles)
+                        ledger.charge_accesses(accesses)
+                        walks_by_pid[slot.pid] += walks
+                        ticks.note(accesses)
+                        huge_z, base_z, migrated = drain_fault_work()
+                        ledger.charge_fault_work(huge_z, base_z, migrated)
+                        self._after_span(ticks, monitor, obs)
+                        continue
                     elif len(live) > 1 and self._multithread_epoch(
                         live, scheduler, ticks, walks_by_pid,
                         monitor, obs
@@ -1575,7 +1485,7 @@ class Machine:
                     "policy": self.policy.value,
                     "cores": len(self.cores),
                     "fast_path": self.fast_path,
-                    "columnar": self.columnar,
+                    "columnar": use_columnar,
                     "promote_every_accesses": self.config.os.promote_every_accesses,
                     "processes": sorted(processes),
                     "run_id": current_run_id(),
@@ -1601,41 +1511,23 @@ class Machine:
         the only cross-core coupling, get one merged per-process pass
         in scalar walk order. Returns False (nothing retired) when a
         gate fails; True when the span retired as epochs or replayed
-        bit-identically after a classifier decline.
+        bit-identically after the fault pre-pass (a tree-PLRU span, or
+        a classifier decline).
         """
         if self.config.pcc.shared:
             # One PCC consumes walk admissions from every core in
             # round-interleaved order; per-slot bulk applies would
             # reorder them.
             return False
-        first = self.pipelines[live[0].core_id]
-        if first._plru:
-            # The epoch classifier is exact-LRU-specific (see
-            # run_epoch); count the decline once per span.
-            first.columnar_plru_fallbacks += 1
-            return False
         pipelines = self.pipelines
         seen_cores = set()
         for slot in live:
-            pipeline = pipelines[slot.core_id]
-            if not pipeline.columnar or slot.stream is None:
-                return False
             if slot.core_id in seen_cores:
                 # Two slots on one core share its TLBs; their probe
                 # streams interleave mid-span and cannot be classified
                 # independently.
                 return False
             seen_cores.add(slot.core_id)
-        ok = True
-        for slot in live:
-            if slot.columnar_off:
-                slot.columnar_probe -= 1
-                if slot.columnar_probe > 0:
-                    ok = False
-                else:
-                    slot.columnar_off = False
-        if not ok:
-            return False
 
         # ---- plan the rounds the scalar loop would run before its
         # due-check fires: every round covers every live slot, in
@@ -1693,6 +1585,16 @@ class Machine:
                 ledgers[slot.core_id].charge_fault_work(
                     huge_z, base_z, migrated
                 )
+
+        first = pipelines[live[0].core_id]
+        if first._plru:
+            # The epoch classifier is exact-LRU-specific (see
+            # run_epoch): replay the faulted plan, counted once.
+            first.columnar_plru_fallbacks += 1
+            self._replay_rounds(live, rounds, scheduler, ticks,
+                                walks_by_pid, tables)
+            self._after_span(ticks, monitor, obs)
+            return True
 
         # ---- classify each slot's whole span against its own core
         # (read-only; a decline replays the plan through the quantum
@@ -1764,9 +1666,7 @@ class Machine:
         for i, slot in enumerate(live):
             pipeline = pipelines[slot.core_id]
             ledger = ledgers[slot.core_id]
-            cursor, accesses, cycles, walks = pipeline._epoch_finish(
-                slot, ctxs[i]
-            )
+            cursor, accesses, cycles, walks = pipeline._epoch_finish(ctxs[i])
             scheduler.advance(slot, cursor)
             ledger.charge_translation(cycles)
             ledger.charge_accesses(accesses)

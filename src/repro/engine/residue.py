@@ -101,8 +101,14 @@ def l2_alias_conflict(resident, base_vpns, huge_vpns, other_vpns,
 # PWC level classification
 
 
-def _stack_arrays(initial: list[list[int]]):
-    """Flatten per-set LRU stacks into (set, tag) arrays, LRU→MRU."""
+def stack_arrays(initial):
+    """Flatten per-set LRU stacks into (set, tag) arrays, LRU→MRU.
+
+    ``initial[s]`` iterates set ``s``'s resident tags LRU→MRU (a list,
+    or a live set dict in insertion order). The epoch classifier takes
+    these as synthetic older touches that reproduce the structure's
+    recency state at epoch start.
+    """
     sets_out: list[int] = []
     tags_out: list[int] = []
     for set_index, content in enumerate(initial):
@@ -142,7 +148,7 @@ def pwc_level_outcomes(tags, last_tag: int, initial: list[list[int]],
         return outcomes, [list(stack) for stack in initial], 0, int(tags[-1])
     probe_tags = tags[probe_pos].astype(np.uint64)
     probe_sets = (probe_tags % np.uint64(nsets)).astype(np.intp)
-    init_sets, init_tags = _stack_arrays(initial)
+    init_sets, init_tags = stack_arrays(initial)
     hits, contents = classify_lru_hits(
         probe_sets, probe_tags, ways, init_sets, init_tags, nsets=nsets
     )

@@ -346,7 +346,7 @@ def _merged_distributions(runs: list[dict]) -> dict[str, Histogram]:
 
 
 def _engine_tier_counters(runs: list[dict]) -> dict[str, int]:
-    """Adaptive-tier retirement counters, summed across cores and runs.
+    """Engine-tier retirement counters, summed across cores and runs.
 
     The pipeline exports its tier instrumentation per core as
     ``core<N>.fastpath.<counter>``; the inspector folds those into one

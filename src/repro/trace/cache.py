@@ -8,15 +8,11 @@ once and every subsequent run — including concurrent worker processes —
 memory-maps the stored arrays instead of rebuilding or re-pickling
 them.
 
-Two entry formats live side by side in one cache directory:
-
-* **Array entries** (the primary format): one ``<key>.meta.json``
-  commit record plus one ``<key>.<array>.npy`` file per named array.
-  Plain ``.npy`` payloads are memory-mappable (``np.load(mmap_mode=
-  "r")``), which is what lets a pool of worker processes share one
-  on-disk trace without each holding a private copy.
-* **Legacy ``.npz`` entries** storing a raw :class:`Trace`, kept for
-  the original ``get``/``put`` API.
+An entry is one ``<key>.meta.json`` commit record plus one
+``<key>.<array>.npy`` file per named array. Plain ``.npy`` payloads
+are memory-mappable (``np.load(mmap_mode="r")``), which is what lets a
+pool of worker processes share one on-disk trace without each holding
+a private copy.
 
 Keys are content hashes over ``(name, params, generator version)``.
 The generator version is baked into every key, so bumping
@@ -57,8 +53,6 @@ from repro.obs.log import get_logger, log_event
 from repro.obs.tracer import span
 from repro.resilience import bus
 from repro.resilience.faults import fault_point
-from repro.trace.events import Trace
-from repro.trace.io import load_trace, save_trace
 
 _LOG = get_logger("trace.cache")
 
@@ -178,9 +172,6 @@ class TraceCache:
     def key(self, name: str, params: dict) -> str:
         """Content key including this cache's generator version."""
         return cache_key(name, params, self.generator_version)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.npz"
 
     def _meta_path(self, key: str) -> Path:
         return self.directory / f"{key}.meta.json"
@@ -361,52 +352,6 @@ class TraceCache:
         return moved
 
     # ------------------------------------------------------------------
-    # legacy whole-trace entries (.npz)
-
-    def get(self, name: str, params: dict) -> Trace | None:
-        """Cached raw trace for the parameters, or None."""
-        path = self._path(self.key(name, params))
-        if not path.exists():
-            self.stats.misses += 1
-            return None
-        try:
-            trace = load_trace(path)
-        except (ValueError, OSError, KeyError) as exc:
-            # a corrupt or stale entry is treated as a miss
-            path.unlink(missing_ok=True)
-            self.stats.purged += 1
-            self.stats.corrupted += 1
-            self.stats.misses += 1
-            bus.counter("cache.corrupted").add()
-            log_event(
-                _LOG,
-                "corrupt legacy cache entry purged",
-                level=logging.WARNING,
-                entry=name,
-                file=path.name,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return None
-        self.stats.hits += 1
-        return trace
-
-    def put(self, name: str, params: dict, trace: Trace) -> Path:
-        """Store a freshly generated raw trace (atomic publish)."""
-        path = self._path(self.key(name, params))
-        self._publish(path, lambda tmp: _save_npz_exact(trace, tmp))
-        self.stats.writes += 1
-        return path
-
-    def get_or_build(self, name: str, params: dict, builder) -> Trace:
-        """Return the cached trace or build, store, and return it."""
-        cached = self.get(name, params)
-        if cached is not None:
-            return cached
-        trace = builder()
-        self.put(name, params, trace)
-        return trace
-
-    # ------------------------------------------------------------------
     # maintenance
 
     def clear(self) -> int:
@@ -415,7 +360,7 @@ class TraceCache:
         if not self.directory.exists():
             return 0
         removed = 0
-        for pattern in ("*.npz", "*.npy", "*.meta.json", f"{QUARANTINE_DIR}/*"):
+        for pattern in ("*.npy", "*.meta.json", f"{QUARANTINE_DIR}/*"):
             for path in self.directory.glob(pattern):
                 path.unlink()
                 removed += 1
@@ -427,7 +372,7 @@ class TraceCache:
             return 0
         return sum(
             p.stat().st_size
-            for pattern in ("*.npz", "*.npy", "*.meta.json", f"{QUARANTINE_DIR}/*")
+            for pattern in ("*.npy", "*.meta.json", f"{QUARANTINE_DIR}/*")
             for p in self.directory.glob(pattern)
         )
 
@@ -521,10 +466,3 @@ def _save_npy(path: Path, array: np.ndarray) -> str:
     with open(path, "wb") as handle:
         np.save(handle, np.ascontiguousarray(array))
     return _file_digest(path)
-
-
-def _save_npz_exact(trace: Trace, path: Path) -> None:
-    """``save_trace`` variant that never rewrites the target suffix."""
-    written = save_trace(trace, path)
-    if written != path:  # save_trace appended ".npz" to the tmp name
-        os.replace(written, path)

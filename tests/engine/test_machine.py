@@ -1,5 +1,7 @@
 """Units for the staged machine pipeline and the Simulator facade."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,10 @@ from repro.engine.machine import (
 )
 from repro.engine.cpu import Core
 from repro.engine.simulation import Simulator
+from repro.engine.system import ProcessWorkload
 from repro.os.kernel import HugePagePolicy
+from repro.trace.events import Trace
+from repro.validation.oracle import fingerprint
 from tests.conftest import make_workload
 
 BASE = 0x5555_5540_0000
@@ -81,6 +86,52 @@ class TestTranslationPipelineHints:
         machine.run([make_workload(_addresses([0, 1] * 25))])
         assert machine.pipelines[0].fast_hits == 0
         assert machine.pipelines[0].slow_records == 50
+
+
+class TestColumnarWalkHeavyEpochs:
+    """A scan that misses every TLB still retires columnar.
+
+    Eight passes over 512 pages outrun every tiny-config structure, so
+    nearly every record walks and the L1 classifier retires almost
+    nothing. The residue passes still retire every record exactly, so
+    no epoch may decline or hand records to the quantum tiers.
+    """
+
+    PAGES = 512
+    PASSES = 8
+
+    def _run(self, threads, **switches):
+        config = tiny_config(cores=threads)
+        config = config.with_(
+            os=replace(config.os, promote_every_accesses=512)
+        )
+        scans = [
+            _addresses(np.tile(np.arange(first, first + self.PAGES),
+                               self.PASSES))
+            for first in range(0, threads * self.PAGES, self.PAGES)
+        ]
+        workload = make_workload(np.concatenate(scans))
+        if threads > 1:
+            workload = ProcessWorkload.multi_thread(
+                [Trace(f"scan{i}", scan, footprint_bytes=4 << 20)
+                 for i, scan in enumerate(scans)],
+                workload.layout, "scan",
+            )
+        machine = Machine(config, policy=HugePagePolicy.NONE, **switches)
+        return machine, machine.run([workload])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_scan_retires_columnar_and_stays_exact(self, threads):
+        _, scalar = self._run(threads, fast_path=False)
+        machine, columnar = self._run(threads)
+        assert fingerprint(columnar) == fingerprint(scalar)
+        assert columnar.walks > self.PAGES * self.PASSES * threads // 2
+        for pipeline in machine.pipelines:
+            assert pipeline.columnar_epochs > 0
+            assert pipeline.columnar_fallbacks == 0
+            assert pipeline.fast_hits == pipeline.slow_records == 0
+        if threads > 1:
+            assert all(p.columnar_mt_epochs > 0 for p in machine.pipelines)
 
 
 class TestOsTickDriver:

@@ -1,12 +1,12 @@
 """Engine tiers under the tree-PLRU knob.
 
-The adaptive engine's upper tiers were built on LRU shortcuts (dict
+The engine's upper tiers were built on LRU shortcuts (dict
 reinsert as recency, the columnar epoch classifier's exact-LRU
 algebra). Under ``tlb_replacement="plru"`` the fast loop's live-hit
 tier performs the masked tree touch instead of the reinsert, and the
-columnar tier runs each single-thread window as fault pre-pass plus
-fast-loop replay (the classifier has no PLRU analogue) while
-multi-thread spans decline to the quantum rounds. The observable
+columnar tier runs each single-thread window and each multi-thread
+span as fault pre-pass plus fast-loop replay (the classifier has no
+PLRU analogue). The observable
 simulation must stay bit-identical across all three tiers — the same
 guarantee the differential oracle enforces for LRU. PLRU epochs are
 counted (``columnar_plru_fallbacks``) so operators can see them in
@@ -89,6 +89,37 @@ def test_single_thread_plru_epochs_prefault_and_stay_exact(seed):
             + core.stats.l2_hits
             + core.tlb.l1_giga.stats.hits
         )
+
+
+def test_multithread_plru_spans_prefault_and_stay_exact():
+    """Two threads of equal length never leave a single live thread, so
+    every columnar window is a multi-thread span: each must take the
+    per-(round, slot) fault pre-pass before its replay."""
+    case = generate_case(0, tlb_replacement="plru", tlb_geometry=WIDE)
+    shift = case.window_pages // 2
+    first = case.threads[0]
+    case.threads = [first, [(p + shift) % case.window_pages for p in first]]
+    case.policy = "PCC"
+    runs = {}
+    for tier in ("scalar", "columnar"):
+        simulator = Simulator(
+            case.build_config().with_(cores=2),
+            policy=case.huge_policy(),
+            params=case.build_params(),
+            fragmentation=case.fragmentation,
+            thread_quantum=64,
+            validate=True,
+            **ENGINE_TIER_SWITCHES[tier],
+        )
+        result = simulator.run([case.build_workload()])
+        runs[tier] = (simulator.machine.pipelines, result)
+    assert fingerprint(runs["columnar"][1]) == fingerprint(runs["scalar"][1])
+    pipelines = runs["columnar"][0]
+    # Spans count once, on the first live slot's core; core 1 never
+    # ran a single-thread epoch.
+    assert pipelines[0].columnar_plru_fallbacks > 0
+    assert pipelines[1].columnar_plru_fallbacks == 0
+    assert all(p.columnar_faults_batched > 0 for p in pipelines)
 
 
 def test_plru_and_lru_actually_diverge_on_wide_sets():

@@ -108,6 +108,22 @@ class TestBitIdentity:
         assert seen[-1]["final"] is True
         assert seen[-1]["tier"] == "columnar"
 
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_metrics_meta_names_the_tier_that_ran(self, monkeypatch,
+                                                  observed):
+        # An observed run keeps the quantum tiers (see above), so its
+        # meta must not claim the columnar tier; the final progress
+        # snapshot reports the same tier.
+        if observed:
+            monkeypatch.setenv(OBS_ENV, "1")
+        simulator, workload = _simulator()
+        seen = []
+        with progress_scope("meta", seen.append):
+            result = simulator.run([clone_workload(workload)])
+        assert result.metrics["meta"]["columnar"] is (not observed)
+        assert seen[-1]["final"] is True
+        assert seen[-1]["tier"] == ("fast" if observed else "columnar")
+
     def test_unobserved_run_exports_empty_distributions(self):
         result = _run()
         assert result.metrics["distributions"] == {}

@@ -5,11 +5,11 @@ unified L2 and the per-level page-walk caches become classified LRU
 streams (:mod:`repro.engine.residue`), and multi-thread rounds retire
 as per-core epochs. Three things must hold exactly:
 
-1. **Vectorized L2 retirement is exact.** Classification plus
-   end-of-epoch reconstruction (contents, stored entry values, LRU
-   order, evictions) must agree with a scalar replay of the
-   hierarchy's probe-refresh/fill-on-miss sequence against a real
-   :class:`~repro.tlb.tlb.TLB`.
+1. **Vectorized L2 retirement is exact.** The engine's classify and
+   rebuild pair (``machine._classify_sets`` / ``_rebuild_sets``) —
+   contents, stored entry values, LRU order, evictions — must agree
+   with a scalar replay of the hierarchy's probe-refresh/fill-on-miss
+   sequence against a real :class:`~repro.tlb.tlb.TLB`.
 
 2. **PWC classification is exact.** :func:`residue.pwc_level_outcomes`
    must agree with the walker's sequential memo-then-LRU probe loop on
@@ -28,23 +28,12 @@ from hypothesis import strategies as st
 
 from repro.config import TLBConfig
 from repro.engine import residue
-from repro.engine.columnar import classify_lru_hits, epoch_evictions
+from repro.engine.machine import _classify_sets, _rebuild_sets
 from repro.tlb.tlb import TLB
 from repro.vm.address import PageSize
 
 _ENTRY_BASE = int(PageSize.BASE)
 _ENTRY_HUGE = int(PageSize.HUGE)
-
-
-def _stack_arrays(initial):
-    sets_out, tags_out = [], []
-    for s, stack in enumerate(initial):
-        sets_out.extend([s] * len(stack))
-        tags_out.extend(stack)
-    return (
-        np.asarray(sets_out, dtype=np.intp),
-        np.asarray(tags_out, dtype=np.uint64),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -93,35 +82,31 @@ def _scalar_l2_replay(tlb, tags, kinds):
 @settings(max_examples=150, deadline=None)
 def test_vectorized_l2_matches_scalar_replay(epoch):
     nsets, ways, tags, kinds, prefill = epoch
-    tlb = TLB(TLBConfig(nsets * ways, ways, (PageSize.BASE,)), "L2")
-    for tag, kind in prefill:
-        if tag not in tlb.sets[tag % nsets]:
-            tlb.fill(tag, _ENTRY_HUGE if kind else _ENTRY_BASE)
+    config = TLBConfig(nsets * ways, ways, (PageSize.BASE,))
+    tlb = TLB(config, "L2")
+    twin = TLB(config, "L2")
+    for target in (tlb, twin):
+        for tag, kind in prefill:
+            if tag not in target.sets[tag % nsets]:
+                target.fill(tag, _ENTRY_HUGE if kind else _ENTRY_BASE)
 
-    # Snapshot, then classify/reconstruct the way _epoch_finish does.
-    initial = [list(entries) for entries in tlb.sets]
-    value_of = {}
-    for entries in tlb.sets:
-        value_of.update(entries)
+    # Classify against one copy and commit to its twin, exactly as
+    # _epoch_classify/_epoch_finish do; replay the other scalar.
     set_ids = (tags % np.uint64(nsets)).astype(np.intp)
-    init_sets, init_tags = _stack_arrays(initial)
-    hits, final = classify_lru_hits(
-        set_ids, tags, ways, init_sets, init_tags, nsets=nsets
-    )
-    occ0 = np.fromiter((len(s) for s in initial), np.int64, nsets)
-    evictions = epoch_evictions(set_ids[~hits], nsets, ways, occ0)
-    miss = ~hits
-    for tag, kind in zip(tags[miss].tolist(), kinds[miss].tolist()):
-        value_of[tag] = _ENTRY_HUGE if kind else _ENTRY_BASE
+    classified = _classify_sets(twin.sets, set_ids, tags, ways)
+    fills = np.where(kinds, _ENTRY_HUGE, _ENTRY_BASE)
+    base_evictions = twin.stats.evictions
+    _rebuild_sets(twin.sets, twin.stats, classified, fills)
 
-    base_evictions = tlb.stats.evictions
+    ref_evictions = tlb.stats.evictions
     ref_hits = _scalar_l2_replay(tlb, tags, kinds)
 
-    np.testing.assert_array_equal(hits, ref_hits)
-    assert evictions == tlb.stats.evictions - base_evictions
-    for s, entries in enumerate(tlb.sets):
-        assert list(entries) == list(final[s])  # contents, LRU->MRU
-        assert entries == {tag: value_of[tag] for tag in entries}
+    np.testing.assert_array_equal(classified.hits, ref_hits)
+    assert (twin.stats.evictions - base_evictions
+            == tlb.stats.evictions - ref_evictions)
+    for rebuilt, entries in zip(twin.sets, tlb.sets):
+        # contents, LRU->MRU order, and stored entry values
+        assert list(rebuilt.items()) == list(entries.items())
 
 
 # ----------------------------------------------------------------------

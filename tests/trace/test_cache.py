@@ -12,7 +12,6 @@ from repro.trace.cache import (
     cache_key,
     default_cache_dir,
 )
-from repro.trace.events import Trace
 
 
 @pytest.fixture
@@ -20,8 +19,8 @@ def cache(tmp_path):
     return TraceCache(tmp_path / "cache")
 
 
-def make_trace(values=(1, 2, 3)):
-    return Trace("t", np.array(values, dtype=np.uint64), footprint_bytes=64)
+def make_arrays(values=(1, 2, 3)):
+    return {"vpns": np.array(values, dtype=np.uint64)}
 
 
 class TestKey:
@@ -40,39 +39,16 @@ class TestKey:
 
 class TestCache:
     def test_miss_returns_none(self, cache):
-        assert cache.get("bfs", {"scale": 1}) is None
-
-    def test_round_trip(self, cache):
-        cache.put("bfs", {"scale": 1}, make_trace())
-        loaded = cache.get("bfs", {"scale": 1})
-        assert loaded is not None
-        assert loaded.addresses.tolist() == [1, 2, 3]
-
-    def test_get_or_build_builds_once(self, cache):
-        calls = []
-
-        def builder():
-            calls.append(1)
-            return make_trace()
-
-        first = cache.get_or_build("bfs", {"s": 2}, builder)
-        second = cache.get_or_build("bfs", {"s": 2}, builder)
-        assert len(calls) == 1
-        assert np.array_equal(first.addresses, second.addresses)
-
-    def test_corrupt_entry_treated_as_miss(self, cache):
-        cache.put("bfs", {"s": 3}, make_trace())
-        path = cache._path(cache_key("bfs", {"s": 3}))
-        path.write_bytes(b"garbage")
-        assert cache.get("bfs", {"s": 3}) is None
-        assert not path.exists()  # purged
+        assert cache.get_entry("bfs", {"scale": 1}) is None
+        assert cache.stats.misses == 1
 
     def test_clear_and_size(self, cache):
         assert cache.size_bytes() == 0
-        cache.put("a", {}, make_trace())
-        cache.put("b", {}, make_trace())
+        cache.put_entry("a", {}, make_arrays())
+        cache.put_entry("b", {}, make_arrays())
         assert cache.size_bytes() > 0
-        assert cache.clear() == 2
+        # per entry: one .npy payload plus its meta.json commit record
+        assert cache.clear() == 4
         assert cache.size_bytes() == 0
 
     def test_env_override(self, monkeypatch, tmp_path):
@@ -96,11 +72,11 @@ class TestGeneratorVersion:
 
     def test_old_entries_unreachable_after_bump(self, tmp_path):
         old_cache = TraceCache(tmp_path, generator_version=1)
-        old_cache.put("bfs", {"scale": 1}, make_trace())
-        assert old_cache.get("bfs", {"scale": 1}) is not None
+        old_cache.put_entry("bfs", {"scale": 1}, make_arrays())
+        assert old_cache.get_entry("bfs", {"scale": 1}) is not None
 
         new_cache = TraceCache(tmp_path, generator_version=2)
-        assert new_cache.get("bfs", {"scale": 1}) is None
+        assert new_cache.get_entry("bfs", {"scale": 1}) is None
 
     def test_default_version_is_current(self, tmp_path):
         cache = TraceCache(tmp_path)
