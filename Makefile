@@ -35,7 +35,7 @@ fuzz:
 # engine tier shares the drifted policy, so only the independent
 # reference model can see it.
 fuzz-selftest:
-	@for defect in stale-hints pcc-no-decay region-count-drift; do \
+	@for defect in lost-fast-hits pcc-no-decay region-count-drift; do \
 		echo "=== defect: $$defect ==="; \
 		$(PYTHON) -m repro validate --fuzz 40 \
 			--inject-defect $$defect \

@@ -195,7 +195,6 @@ class OSConfig:
     demotion_enabled: bool = False
     #: khugepaged-equivalent scan budget (pages per interval), per §5.1
     scan_pages_per_interval: int = 4096
-    compaction_enabled: bool = True
 
 
 @dataclass(frozen=True)

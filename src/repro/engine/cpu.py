@@ -92,12 +92,8 @@ class Core:
         accesses. Base (non-translation) cycles are the timing model's
         concern, not the core's.
 
-        Returns ``(cycles, level, page_size)``: the translation cycles,
-        the :class:`~repro.tlb.hierarchy.HitLevel` that answered, and
-        the effective :class:`~repro.vm.address.PageSize` of the
-        translation (on a miss, the size the walk resolved and filled).
-        The extra outputs let the translation pipeline maintain its
-        fast-path hints without re-probing any structure.
+        Returns ``(cycles, level)``: the translation cycles and the
+        :class:`~repro.tlb.hierarchy.HitLevel` that answered.
         """
         stats = self.stats
         stats.accesses += repeat
@@ -106,14 +102,13 @@ class Core:
         level = result.level
         if level is HitLevel.L1:
             stats.l1_hits += repeat
-            return self._l1_hit_cycles * repeat, level, result.page_size
+            return self._l1_hit_cycles * repeat, level
         if level is HitLevel.L2:
             stats.l2_hits += 1
             stats.l1_hits += extra_hits
             return (
                 self._l2_hit_cycles + self._l1_hit_cycles * extra_hits,
                 level,
-                result.page_size,
             )
 
         # Full hierarchy miss: hardware walk + PCC admission (Fig. 3).
@@ -130,10 +125,9 @@ class Core:
             self._pcc_1gb_access(
                 walk.pcc_1gb_candidate, promoted_leaf=walk.leaf_is_promoted
             )
-        page_size = walk.mapping.page_size
-        self._tlb_fill(vpn, page_size)
+        self._tlb_fill(vpn, walk.mapping.page_size)
         stats.translation_cycles += cycles
-        return cycles, level, page_size
+        return cycles, level
 
     def access_page(self, vpn: int, page_table: PageTable, repeat: int = 1) -> int:
         """Cycles for ``repeat`` accesses to ``vpn`` (see :meth:`translate`)."""

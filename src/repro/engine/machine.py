@@ -6,7 +6,7 @@ explicit, composable stages:
 - :class:`ThreadScheduler` — round-robin over bound threads in fixed
   access quanta (the concurrency model of §5.2);
 - :class:`TranslationPipeline` — the per-core TLB → walker → PCC path,
-  fronted by a memoized translation fast path for repeated hits;
+  fronted by a live L1 probe that answers repeated hits;
 - :class:`FaultPath` — first-touch fault filtering into the kernel (so
   greedy THP acts at the right moment);
 - :class:`OsTickDriver` — the periodic OS promotion interval, timeline
@@ -23,37 +23,20 @@ The translation fast path
 The hot loop's dominant cost is the Python object graph under
 ``TLBHierarchy.lookup`` — method dispatch, per-structure statistics,
 and several frames of call overhead — paid even when an access
-trivially hits the L1 TLB again. The pipeline answers L1 hits in two
-tiers. Tier 1 is a memoized *MRU hint* per L1 set: the tag most
-recently made most-recently-used in that set. An access whose VPN (or
-2MB region tag) matches its set's hint is guaranteed to hit L1 **with
-zero state change** — re-running the full path would delete and
-reinsert the tag at the same MRU position — so the pipeline answers
-from the memo with no dict traffic at all. Tier 2 probes the live L1
-set dict directly, in the hierarchy's order (4K before 2M): on a hit
-the real path's *entire* state change is the del/reinsert LRU refresh,
-which the tier performs itself. Both tiers charge constant hit cycles
-and batch the statistics; everything else (L2 hits, 1GB hits, walks)
-takes the full path, which also refreshes the hints.
-
-Exactness: tier 2 operates on the live TLB dicts, so only the tier-1
-hints can go stale — and only through TLB mutation that bypasses the
-access path (shootdowns, promotions/demotions, full flushes), all of
-which happen inside the OS tick; the machine bumps the pipeline's
-epoch counter after every tick, wholesale-invalidating the hints.
-Evictions cannot invalidate a hint (victims are LRU, hints are MRU)
-and fills/refills update the affected set's hint in the same step, so
-the fast path is bit-identical to the slow path — the property tests
-assert equal walks, hits, cycles, and promotions with the memo on and
-off.
-
-Under tree-PLRU replacement dict order no longer tracks recency, so
-tier 2 probes the L1's tag->way map instead and performs the real
-path's entire state change itself: one masked tree touch
-(``plru.touch_masks``) plus the batched hit count. Tier 1 stays exact —
-a hint match means the set's most recent probe touched this very tag,
-so the tree already points away from its way and the skipped re-touch
-is a no-op (PLRU touch is idempotent).
+trivially hits the L1 TLB again. The fast path answers L1 hits with
+one probe of the live L1 set, in the hierarchy's order (4K before
+2M). Under LRU a hit's *entire* state change on the real path is the
+del/reinsert recency refresh, which the probe performs itself; under
+tree-PLRU dict order no longer tracks recency, so the probe reads the
+L1's tag->way map instead and performs the one masked tree touch
+(``plru.touch_masks``) the real lookup would. Either way the probe
+charges constant hit cycles and batches the statistics; everything
+else (L2 hits, 1GB hits, walks) takes the full path. The probe reads
+only live TLB state and keeps none of its own, so nothing the OS tick
+does to the TLBs (shootdowns, promotions, demotions, flushes) can
+leave it stale, and the fast path is bit-identical to the slow path —
+the property tests assert equal walks, hits, cycles, and promotions
+across the tiers.
 
 The columnar epoch tier
 -----------------------
@@ -108,8 +91,7 @@ OS-tick interval** as one epoch per live thread:
    L1s, the L2, the 1GB L1, and the PWCs — are rebuilt to their exact
    end-of-epoch contents (the W most recently touched distinct tags
    per set, LRU→MRU), evictions are counted from per-set fill counts
-   against start-of-epoch occupancy, and the MRU hints are re-pointed
-   at the rebuilt MRU entries — so every later tier, tick, and
+   against start-of-epoch occupancy — so every later tier, tick, and
    invariant check observes precisely the state record-at-a-time
    simulation would have left.
 
@@ -221,8 +203,7 @@ def _classify_sets(sets_dicts, setw, tags, ways: int) -> _SetsEpoch:
     return _SetsEpoch(tags, hits, final, evictions)
 
 
-def _rebuild_sets(sets_dicts, stats, epoch: _SetsEpoch, entry,
-                  mru=None) -> None:
+def _rebuild_sets(sets_dicts, stats, epoch: _SetsEpoch, entry) -> None:
     """Commit a :func:`_classify_sets` result to the live structure.
 
     Counts the evictions into ``stats`` and rebuilds every set dict to
@@ -230,8 +211,7 @@ def _rebuild_sets(sets_dicts, stats, epoch: _SetsEpoch, entry,
     stores: one int, or — for the unified L2, whose 4K and 2MB fills
     store different values — an array of one value per touch; a hit
     keeps the stored value, so the fill history is replayed over the
-    initial values. ``mru`` (an L1's hint list) is re-pointed at every
-    set's rebuilt MRU tag.
+    initial values.
     """
     stats.evictions += epoch.evictions
     if isinstance(entry, np.ndarray):
@@ -250,9 +230,6 @@ def _rebuild_sets(sets_dicts, stats, epoch: _SetsEpoch, entry,
             entries.clear()
             for tag in content:
                 entries[tag] = entry
-    if mru is not None:
-        for s, content in enumerate(epoch.final):
-            mru[s] = content[-1] if content else -1
 
 
 class _EpochContext:
@@ -359,12 +336,11 @@ class ThreadScheduler:
 
 
 class TranslationPipeline:
-    """Per-core translation stage: memo fast path over TLB→walker→PCC.
+    """Per-core translation stage: L1 probe fast path over TLB→walker→PCC.
 
-    Owns the per-set MRU hints described in the module docstring, the
-    batched fast-hit counters (flushed into the canonical stats bags by
-    :meth:`sync`), and the epoch counter that wholesale-invalidates the
-    memo on shootdown/promotion/flush.
+    Owns the batched fast-hit counters (flushed into the canonical
+    stats bags by :meth:`sync`) and the tier counters; the fast path
+    itself keeps no state between quanta (see the module docstring).
     """
 
     #: below this epoch window (records) the whole-epoch pass cannot
@@ -374,17 +350,12 @@ class TranslationPipeline:
     def __init__(self, core: Core, fast_path: bool = True) -> None:
         self.core = core
         self.fast_path = fast_path
-        #: bumped on every wholesale invalidation (OS tick shootdowns)
-        self.epoch = 0
         l1_base = core.tlb.l1_base
         l1_huge = core.tlb.l1_huge
         self._base_sets = l1_base.sets
         self._huge_sets = l1_huge.sets
         self._nbase = l1_base.nsets
         self._nhuge = l1_huge.nsets
-        #: per-set MRU hint tags; -1 is never a valid tag
-        self._base_mru = [-1] * self._nbase
-        self._huge_mru = [-1] * self._nhuge
         self._l1_hit_cycles = core.config.timing.l1_tlb_hit_cycles
         # Translate indirection for observability: normally the bound
         # method itself (identical cost to the old direct binding); an
@@ -398,7 +369,6 @@ class TranslationPipeline:
         # Cumulative fast-path metrics (records, not raw accesses).
         self.fast_hits = 0
         self.slow_records = 0
-        self.invalidations = 0
         # Columnar epoch tier counters: epochs run, records retired by
         # classification, records run through the live-residue loop,
         # windows the classifier declined, and a power-of-two
@@ -423,7 +393,7 @@ class TranslationPipeline:
         # as fault pre-pass plus fast-loop replay; bit-identical.
         self.columnar_plru_fallbacks = 0
         # Under PLRU dict order no longer tracks recency, so the fast
-        # loop's tier 2 probes the tag->way maps and performs the masked
+        # loop probes the tag->way maps and performs the masked
         # tree touch instead of the del/reinsert (see the module
         # docstring); these are the L1s' live PLRU views.
         self._plru = core.config.tlb.l1_base.replacement == "plru"
@@ -472,7 +442,7 @@ class TranslationPipeline:
                 vaddr = vpn << BASE_PAGE_SHIFT
                 if not is_mapped(vaddr):
                     fault(vaddr)
-            step_cycles, level, _size = translate(vpn, page_table, repeat)
+            step_cycles, level = translate(vpn, page_table, repeat)
             cycles += step_cycles
             if level is miss_level:
                 walks += 1
@@ -482,20 +452,16 @@ class TranslationPipeline:
         return i, start_budget - budget, cycles, walks
 
     def _run_quantum_fast(self, slot: _ThreadSlot, budget: int, page_table):
-        """Memoized loop: L1 hits bypass the TLB object graph.
+        """Probe loop: L1 hits bypass the TLB object graph.
 
-        Two tiers in front of the full path. Tier 1 is the per-set MRU
-        memo: a hint match proves an L1 hit with zero state change, so
-        not even the set dict is touched (this is why the memo must be
-        epoch-invalidated when ticks mutate TLB state behind it — a
-        stale hint would claim a shot-down entry still hits). Tier 2
-        probes the live L1 set dict directly: on a hit the *entire*
-        state change of the real path is the del/reinsert LRU refresh,
-        which the tier performs itself, skipping the translate→lookup→
-        hit_fast call stack and batching the statistics.
+        One tier in front of the full path probes the live L1 set dict
+        directly: on a hit the *entire* state change of the real path
+        is the del/reinsert LRU refresh, which the loop performs
+        itself, skipping the translate→lookup→hit_fast call stack and
+        batching the statistics.
 
         Under PLRU the del/reinsert has no meaning (dict order is not
-        recency), so tier 2 probes the L1's tag->way map and performs
+        recency), so the probe reads the L1's tag->way map and performs
         the masked tree touch the full path's lookup would, with the
         same batched hit count; one ``if`` per structure picks the
         policy. The same reasoning keeps both exact: a live-L1-hit
@@ -505,9 +471,10 @@ class TranslationPipeline:
         backing per region between shootdowns), so the 4K-first probe
         order matches the hierarchy's.
 
-        Counter bookkeeping is hoisted out of the loop: accesses fall
-        out of the budget delta, and fast-hit cycles are one multiply
-        over the accumulated repeat counts.
+        Counter bookkeeping is hoisted out of the loop: a 4KB hit, the
+        common case, counts nothing — its records and accesses fall out
+        of the cursor and budget deltas net of the 2MB hits and the
+        full-path records — and fast-hit cycles are one multiply.
         """
         vpns = slot.vpns
         counts = slot.counts
@@ -517,8 +484,6 @@ class TranslationPipeline:
         fault = slot.fault
         is_mapped = page_table.is_mapped
         translate = self._translate
-        base_mru = self._base_mru
-        huge_mru = self._huge_mru
         base_sets = self._base_sets
         huge_sets = self._huge_sets
         nbase = self._nbase
@@ -528,41 +493,26 @@ class TranslationPipeline:
             b_way_of, b_bits, b_keep, b_setm = self._base_plru
             h_way_of, h_bits, h_keep, h_setm = self._huge_plru
         miss_level = HitLevel.MISS
-        size_base = PageSize.BASE
-        size_huge = PageSize.HUGE
+        start = i
         start_budget = budget
-        #: accesses answered by the fast tiers (repeat counts included)
-        fast_units = 0
         cycles = 0
         walks = 0
-        fast_base = 0
         fast_huge = 0
         slow = 0
+        #: accesses that took the full path (repeat counts included)
+        slow_units = 0
         while budget > 0 and i < n:
             vpn = vpns[i]
             repeat = counts[i]
             base_set = vpn % nbase
-            if base_mru[base_set] == vpn:
-                # Tier 1: vpn is the MRU of its L1-4K set — guaranteed
-                # hit, zero state change. (The hint implies a prior
-                # access to vpn, so the seen-set already has it and the
-                # fault check would be a no-op.)
-                fast_base += 1
-                fast_units += repeat
-                budget -= repeat
-                i += 1
-                continue
             if plru:
                 way = b_way_of[base_set].get(vpn)
                 if way is not None:
-                    # Tier 2 under PLRU: the real path's only state
-                    # change is this masked tree touch.
+                    # Live L1-4K hit under PLRU: the real path's only
+                    # state change is this masked tree touch.
                     b_bits[base_set] = (
                         (b_bits[base_set] & b_keep[way]) | b_setm[way]
                     )
-                    base_mru[base_set] = vpn
-                    fast_base += 1
-                    fast_units += repeat
                     budget -= repeat
                     i += 1
                     continue
@@ -570,15 +520,12 @@ class TranslationPipeline:
                 entries = base_sets[base_set]
                 size = entries.get(vpn)
                 if size is not None:
-                    # Tier 2: live L1-4K hit. The real path's only state
-                    # change is this LRU refresh; a 4KB entry is filled
-                    # by a prior access to this exact vpn, so the
-                    # seen-set already has it.
+                    # Live L1-4K hit. The real path's only state change
+                    # is this LRU refresh; a 4KB entry is filled by a
+                    # prior access to this exact vpn, so the seen-set
+                    # already has it.
                     del entries[vpn]
                     entries[vpn] = size
-                    base_mru[base_set] = vpn
-                    fast_base += 1
-                    fast_units += repeat
                     budget -= repeat
                     i += 1
                     continue
@@ -595,22 +542,13 @@ class TranslationPipeline:
             # the real probe order: 4K first, then 2M.
             huge_tag = vpn >> _HUGE_SHIFT
             huge_set = huge_tag % nhuge
-            if huge_mru[huge_set] == huge_tag:
-                # Tier 1, 2MB: the covering entry is MRU of its set.
-                fast_huge += 1
-                fast_units += repeat
-                budget -= repeat
-                i += 1
-                continue
             if plru:
                 way = h_way_of[huge_set].get(huge_tag)
                 if way is not None:
                     h_bits[huge_set] = (
                         (h_bits[huge_set] & h_keep[way]) | h_setm[way]
                     )
-                    huge_mru[huge_set] = huge_tag
                     fast_huge += 1
-                    fast_units += repeat
                     budget -= repeat
                     i += 1
                     continue
@@ -618,35 +556,31 @@ class TranslationPipeline:
                 hentries = huge_sets[huge_set]
                 hsize = hentries.get(huge_tag)
                 if hsize is not None:
-                    # Tier 2, 2MB: live L1-2M hit with its LRU refresh.
+                    # Live L1-2M hit with its LRU refresh.
                     del hentries[huge_tag]
                     hentries[huge_tag] = hsize
-                    huge_mru[huge_set] = huge_tag
                     fast_huge += 1
-                    fast_units += repeat
                     budget -= repeat
                     i += 1
                     continue
             slow += 1
-            step_cycles, level, size = translate(vpn, page_table, repeat)
+            slow_units += repeat
+            step_cycles, level = translate(vpn, page_table, repeat)
             cycles += step_cycles
             if level is miss_level:
                 walks += 1
-            # The access left its translation at the MRU position of
-            # the structure matching ``size`` (hit-refresh or fill).
-            if size is size_base:
-                base_mru[base_set] = vpn
-            elif size is size_huge:
-                huge_mru[huge_set] = huge_tag
             budget -= repeat
             i += 1
+        accesses = start_budget - budget
+        fast_units = accesses - slow_units
+        fast_base = i - start - slow - fast_huge
         cycles += self._l1_hit_cycles * fast_units
         self._pending_base_records += fast_base
         self._pending_huge_records += fast_huge
         self._pending_accesses += fast_units
         self.fast_hits += fast_base + fast_huge
         self.slow_records += slow
-        return i, start_budget - budget, cycles, walks
+        return i, accesses, cycles, walks
 
     def _attach_epoch_views(self, slot: _ThreadSlot) -> None:
         """Precompute this slot's per-core set-index views, once.
@@ -1042,10 +976,10 @@ class TranslationPipeline:
         plan = tlbH._fill_plan
         if ctx.base is not None:
             _rebuild_sets(self._base_sets, tlbH.l1_base.stats, ctx.base,
-                          plan[PageSize.BASE][3], mru=self._base_mru)
+                          plan[PageSize.BASE][3])
         if ctx.huge is not None:
             _rebuild_sets(self._huge_sets, tlbH.l1_huge.stats, ctx.huge,
-                          plan[PageSize.HUGE][3], mru=self._huge_mru)
+                          plan[PageSize.HUGE][3])
         if ctx.l2 is not None:
             _rebuild_sets(tlbH._l2_sets, tlbH.l2.stats, ctx.l2,
                           ctx.l2_fills)
@@ -1109,25 +1043,11 @@ class TranslationPipeline:
         self._pending_huge_records = 0
         self._pending_accesses = 0
 
-    def invalidate_hints(self) -> None:
-        """Wholesale memo invalidation (epoch bump).
-
-        The OS tick's shootdowns, promotions, demotions, and flushes
-        mutate TLB state behind the pipeline's back; dropping every
-        hint restores the guarantee that a hint match implies a
-        state-change-free L1 hit.
-        """
-        self.epoch += 1
-        self.invalidations += 1
-        self._base_mru = [-1] * self._nbase
-        self._huge_mru = [-1] * self._nhuge
-
     def as_metrics(self, prefix: str) -> dict[str, int]:
         """Fast-path counter readings for the metrics registry."""
         values = {
             f"{prefix}.fast_hits": self.fast_hits,
             f"{prefix}.slow_records": self.slow_records,
-            f"{prefix}.invalidations": self.invalidations,
             f"{prefix}.columnar_epochs": self.columnar_epochs,
             f"{prefix}.columnar_retired": self.columnar_retired,
             f"{prefix}.columnar_residue_records":
@@ -1715,37 +1635,24 @@ class Machine:
                   final: bool = False):
         """One promotion interval, observed or not (due and final paths).
 
-        Replicates the former inline sequence exactly — sync, invariant
-        pre-sweep, tick, conditional (unconditional when final) memo
-        invalidation — adding, only on observed runs, a pre-tick PCC/TLB
-        snapshot, an ``os_tick`` span, the tick-duration histogram
-        sample, and promotion-lag samples from the tick's outcome.
+        Sync, invariant pre-sweep, tick. Only observed runs add a
+        pre-tick PCC/TLB snapshot, an ``os_tick`` span, the
+        tick-duration histogram sample, and promotion-lag samples from
+        the tick's outcome.
         """
         start_ns = time.perf_counter_ns() if obs is not None else 0
         self.sync_pipelines()
         if monitor is not None:
             monitor.before_tick()
+        tick = ticks.final_tick if final else ticks.tick
         if obs is None:
-            return self._tick_and_invalidate(ticks, final)
+            return tick(self.cores, self.ledgers)
         self._snapshot_state(obs, ticks)
         with obs.span("os_tick", cat="os", final=final,
                       accesses=ticks.total_accesses):
-            outcome = self._tick_and_invalidate(ticks, final)
+            outcome = tick(self.cores, self.ledgers)
         obs.note_promotions(outcome.promoted, ticks.total_accesses)
         obs.note_tick((time.perf_counter_ns() - start_ns) / 1000.0)
-        return outcome
-
-    def _tick_and_invalidate(self, ticks: OsTickDriver, final: bool):
-        obs = self.obs
-        stamp = self._tlb_mutation_stamp()
-        if final:
-            outcome = ticks.final_tick(self.cores, self.ledgers)
-        else:
-            outcome = ticks.tick(self.cores, self.ledgers)
-        if final or self._tlb_mutation_stamp() != stamp:
-            with obs.span("tick.flush", cat="os") if obs is not None \
-                    else nullcontext():
-                self.invalidate_fast_paths()
         return outcome
 
     def _attach_walk_observers(self, obs: RunObserver, ticks: OsTickDriver) -> None:
@@ -1821,36 +1728,6 @@ class Machine:
         """Flush every pipeline's batched counters into the stats bags."""
         for pipeline in self.pipelines:
             pipeline.sync()
-
-    def invalidate_fast_paths(self) -> None:
-        """Epoch-bump every pipeline after TLB state changed externally."""
-        for pipeline in self.pipelines:
-            pipeline.invalidate_hints()
-
-    def _tlb_mutation_stamp(self) -> int:
-        """Total TLB invalidations across every core and structure.
-
-        Every way an OS tick can mutate TLB state behind the pipelines'
-        backs — promotion/demotion shootdowns, giga shootdowns, full
-        flushes — removes entries through ``TLB.invalidate``/``flush``,
-        which count only entries actually present. An unchanged stamp
-        across a tick therefore proves no hint was invalidated: a hint
-        names a set's MRU entry, so the entry it vouches for is
-        resident, and removing a resident entry always bumps a counter.
-        Ticks that promote nothing (always for the NONE policy, often
-        for interval policies) then keep the memo alive at zero risk to
-        bit-identity.
-        """
-        total = 0
-        for core in self.cores:
-            tlb = core.tlb
-            total += (
-                tlb.l1_base.stats.invalidations
-                + tlb.l1_huge.stats.invalidations
-                + tlb.l1_giga.stats.invalidations
-                + tlb.l2.stats.invalidations
-            )
-        return total
 
     def _assign_ids(self, workloads: list[ProcessWorkload]) -> None:
         for process in workloads:

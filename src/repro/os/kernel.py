@@ -48,19 +48,19 @@ class KernelParams:
     promotion_bias_processes: tuple[int, ...] = ()
     demotion_enabled: bool = False
     scan_pages_per_interval: int = 4096
-    compaction_enabled: bool = True
     #: lifetime cap on PCC promotions (utility-curve footprint budget)
     promotion_budget_regions: int | None = None
     #: preselected 2MB regions for the ORACLE policy (§5.4.2)
     static_huge_regions: tuple[int, ...] = ()
-    #: candidates below this PCC frequency are never promoted
-    min_candidate_frequency: int = 1
-    #: under contiguity pressure, spend at most 1/4 of the remaining
-    #: capacity per interval (§3.3.1 pressure-adaptive tuning)
-    pressure_throttle: bool = True
     #: "flush" dumps-and-clears each PCC per interval (Fig. 4); "snapshot"
     #: reads the ranked contents on demand without clearing
     pcc_dump_mode: str = "flush"
+
+    #: khugepaged, HawkEye and the static allocator may compact to find
+    #: a contiguous frame (the PCC engine's own switch is
+    #: ``PromotionEngine.ALLOW_COMPACTION``); a class constant, not a
+    #: field
+    COMPACTION_ENABLED = True
 
 
 @dataclass
@@ -93,7 +93,6 @@ class SimulatedKernel:
             promotion_bias_processes=config.os.promotion_bias_processes,
             demotion_enabled=config.os.demotion_enabled,
             scan_pages_per_interval=config.os.scan_pages_per_interval,
-            compaction_enabled=config.os.compaction_enabled,
         )
         self.physmem = PhysicalMemory(config.memory_bytes)
         if fragmentation > 0.0:
@@ -113,7 +112,7 @@ class SimulatedKernel:
             Khugepaged(
                 self.physmem,
                 scan_pages_per_interval=self.params.scan_pages_per_interval,
-                allow_compaction=self.params.compaction_enabled,
+                allow_compaction=KernelParams.COMPACTION_ENABLED,
             )
             if policy is HugePagePolicy.LINUX_THP
             else None
@@ -127,7 +126,7 @@ class SimulatedKernel:
                 max_promotions_per_interval=max(
                     1, self.params.scan_pages_per_interval // 512
                 ),
-                allow_compaction=self.params.compaction_enabled,
+                allow_compaction=KernelParams.COMPACTION_ENABLED,
             )
             if policy is HugePagePolicy.HAWKEYE
             else None
@@ -136,7 +135,7 @@ class SimulatedKernel:
             StaticHugeAllocator(
                 self.physmem,
                 regions=list(self.params.static_huge_regions),
-                allow_compaction=self.params.compaction_enabled,
+                allow_compaction=KernelParams.COMPACTION_ENABLED,
             )
             if policy is HugePagePolicy.ORACLE
             else None
@@ -148,9 +147,6 @@ class SimulatedKernel:
                 promotion_policy=self.params.promotion_policy,
                 biased_pids=self.params.promotion_bias_processes,
                 demotion_enabled=self.params.demotion_enabled,
-                allow_compaction=self.params.compaction_enabled,
-                min_frequency=self.params.min_candidate_frequency,
-                pressure_throttle=self.params.pressure_throttle,
             )
             if policy is HugePagePolicy.PCC
             else None

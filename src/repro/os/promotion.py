@@ -64,6 +64,18 @@ class PromotionOutcome:
 class PromotionEngine:
     """Applies PCC candidate lists to page tables and physical memory."""
 
+    #: allocate promotion frames by compacting partial frames if needed
+    ALLOW_COMPACTION = True
+    #: frequency ratio a promoted page must fall below (relative to the
+    #: best waiting candidate) before demotion frees its frame
+    DEMOTION_RATIO = 0.5
+    #: candidates below this frequency are not promoted this interval —
+    #: the PCC holds "many entries with a frequency of 0" (§3.2.1) and
+    #: spending scarce contiguity on them is wasteful
+    MIN_FREQUENCY = 1
+    #: spend at most a quarter of scarce contiguity per interval
+    PRESSURE_THROTTLE = True
+
     def __init__(
         self,
         physmem: PhysicalMemory,
@@ -71,26 +83,12 @@ class PromotionEngine:
         promotion_policy: int = 1,
         biased_pids: tuple[int, ...] = (),
         demotion_enabled: bool = False,
-        allow_compaction: bool = True,
-        #: frequency ratio a promoted page must fall below (relative to
-        #: the best waiting candidate) before demotion frees its frame
-        demotion_ratio: float = 0.5,
-        #: candidates below this frequency are not promoted this
-        #: interval — the PCC holds "many entries with a frequency of 0"
-        #: (§3.2.1) and spending scarce contiguity on them is wasteful
-        min_frequency: int = 1,
-        #: spend at most a quarter of scarce contiguity per interval
-        pressure_throttle: bool = True,
     ) -> None:
         self.physmem = physmem
         self.regions_to_promote = regions_to_promote
         self.promotion_policy = promotion_policy
         self.biased_pids = tuple(biased_pids)
         self.demotion_enabled = demotion_enabled
-        self.allow_compaction = allow_compaction
-        self.demotion_ratio = demotion_ratio
-        self.min_frequency = min_frequency
-        self.pressure_throttle = pressure_throttle
         self.stats = PromotionStats()
         #: frame backing each promoted (pid, prefix), for demotion
         self._huge_frames: dict[tuple[int, int], int] = {}
@@ -143,9 +141,9 @@ class PromotionEngine:
         # ... based on ... system memory pressure"): when contiguous
         # capacity is scarce, spend at most a quarter of it per interval
         # so later — better-informed — candidate lists still find room.
-        if self.pressure_throttle:
+        if self.PRESSURE_THROTTLE:
             capacity = self.physmem.free_huge_frames()
-            if self.allow_compaction:
+            if self.ALLOW_COMPACTION:
                 capacity += self.physmem.compactable_frames()
             if capacity <= 4 * self.regions_to_promote:
                 quota = min(quota, max(1, capacity // 4))
@@ -161,7 +159,7 @@ class PromotionEngine:
                 continue  # 1GB candidates handled by maybe_promote_giga
             if record.promoted_leaf or table.is_promoted(record.tag):
                 continue  # already huge: demotion logic's concern
-            if record.frequency < self.min_frequency:
+            if record.frequency < self.MIN_FREQUENCY:
                 continue  # too cold to spend contiguous memory on
             if not table.region_base_pages(record.tag):
                 continue  # nothing resident (stale candidate)
@@ -181,7 +179,6 @@ class PromotionEngine:
             quota -= 1
             if on_shootdown is not None:
                 on_shootdown(record.pid, record.tag)
-        outcome.pages_migrated += 0
         return outcome
 
     def _acquire_frame(
@@ -195,7 +192,7 @@ class PromotionEngine:
         """Free frame for ``wanting``, possibly via compaction/demotion."""
         try:
             frame, migrated = self.physmem.allocate_huge(
-                allow_compaction=self.allow_compaction
+                allow_compaction=self.ALLOW_COMPACTION
             )
             self.stats.pages_migrated += migrated
             outcome.pages_migrated += migrated
@@ -211,7 +208,7 @@ class PromotionEngine:
         self._demote(pid, prefix, page_tables[pid], on_shootdown, outcome)
         try:
             frame, migrated = self.physmem.allocate_huge(
-                allow_compaction=self.allow_compaction
+                allow_compaction=self.ALLOW_COMPACTION
             )
             self.stats.pages_migrated += migrated
             outcome.pages_migrated += migrated
@@ -279,7 +276,7 @@ class PromotionEngine:
         for key, freq in self._promo_frequency.items():
             if key in still_hot:
                 continue
-            if wanting.frequency * self.demotion_ratio <= freq:
+            if wanting.frequency * self.DEMOTION_RATIO <= freq:
                 continue
             if best is None or freq < best_freq:
                 best = key
@@ -339,7 +336,7 @@ class PromotionEngine:
             table = page_tables.get(record.pid)
             if table is None or table.is_giga_promoted(record.tag):
                 continue
-            if record.frequency < self.min_frequency:
+            if record.frequency < self.MIN_FREQUENCY:
                 continue
             first_2mb = record.tag * 512
             constituent_max = max(

@@ -4,9 +4,12 @@ A validation subsystem that has never caught a bug proves nothing. Each
 defect here is a named, reversible monkeypatch that disables one
 correctness mechanism the oracle and invariants are supposed to defend:
 
-- ``stale-hints`` — the fast path's MRU-hint memo is never invalidated
-  after OS ticks mutate TLB state, so the fast tier serves
-  translations from entries that shootdowns have removed;
+- ``lost-fast-hits`` — the translation pipeline's flush of its batched
+  hit counters drops the 2MB L1 hits, so the fast and columnar tiers
+  under-count L1-2M hits (and hierarchy accesses) against the scalar
+  reference, which never batches. The drop is self-consistent — every
+  per-core partition law still balances — so only tier comparison
+  sees it;
 - ``pcc-no-decay`` — the PCC's decay-on-saturation pass is disabled,
   letting frequency counters climb past the architectural
   ``counter_max``;
@@ -33,16 +36,24 @@ from typing import Callable, Iterator
 
 
 @contextlib.contextmanager
-def stale_hints() -> Iterator[None]:
-    """Disable fast-path hint invalidation after TLB mutations."""
+def lost_fast_hits() -> Iterator[None]:
+    """Make the pipeline's counter flush drop its pending 2MB L1 hits."""
     from repro.engine.machine import TranslationPipeline
 
-    original = TranslationPipeline.invalidate_hints
-    TranslationPipeline.invalidate_hints = lambda self: None
+    original = TranslationPipeline.sync
+
+    def lossy_sync(self) -> None:
+        lost = self._pending_huge_records
+        original(self)
+        tlb = self.core.tlb
+        tlb.accesses -= lost
+        tlb.l1_huge.stats.hits -= lost
+
+    TranslationPipeline.sync = lossy_sync
     try:
         yield
     finally:
-        TranslationPipeline.invalidate_hints = original
+        TranslationPipeline.sync = original
 
 
 @contextlib.contextmanager
@@ -108,7 +119,7 @@ def tlb_plru_drift() -> Iterator[None]:
 
 #: name -> context manager installing the defect for the duration
 DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
-    "stale-hints": stale_hints,
+    "lost-fast-hits": lost_fast_hits,
     "pcc-no-decay": pcc_no_decay,
     "region-count-drift": region_count_drift,
     "tlb-plru-drift": tlb_plru_drift,

@@ -8,10 +8,6 @@ correctness argument rests on:
 
 - **TLB legality** — no set holds more entries than its ways, and every
   resident entry's stored page-size shift is one the structure serves;
-- **fast-path hint legality** — a non-empty per-set MRU hint must name
-  the entry currently at the MRU position of its live set (a stale hint
-  is exactly the bug class the epoch invalidation protocol exists to
-  prevent);
 - **PCC counter laws** — frequencies stay within the saturating-counter
   range (the halve-all decay law), occupancy never exceeds capacity,
   and the per-set fill bookkeeping matches the entries actually stored;
@@ -107,8 +103,6 @@ class InvariantMonitor:
             self.check_tlb(core)
             self.check_pcc(core)
             self.check_stats(core)
-        for pipeline in self.machine.pipelines:
-            self.check_hints(pipeline)
         for pid, process in self.machine.kernel.processes.items():
             self.check_page_table(pid, process.page_table)
         if ticks is not None:
@@ -151,65 +145,6 @@ class InvariantMonitor:
                     f"core {core.core_id} {structure.name} resident "
                     f"{occupancy} > {structure.config.entries} entries",
                 )
-
-    # ------------------------------------------------------------------
-    # translation fast-path hints
-
-    def check_hints(self, pipeline) -> None:
-        """A live MRU hint must name its set's actual MRU entry.
-
-        This is the exactness contract of the memoized fast path (see
-        the :mod:`repro.engine.machine` docstring): tier 1 answers from
-        the hint without touching the set, which is only legal while
-        the hint is the tag most recently made MRU in that set. Epoch
-        invalidation resets hints to -1; anything else must keep them
-        exact. Under LRU "most recently made MRU" is the last key of
-        the insertion-ordered set dict; under tree-PLRU the dict order
-        is meaningless, so the check becomes touch idempotence — the
-        hint's way must already be marked most-recently-used, i.e.
-        re-touching it must leave the direction bits unchanged (the
-        exact property tier 1 relies on to skip the re-touch).
-        """
-        from repro.tlb import plru
-
-        core_id = pipeline.core.core_id
-        tlb = pipeline.core.tlb
-        for label, hints, structure in (
-            ("L1-4K", pipeline._base_mru, tlb.l1_base),
-            ("L1-2M", pipeline._huge_mru, tlb.l1_huge),
-        ):
-            sets = structure.sets
-            is_plru = structure.config.replacement == "plru"
-            ways = structure.config.ways
-            for index, hint in enumerate(hints):
-                if hint == -1:
-                    continue
-                entries = sets[index]
-                if hint not in entries:
-                    _fail(
-                        "fastpath.hint",
-                        f"core {core_id} {label} set {index} hint "
-                        f"{hint:#x} names an entry not resident (stale "
-                        f"hint survived a shootdown?)",
-                    )
-                if is_plru:
-                    bits, way_tags = structure.plru_state(index)
-                    way = way_tags.index(hint)
-                    if plru.touch(bits, ways, way) != bits:
-                        _fail(
-                            "fastpath.hint",
-                            f"core {core_id} {label} set {index} hint "
-                            f"{hint:#x} (way {way}) is not the tree's "
-                            f"most-recently-touched way (bits {bits:#x})",
-                        )
-                    continue
-                mru = next(reversed(entries))
-                if mru != hint:
-                    _fail(
-                        "fastpath.hint",
-                        f"core {core_id} {label} set {index} hint "
-                        f"{hint:#x} is not the MRU entry ({mru:#x})",
-                    )
 
     # ------------------------------------------------------------------
     # PCC counter laws

@@ -56,7 +56,6 @@ PUBLIC_MODULES = [
     "repro.analysis.aggregate",
     "repro.analysis.diagnostics",
     "repro.analysis.tracestats",
-    "repro.virt",
     "repro.experiments",
     "repro.experiments.common",
     "repro.experiments.fig1",
@@ -94,11 +93,10 @@ def test_package_all_subpackages_have_init_exports():
     import repro.os
     import repro.tlb
     import repro.trace
-    import repro.virt
     import repro.vm
 
     for package in (
         repro.vm, repro.trace, repro.tlb, repro.core, repro.os,
-        repro.analysis, repro.virt,
+        repro.analysis,
     ):
         assert getattr(package, "__all__", None), package.__name__

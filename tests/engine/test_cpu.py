@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import tiny_config
 from repro.engine.cpu import Core
+from repro.tlb.hierarchy import HitLevel
 from repro.vm.address import HUGE_PAGE_SIZE
 from repro.vm.pagetable import PageTable
 
@@ -113,3 +114,47 @@ class TestGigaPCC:
         core.access_page(VPN + 1, table)
         assert core.pcc_1gb is not None
         assert (BASE >> 30) in core.pcc_1gb
+
+
+class TestTranslateLevel:
+    """``translate`` reports the structure that answered and its cost."""
+
+    def test_cold_page_walks(self, core, table):
+        cycles, level = core.translate(VPN, table)
+        assert level is HitLevel.MISS
+        assert cycles == core.stats.translation_cycles > 0
+
+    def test_resident_page_hits_l1_for_every_repeat(self, core, table):
+        core.translate(VPN, table)
+        cycles, level = core.translate(VPN, table, repeat=3)
+        assert level is HitLevel.L1
+        assert cycles == 3 * core.config.timing.l1_tlb_hit_cycles
+        assert core.stats.l1_hits == 3
+
+    def test_l1_victim_is_answered_by_l2(self, core, table):
+        # three pages of one 2-way L1 set: the first is evicted to L2
+        for page in (0, 2, 4):
+            core.translate(VPN + page, table)
+        cycles, level = core.translate(VPN, table)
+        assert level is HitLevel.L2
+        assert cycles == core.config.timing.l2_tlb_hit_cycles
+        assert core.stats.l2_hits == 1
+        assert core.stats.walks == 3
+
+    def test_promoted_region_is_answered_by_the_2mb_l1(self, core, table):
+        table.promote(REGION, frame=9)
+        assert core.translate(VPN, table)[1] is HitLevel.MISS
+        cycles, level = core.translate(VPN + 5, table)
+        assert level is HitLevel.L1
+        assert cycles == core.config.timing.l1_tlb_hit_cycles
+        assert core.tlb.l1_huge.stats.hits == 1
+
+    @pytest.mark.parametrize(
+        "pages", [[0, 0, 1], [0, 2, 4, 0, 2], [7, 6, 5, 4, 3, 2, 1, 0, 7]]
+    )
+    def test_access_page_charges_what_translate_reports(self, table, pages):
+        by_translate, by_access = Core(tiny_config()), Core(tiny_config())
+        for page in pages:
+            cycles, _ = by_translate.translate(VPN + page, table, repeat=2)
+            assert by_access.access_page(VPN + page, table, repeat=2) == cycles
+        assert by_access.stats == by_translate.stats

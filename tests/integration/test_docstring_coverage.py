@@ -43,8 +43,6 @@ MODULES = [
     "repro.analysis.aggregate",
     "repro.analysis.diagnostics",
     "repro.analysis.tracestats",
-    "repro.virt.tagged_pcc",
-    "repro.virt.hypervisor",
     "repro.experiments.summary",
     "repro.experiments.parallel",
     "repro.obs.tracer",

@@ -1,54 +1,12 @@
-"""Tests for kernel-parameter plumbing and the dump-mode alternative."""
-
-import copy
+"""Tests for the kernel's PCC dump-mode alternative and compaction."""
 
 import pytest
 
-from repro.config import scaled_config, tiny_config
+from repro.config import tiny_config
 from repro.engine.simulation import Simulator
-from repro.os.kernel import HugePagePolicy, KernelParams, SimulatedKernel
+from repro.os.kernel import HugePagePolicy, KernelParams
 from tests.conftest import make_workload
 from tests.engine.test_simulation import hot_cold_addresses
-
-
-class TestParamPlumbing:
-    def test_min_frequency_reaches_engine(self):
-        kernel = SimulatedKernel(
-            tiny_config(),
-            policy=HugePagePolicy.PCC,
-            params=KernelParams(min_candidate_frequency=5),
-        )
-        assert kernel._engine.min_frequency == 5
-
-    def test_pressure_throttle_reaches_engine(self):
-        kernel = SimulatedKernel(
-            tiny_config(),
-            policy=HugePagePolicy.PCC,
-            params=KernelParams(pressure_throttle=False),
-        )
-        assert not kernel._engine.pressure_throttle
-
-    def test_defaults_from_config(self):
-        kernel = SimulatedKernel(tiny_config(), policy=HugePagePolicy.PCC)
-        assert kernel._engine.min_frequency == 1
-        assert kernel._engine.pressure_throttle
-
-    def test_throttle_off_allows_full_quota_under_pressure(self):
-        from repro.os.physmem import PhysicalMemory
-        from repro.os.promotion import PromotionEngine
-        from tests.osim.test_promotion import rec, table_with_regions, REGION
-        from repro.vm.address import HUGE_PAGE_SIZE
-
-        engine = PromotionEngine(
-            PhysicalMemory(8 * HUGE_PAGE_SIZE),
-            regions_to_promote=8,
-            pressure_throttle=False,
-        )
-        table = table_with_regions(8)
-        outcome = engine.run_interval(
-            [rec(REGION + i) for i in range(8)], {1: table}
-        )
-        assert len(outcome.promoted) == 8  # no throttle: spend it all
 
 
 class TestDumpModes:
@@ -110,3 +68,45 @@ class TestSnapshotWithGiga:
         )
         assert result.accesses == 4000
         assert result.promotions >= 0  # completes with consistent state
+
+
+class TestCompactionEnabled:
+    """Every deliberate promotion path compacts (``COMPACTION_ENABLED``).
+
+    At 90% fragmentation no frame is free, so each 2MB mapping these
+    policies make must come from compacting a frame that holds only a
+    movable page.
+    """
+
+    HOT_REGION = 0x5555_5540_0000 >> 21
+
+    def _run(self, policy):
+        params = None
+        if policy is HugePagePolicy.ORACLE:
+            params = KernelParams(static_huge_regions=(self.HOT_REGION,))
+        simulator = Simulator(
+            tiny_config(), policy=policy, params=params, fragmentation=0.9
+        )
+        simulator.run([make_workload(hot_cold_addresses(repeats=2500))])
+        return simulator.kernel.physmem.stats
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            HugePagePolicy.LINUX_THP,
+            HugePagePolicy.HAWKEYE,
+            HugePagePolicy.PCC,
+            HugePagePolicy.ORACLE,
+        ],
+        ids=lambda policy: policy.name,
+    )
+    def test_fragmented_memory_is_compacted_for_huge_pages(self, policy):
+        assert KernelParams.COMPACTION_ENABLED
+        stats = self._run(policy)
+        assert stats.huge_allocations > 0
+        assert stats.compactions == stats.huge_allocations
+
+    def test_base_pages_only_never_compact(self):
+        stats = self._run(HugePagePolicy.NONE)
+        assert stats.huge_allocations == 0
+        assert stats.compactions == 0

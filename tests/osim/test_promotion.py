@@ -69,7 +69,7 @@ class TestBasicPromotion:
         assert outcome.promoted[0].tag == REGION + 1
 
     def test_min_frequency_gate(self):
-        engine = make_engine(min_frequency=1)
+        engine = make_engine()
         table = table_with_regions(2)
         outcome = engine.run_interval(
             [rec(REGION, freq=0), rec(REGION + 1, freq=3)], {1: table}
@@ -120,7 +120,8 @@ class TestBasicPromotion:
 
 class TestMemoryPressure:
     def test_failure_counted_when_no_memory(self):
-        engine = make_engine(frames=2, allow_compaction=False)
+        # every frame pinned: nothing free, nothing compaction can recover
+        engine = make_engine(frames=2)
         engine.physmem.fragment(1.0)
         table = table_with_regions(1)
         outcome = engine.run_interval([rec(REGION)], {1: table})
@@ -143,6 +144,51 @@ class TestMemoryPressure:
             [rec(REGION + i) for i in range(4)], {1: table}
         )
         assert len(outcome.promoted) == 4
+
+
+class TestCompaction:
+    """Promotion frames may be recovered by compacting partial frames."""
+
+    def _fragmented_engine(self, **kwargs):
+        # 4 frames: 2 pinned, 2 holding one movable page each — no free
+        # frame, but two a compaction pass can empty
+        engine = make_engine(frames=4, **kwargs)
+        engine.physmem.fragment(0.5)
+        return engine
+
+    def test_promotion_compacts_a_partial_frame(self):
+        engine = self._fragmented_engine()
+        table = table_with_regions(1)
+        outcome = engine.run_interval([rec(REGION)], {1: table})
+        assert table.is_promoted(REGION)
+        assert outcome.pages_migrated == 1
+        assert engine.stats.pages_migrated == 1
+        assert engine.physmem.stats.compactions == 1
+
+    def test_free_frame_needs_no_migration(self):
+        engine = make_engine()
+        outcome = engine.run_interval([rec(REGION)], {1: table_with_regions(1)})
+        assert len(outcome.promoted) == 1
+        assert outcome.pages_migrated == 0
+        assert engine.physmem.stats.compactions == 0
+
+    def test_throttle_counts_compactable_frames_as_capacity(self):
+        # capacity 0 free + 2 compactable: a quarter of it rounds to 1
+        engine = self._fragmented_engine()
+        table = table_with_regions(2)
+        outcome = engine.run_interval(
+            [rec(REGION), rec(REGION + 1)], {1: table}
+        )
+        assert len(outcome.promoted) == 1
+
+
+@pytest.mark.parametrize("freq, promoted", [(0, False), (1, True), (2, True)])
+def test_min_frequency_is_the_promotion_floor(freq, promoted):
+    engine = make_engine()
+    table = table_with_regions(1)
+    outcome = engine.run_interval([rec(REGION, freq=freq)], {1: table})
+    assert table.is_promoted(REGION) is promoted
+    assert len(outcome.promoted) == int(promoted)
 
 
 class TestDemotion:
@@ -170,6 +216,15 @@ class TestDemotion:
         outcome = engine.run_interval([rec(REGION + 1, freq=2)], {1: table})
         assert outcome.demoted == []
         assert table.is_promoted(REGION)
+
+    @pytest.mark.parametrize("freq, demoted", [(4, False), (5, True)])
+    def test_demotion_ratio_boundary(self, freq, demoted):
+        # the resident page was promoted at frequency 2; a candidate
+        # must be more than twice as hot (ratio 0.5) to displace it
+        engine, table = self._engine_under_pressure()
+        outcome = engine.run_interval([rec(REGION + 1, freq=freq)], {1: table})
+        assert (outcome.demoted == [(1, REGION)]) is demoted
+        assert table.is_promoted(REGION) is not demoted
 
     def test_still_hot_pages_protected(self):
         engine, table = self._engine_under_pressure()

@@ -1,6 +1,6 @@
 """The translation fast path must be invisible in every statistic.
 
-The memoized VPN fast path in :class:`~repro.engine.machine.
+The live L1 probe in :class:`~repro.engine.machine.
 TranslationPipeline` bypasses the TLB object graph for repeated hits,
 and the columnar epoch tier falls back to it between epochs; the
 correctness claim of both is *bit-identical behavior* to the scalar
@@ -207,8 +207,8 @@ def test_fast_path_metrics_counters_match(tier, streams):
 @settings(max_examples=25, deadline=None)
 def test_fast_path_survives_tight_promotion_intervals(tier, streams):
     """Frequent ticks (interval 32) maximize shootdown/invalidation
-    traffic — the memo's riskiest regime, and epochs too short to
-    classify fall back to the fast loop."""
+    traffic between quanta, and epochs too short to classify fall back
+    to the fast loop."""
     config = tiny_config(cores=2)
     config = config.with_(os=replace(config.os, promote_every_accesses=32))
     _assert_tier_matches_scalar(
@@ -225,7 +225,7 @@ def test_fast_path_survives_tight_promotion_intervals(tier, streams):
 def test_fast_path_survives_fragmentation_and_demotion(tier, streams,
                                                        fragmentation):
     """Fragmented memory forces fault-time huge failures and demotion
-    churn — region-state transitions behind the memo's back."""
+    churn — region-state transitions between the fast loop's quanta."""
     config = tiny_config(cores=2)
     params = KernelParams(
         regions_to_promote=config.os.regions_to_promote,
@@ -239,7 +239,7 @@ def test_fast_path_survives_fragmentation_and_demotion(tier, streams,
 
 @pytest.mark.parametrize("tier", TIERS_UNDER_TEST)
 def test_fast_path_handles_giga_promoted_regions(tier):
-    """1GB-backed regions are answered by a structure the MRU hints do
+    """1GB-backed regions are answered by a structure the L1 probe does
     not cover; every tier must route them through the full path."""
     from repro.experiments.ablations import giant_span_workload
     from repro.experiments.common import config_for

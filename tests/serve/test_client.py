@@ -3,9 +3,12 @@ against a thread-hosted server."""
 
 import io
 import socket
+import threading
+import time
 
 import pytest
 
+from repro.serve import server as server_module
 from repro.serve.client import (
     progress_bar,
     render_progress_line,
@@ -14,6 +17,26 @@ from repro.serve.client import (
 )
 
 from .conftest import small_job
+
+
+@pytest.fixture
+def held_jobs(monkeypatch):
+    """Jobs whose id starts with ``hold-`` block in their executor slot
+    until the returned event is set (and then finish with no results);
+    every other job runs for real. Set on teardown, so no executor
+    thread outlives its test."""
+    release = threading.Event()
+    real = server_module.execute_job
+
+    def gated(job, *args, **kwargs):
+        if job.id.startswith("hold-"):
+            release.wait(timeout=60)
+            return []
+        return real(job, *args, **kwargs)
+
+    monkeypatch.setattr(server_module, "execute_job", gated)
+    yield release
+    release.set()
 
 
 class TestHelpers:
@@ -92,16 +115,37 @@ class TestLiveClient:
         assert run_progress("ghost", f"127.0.0.1:{handle.port}", out=out,
                             timeout_s=10) == 1
 
-    def test_run_progress_expired_job_exits_one(self, serve_factory):
+    def test_run_progress_expired_job_exits_one(self, serve_factory,
+                                                held_jobs):
+        # the server's one executor slot is held, so the job's deadline
+        # passes while it is still queued, however fast dispatch is
         handle = serve_factory()
+        handle.request("POST", "/v1/jobs", small_job("hold-1"))
+        handle.wait_for_state("hold-1", states=("running",))
         handle.request("POST", "/v1/jobs",
                        small_job("client-3", deadline_s=0.001))
+        time.sleep(0.05)
+        held_jobs.set()
         handle.wait_for_state("client-3")
         out = io.StringIO()
         assert run_progress("client-3", f"127.0.0.1:{handle.port}", out=out,
                             timeout_s=30) == 1
         assert out.getvalue().splitlines() == [
             "-- queued", "-- expired (DeadlineExceeded)"]
+
+    def test_run_progress_job_expiring_while_running_exits_one(
+        self, serve_factory, held_jobs
+    ):
+        # the held job starts at once on the idle slot, then outlives
+        # its deadline inside execute_job
+        handle = serve_factory()
+        handle.request("POST", "/v1/jobs", small_job("hold-2", deadline_s=1.0))
+        handle.wait_for_state("hold-2")
+        out = io.StringIO()
+        assert run_progress("hold-2", f"127.0.0.1:{handle.port}", out=out,
+                            timeout_s=30) == 1
+        assert out.getvalue().splitlines() == [
+            "-- queued", "-- running", "-- expired (DeadlineExceeded)"]
 
     def test_run_progress_against_down_server_times_out(self, capsys):
         with socket.socket() as probe:  # a port nothing listens on

@@ -73,7 +73,7 @@ class TestReplay:
 
 class TestDefectSelfTest:
     @pytest.mark.parametrize(
-        "defect", ["stale-hints", "pcc-no-decay", "region-count-drift"]
+        "defect", ["lost-fast-hits", "pcc-no-decay", "region-count-drift"]
     )
     def test_planted_defect_is_caught_and_shrunk(
         self, capsys, tmp_path, defect

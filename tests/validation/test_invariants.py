@@ -36,14 +36,6 @@ def test_monitor_covers_every_tier(tier):
     assert simulator.machine.monitor is not None
 
 
-def test_stale_hint_defect_trips_the_hint_invariant():
-    case = generate_case(0)
-    with defects.inject("stale-hints"):
-        with pytest.raises(InvariantViolation) as exc:
-            run_case(case, tier="fast", policy=HugePagePolicy.PCC)
-    assert exc.value.domain.startswith("fastpath.hint")
-
-
 def test_pcc_decay_defect_trips_the_counter_invariant():
     case = generate_case(0)
     with defects.inject("pcc-no-decay"):
