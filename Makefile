@@ -35,7 +35,8 @@ fuzz:
 # engine tier shares the drifted policy, so only the independent
 # reference model can see it.
 fuzz-selftest:
-	@for defect in lost-fast-hits pcc-no-decay region-count-drift; do \
+	@for defect in lost-fast-hits pcc-no-decay region-count-drift \
+		leaked-base-pages; do \
 		echo "=== defect: $$defect ==="; \
 		$(PYTHON) -m repro validate --fuzz 40 \
 			--inject-defect $$defect \

@@ -54,9 +54,14 @@ def test_ablation_1gb_pcc(benchmark, publish):
         )
         sim = Simulator(config, policy=HugePagePolicy.PCC)
         pcc = sim.run([copy.deepcopy(workload)])
-        return baseline, pcc, sim.kernel._engine.stats
+        # fully fragmented memory leaves no 1GB-aligned run to claim
+        fragmented = Simulator(config, policy=HugePagePolicy.PCC,
+                               fragmentation=1.0)
+        fragmented.run([copy.deepcopy(workload)])
+        return (baseline, pcc, sim.kernel._engine.stats,
+                fragmented.kernel._engine.stats)
 
-    baseline, pcc, stats = run_once(benchmark, run)
+    baseline, pcc, stats, frag_stats = run_once(benchmark, run)
     from repro.analysis import report
 
     text = "\n".join(
@@ -67,6 +72,8 @@ def test_ablation_1gb_pcc(benchmark, publish):
             f"speedup: {report.speedup(baseline.total_cycles / pcc.total_cycles)}",
             f"2MB promotions: {stats.promotions}, "
             f"1GB collective promotions: {stats.giga_promotions}",
+            f"100% fragmented: 1GB promotions: {frag_stats.giga_promotions}, "
+            f"refused promotions: {frag_stats.promotion_failures}",
         ]
     )
     publish("ablation_1gb_pcc", text)
@@ -76,3 +83,5 @@ def test_ablation_1gb_pcc(benchmark, publish):
     assert stats.giga_promotions >= 1
     assert pcc.walk_rate < 0.6 * baseline.walk_rate
     assert baseline.total_cycles / pcc.total_cycles > 1.4
+    # 1GB pages take real frames: fragmentation refuses them
+    assert frag_stats.giga_promotions == 0

@@ -16,6 +16,7 @@ from repro import HugePagePolicy, Simulator
 from repro.analysis import report
 from repro.config import PCCConfig, scaled_config
 from repro.experiments.ablations import giant_span_workload
+from repro.vm.address import PageSize
 
 
 def main() -> None:
@@ -42,7 +43,7 @@ def main() -> None:
     base = results["4KB baseline"][1]
     simulator, pcc = results["PCC (2MB + 1GB)"]
     table = simulator.kernel.processes[1].page_table
-    giga_promoted = len(table.giga_promoted_regions())
+    giga_promoted = len(table.promoted_regions(PageSize.GIGA))
     engine_stats = simulator.kernel._engine.stats
 
     print()

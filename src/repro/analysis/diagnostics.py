@@ -15,6 +15,7 @@ from repro.analysis import report
 from repro.engine.cpu import Core
 from repro.engine.simulation import SimulationResult
 from repro.os.kernel import SimulatedKernel
+from repro.vm.address import PageSize
 
 
 @dataclass
@@ -119,7 +120,7 @@ def render_kernel(kernel: SimulatedKernel) -> str:
         lines.append(
             f"  pid {pid}: {table.mapped_base_page_count()} base PTEs, "
             f"{len(table.promoted_regions())} huge, "
-            f"{len(table.giga_promoted_regions())} giga, "
+            f"{len(table.promoted_regions(PageSize.GIGA))} giga, "
             f"{table.stats.promotions} promoted / "
             f"{table.stats.demotions} demoted"
         )

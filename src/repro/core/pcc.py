@@ -50,8 +50,9 @@ class PCCEntry:
     tag: int
     frequency: int
     last_use: int
-    #: whether the walks hitting this entry came from an already-promoted
-    #: leaf (2MB/1GB) — the demotion/1GB-promotion signal of §3.3.3
+    #: whether the walks hitting this entry came from a leaf already of
+    #: this PCC's page size (a 2MB leaf for the 2MB PCC, a 1GB leaf for
+    #: the 1GB PCC) — the demotion/1GB-promotion signal of §3.3.3
     promoted_leaf: bool = False
 
 

@@ -14,7 +14,7 @@ from repro.config import SystemConfig
 from repro.core.pcc import PromotionCandidateCache
 from repro.tlb.hierarchy import HitLevel, TLBHierarchy
 from repro.tlb.walker import PageTableWalker
-from repro.vm.address import BASE_PAGE_SHIFT, GIGA_PAGE_SHIFT, HUGE_PAGE_SHIFT
+from repro.vm.address import BASE_PAGE_SHIFT, PageSize
 from repro.vm.pagetable import PageTable
 
 
@@ -123,7 +123,8 @@ class Core:
             )
         if self._pcc_1gb_access is not None and walk.pcc_1gb_candidate is not None:
             self._pcc_1gb_access(
-                walk.pcc_1gb_candidate, promoted_leaf=walk.leaf_is_promoted
+                walk.pcc_1gb_candidate,
+                promoted_leaf=walk.mapping.page_size is PageSize.GIGA,
             )
         self._tlb_fill(vpn, walk.mapping.page_size)
         stats.translation_cycles += cycles
@@ -133,25 +134,18 @@ class Core:
         """Cycles for ``repeat`` accesses to ``vpn`` (see :meth:`translate`)."""
         return self.translate(vpn, page_table, repeat)[0]
 
-    def shootdown(self, huge_region: int) -> None:
-        """Invalidate a 2MB region everywhere on this core.
+    def shootdown(self, tag: int, size: PageSize = PageSize.HUGE) -> None:
+        """Invalidate region ``tag`` at ``size`` everywhere on this core.
 
-        Promotion-triggered shootdowns also invalidate the region from
-        the PCC (§3.3), preventing stale candidates.
+        The region also leaves the PCC of its size (§3.3), preventing
+        stale candidates. A gigabyte of translations is dropped by
+        flushing the TLBs and page-walk caches whole.
         """
-        self.tlb.shootdown_region(huge_region)
-        self.pcc.invalidate(huge_region)
+        if size is PageSize.HUGE:
+            self.tlb.shootdown_region(tag)
+            self.pcc.invalidate(tag)
+            return
+        self.tlb.flush()
+        self.walker.flush_pwc()
         if self.pcc_1gb is not None:
-            giga = huge_region >> (GIGA_PAGE_SHIFT - HUGE_PAGE_SHIFT)
-            first = giga << (GIGA_PAGE_SHIFT - HUGE_PAGE_SHIFT)
-            # only drop the 1GB entry if this was its last resident child;
-            # conservatively keep it (hardware would), nothing depends on it
-            del first
-
-    def dump_pcc(self):
-        """Ranked 2MB candidates without clearing (on-demand OS read)."""
-        return self.pcc.ranked()
-
-    def dump_pcc_1gb(self):
-        """Ranked 1GB candidates (empty when the 1GB PCC is disabled)."""
-        return self.pcc_1gb.ranked() if self.pcc_1gb is not None else []
+            self.pcc_1gb.invalidate(tag)

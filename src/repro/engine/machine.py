@@ -158,7 +158,7 @@ _REGION_OTHER = 3
 
 def _region_mapping_state(page_table, tag: int) -> int:
     """Classify 2MB region ``tag``'s mapping for the epoch classifier."""
-    if page_table.is_giga_promoted(tag >> _GIGA_SHIFT):
+    if page_table.is_promoted(tag >> _GIGA_SHIFT, PageSize.GIGA):
         return _REGION_OTHER
     if page_table.is_promoted(tag):
         return _REGION_HUGE
@@ -949,21 +949,20 @@ class TranslationPipeline:
         if n_walks:
             walk_pud = ctx.walk_pud
             walk_sizes = ctx.walk_sizes
-            promoted = walk_sizes != residue.SIZE_BASE
             pmd_rows = ctx.walk_pmd & (walk_sizes != residue.SIZE_GIGA)
             n_pmd = int(np.count_nonzero(pmd_rows))
             if n_pmd:
                 core.pcc.access_many(list(zip(
                     (ctx.walk_vpns[pmd_rows]
                      >> np.uint64(_HUGE_SHIFT)).tolist(),
-                    promoted[pmd_rows].tolist(),
+                    (walk_sizes[pmd_rows] == residue.SIZE_HUGE).tolist(),
                 )))
             n_pud = int(np.count_nonzero(walk_pud))
             if n_pud and core._pcc_1gb_access is not None:
                 core.pcc_1gb.access_many(list(zip(
                     (ctx.walk_vpns[walk_pud]
                      >> np.uint64(_GIGA_SHIFT_FULL)).tolist(),
-                    promoted[walk_pud].tolist(),
+                    (walk_sizes[walk_pud] == residue.SIZE_GIGA).tolist(),
                 )))
             residue.apply_walk_plan(core.walker, ctx.walk_plan,
                                     pud_candidates=n_pud,
@@ -1150,19 +1149,30 @@ class OsTickDriver:
     def tick(self, cores, ledgers):
         """Fire one promotion interval and record its outcome."""
         self.accesses_since_tick = 0
-        outcome = self._tick_fn(cores, ledgers)
-        self.promotions += len(outcome.promoted)
-        self.demotions += len(outcome.demoted)
+        outcome = self._fire(cores, ledgers)
         self._record(len(outcome.promoted))
         return outcome
 
     def final_tick(self, cores, ledgers):
         """Trailing tick so short runs don't lose pending candidates."""
+        outcome = self._fire(cores, ledgers)
+        if outcome.promoted or not self.huge_page_timeline:
+            self._record(len(outcome.promoted))
+        return outcome
+
+    def _fire(self, cores, ledgers):
+        """Run the tick function, then count and charge its work."""
         outcome = self._tick_fn(cores, ledgers)
         self.promotions += len(outcome.promoted)
         self.demotions += len(outcome.demoted)
-        if outcome.promoted or not self.huge_page_timeline:
-            self._record(len(outcome.promoted))
+        if (outcome.promoted or outcome.demoted) and ledgers:
+            # promotion runs on one kernel thread; shootdowns hit all cores
+            ledgers[0].charge_promotions(
+                promotions=len(outcome.promoted),
+                shootdown_broadcasts=outcome.shootdowns,
+                migrated_pages=outcome.pages_migrated,
+                cores=len(ledgers),
+            )
         return outcome
 
     def _record(self, promoted: int) -> None:
@@ -1412,6 +1422,11 @@ class Machine:
                 }
             )
             publish_run(result.metrics)
+        # The machine graph is cyclic (``_tick_fn`` is a bound method),
+        # so only the collector would free it: drop the last slot each
+        # pipeline ran, and its trace lists go by refcount.
+        for pipeline in pipelines:
+            pipeline._active_slot = None
         return result
 
     # ------------------------------------------------------------------
@@ -1846,7 +1861,6 @@ class Machine:
             return obs.span(name, cat="os") if obs is not None else nullcontext()
 
         records: list[CandidateRecord] = []
-        giga_records: list[CandidateRecord] = []
         if self.policy is HugePagePolicy.PCC:
             # §3.3 offers two read styles: the periodic dump-and-clear
             # (Fig. 4) or an on-demand snapshot that leaves counters
@@ -1857,61 +1871,24 @@ class Machine:
                     pid = self._pid_for_core(core.core_id)
                     if pid is None:
                         continue
-                    entries = (
-                        core.pcc.ranked() if snapshot else core.pcc.flush()
-                    )
-                    self.dump_region.write(entries, pid=pid, core=core.core_id)
-                    if core.pcc_1gb is not None:
-                        giga_entries = (
-                            core.pcc_1gb.ranked()
-                            if snapshot
-                            else core.pcc_1gb.flush()
-                        )
-                        self.dump_region.write(
-                            giga_entries,
-                            pid=pid,
-                            core=core.core_id,
-                            page_size=PageSize.GIGA,
-                        )
+                    for pcc, size in ((core.pcc, PageSize.HUGE),
+                                      (core.pcc_1gb, PageSize.GIGA)):
+                        if pcc is not None:
+                            self.dump_region.write(
+                                pcc.ranked() if snapshot else pcc.flush(),
+                                pid=pid, core=core.core_id, page_size=size,
+                            )
             with stage("tick.rank"):
-                all_records = self.dump_region.read_all()
-                records = [
-                    r for r in all_records if r.page_size is PageSize.HUGE
-                ]
-                giga_records = [
-                    r for r in all_records if r.page_size is PageSize.GIGA
-                ]
+                records = self.dump_region.read_all()
 
-        def on_shootdown(pid: int, prefix: int) -> None:
+        def on_shootdown(pid: int, tag: int, size: PageSize) -> None:
             for core in cores:
-                core.shootdown(prefix)
-
-        def on_giga_shootdown(pid: int, giga: int) -> None:
-            # a gigabyte of translations is invalidated: a full flush is
-            # the simple, conservative hardware response
-            for core in cores:
-                core.tlb.flush()
-                core.walker.flush_pwc()
-                if core.pcc_1gb is not None:
-                    core.pcc_1gb.invalidate(giga)
+                core.shootdown(tag, size)
 
         with stage("tick.promote"):
-            outcome = self.kernel.promotion_tick(
-                pcc_records=records,
-                giga_records=giga_records,
-                on_shootdown=on_shootdown,
-                on_giga_shootdown=on_giga_shootdown,
+            return self.kernel.promotion_tick(
+                pcc_records=records, on_shootdown=on_shootdown
             )
-        work = len(outcome.promoted) + len(outcome.demoted)
-        if work and ledgers:
-            # promotion runs on one kernel thread; shootdowns hit all cores
-            ledgers[0].charge_promotions(
-                promotions=len(outcome.promoted),
-                shootdown_broadcasts=outcome.shootdowns,
-                migrated_pages=outcome.pages_migrated,
-                cores=len(ledgers),
-            )
-        return outcome
 
     # ------------------------------------------------------------------
     # result collection

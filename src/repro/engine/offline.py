@@ -154,18 +154,10 @@ class _ScheduledSimulator(Simulator):
         for core in cores:
             core.pcc.flush()
 
-        def on_shootdown(pid: int, prefix: int) -> None:
+        def on_shootdown(pid: int, tag: int, size) -> None:
             for core in cores:
-                core.shootdown(prefix)
+                core.shootdown(tag, size)
 
-        outcome = self.kernel.promotion_tick(
+        return self.kernel.promotion_tick(
             pcc_records=records, on_shootdown=on_shootdown
         )
-        if (outcome.promoted or outcome.demoted) and ledgers:
-            ledgers[0].charge_promotions(
-                promotions=len(outcome.promoted),
-                shootdown_broadcasts=outcome.shootdowns,
-                migrated_pages=outcome.pages_migrated,
-                cores=len(ledgers),
-            )
-        return outcome

@@ -53,7 +53,6 @@ class HawkEye:
     physmem: PhysicalMemory
     scan_pages_per_interval: int = 4096
     max_promotions_per_interval: int = 8
-    allow_compaction: bool = True
     stats: HawkEyeStats = field(default_factory=HawkEyeStats)
     #: latest measured coverage per (pid, region)
     _coverage: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -119,9 +118,7 @@ class HawkEye:
             if not page_table.region_base_pages(prefix):
                 continue
             try:
-                frame, _ = self.physmem.allocate_huge(
-                    allow_compaction=self.allow_compaction
-                )
+                frame, _ = self.physmem.allocate_huge(allow_compaction=True)
             except OutOfMemoryError:
                 self.stats.promotion_failures += 1
                 break

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.vm.address import BASE_PAGE_SHIFT
+from repro.vm.address import BASE_PAGE_SHIFT, PageSize
 from repro.os.hawkeye import HawkEye
 from repro.os.physmem import PhysicalMemory
 from repro.os.oracle import StaticHugeAllocator
@@ -55,12 +55,6 @@ class KernelParams:
     #: "flush" dumps-and-clears each PCC per interval (Fig. 4); "snapshot"
     #: reads the ranked contents on demand without clearing
     pcc_dump_mode: str = "flush"
-
-    #: khugepaged, HawkEye and the static allocator may compact to find
-    #: a contiguous frame (the PCC engine's own switch is
-    #: ``PromotionEngine.ALLOW_COMPACTION``); a class constant, not a
-    #: field
-    COMPACTION_ENABLED = True
 
 
 @dataclass
@@ -112,7 +106,6 @@ class SimulatedKernel:
             Khugepaged(
                 self.physmem,
                 scan_pages_per_interval=self.params.scan_pages_per_interval,
-                allow_compaction=KernelParams.COMPACTION_ENABLED,
             )
             if policy is HugePagePolicy.LINUX_THP
             else None
@@ -126,7 +119,6 @@ class SimulatedKernel:
                 max_promotions_per_interval=max(
                     1, self.params.scan_pages_per_interval // 512
                 ),
-                allow_compaction=KernelParams.COMPACTION_ENABLED,
             )
             if policy is HugePagePolicy.HAWKEYE
             else None
@@ -135,7 +127,6 @@ class SimulatedKernel:
             StaticHugeAllocator(
                 self.physmem,
                 regions=list(self.params.static_huge_regions),
-                allow_compaction=KernelParams.COMPACTION_ENABLED,
             )
             if policy is HugePagePolicy.ORACLE
             else None
@@ -260,14 +251,14 @@ class SimulatedKernel:
     def promotion_tick(
         self,
         pcc_records: list[CandidateRecord] | None = None,
-        giga_records: list[CandidateRecord] | None = None,
         on_shootdown=None,
-        on_giga_shootdown=None,
     ) -> PromotionOutcome:
         """One promotion interval under the active policy.
 
-        For the PCC policy, ``pcc_records`` are the dumped candidates;
-        other policies ignore them and run their own scanners.
+        For the PCC policy, ``pcc_records`` are the dumped candidates
+        of both PCC sizes; other policies ignore them and run their own
+        scanners. ``on_shootdown(pid, tag, size)`` is called once per
+        promoted, demoted or probed region.
         """
         outcome = PromotionOutcome()
         tables = self.page_tables()
@@ -278,13 +269,6 @@ class SimulatedKernel:
                 on_shootdown=on_shootdown,
                 budget_regions=self.params.promotion_budget_regions,
             )
-            if giga_records:
-                self._engine.maybe_promote_giga(
-                    pcc_records or [],
-                    giga_records,
-                    tables,
-                    on_giga_shootdown=on_giga_shootdown,
-                )
         elif self._hawkeye is not None:
             for table in tables.values():
                 self._hawkeye.measure_interval(table)
@@ -303,7 +287,7 @@ class SimulatedKernel:
                         )
                     )
                     if on_shootdown is not None:
-                        on_shootdown(table.pid, prefix)
+                        on_shootdown(table.pid, prefix, PageSize.HUGE)
         elif self._khugepaged is not None:
             for table in tables.values():
                 for prefix in self._khugepaged.scan_interval(table):
@@ -313,7 +297,7 @@ class SimulatedKernel:
                         )
                     )
                     if on_shootdown is not None:
-                        on_shootdown(table.pid, prefix)
+                        on_shootdown(table.pid, prefix, PageSize.HUGE)
         return outcome
 
     # ------------------------------------------------------------------

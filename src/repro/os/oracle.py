@@ -56,11 +56,9 @@ class StaticHugeAllocator:
     but unlike the PCC it cannot adapt when the annotation is stale.
     """
 
-    def __init__(self, physmem: PhysicalMemory, regions: list[int],
-                 allow_compaction: bool = True) -> None:
+    def __init__(self, physmem: PhysicalMemory, regions: list[int]) -> None:
         self.physmem = physmem
         self.regions = set(regions)
-        self.allow_compaction = allow_compaction
         self.stats = StaticAllocStats()
 
     def handle_fault(self, page_table: PageTable, vaddr: int) -> bool:
@@ -72,9 +70,7 @@ class StaticHugeAllocator:
             and not page_table.region_base_pages(prefix)
         ):
             try:
-                frame, _ = self.physmem.allocate_huge(
-                    allow_compaction=self.allow_compaction
-                )
+                frame, _ = self.physmem.allocate_huge(allow_compaction=True)
             except OutOfMemoryError:
                 self.stats.huge_failures += 1
             else:

@@ -2,10 +2,11 @@
 
 Memory is organized as an array of 2MB-aligned *huge frames*, each of
 which is either entirely free, carved into 4KB base allocations, pinned
-(holds a non-movable kernel page), or backing one huge page. Huge-page
-allocation requires a fully-free frame, which is what fragmentation
-destroys; compaction migrates movable base pages out of partially-used,
-unpinned frames to recreate free frames at a per-page cycle cost.
+(holds a non-movable kernel page), or backing (part of) a huge page. A
+2MB page needs one fully-free frame and a 1GB page a 1GB-aligned run of
+512, which is what fragmentation destroys; compaction migrates movable
+base pages out of partially-used, unpinned frames to recreate free
+frames at a per-page cycle cost.
 
 Fragmentation injection follows §5.1.1 verbatim: "We fragment memory by
 allocating one non-movable page in every 2MB-aligned region" — applied
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.vm.address import HUGE_PAGE_SIZE, PAGES_PER_HUGE
+from repro.vm.address import HUGE_PAGE_SHIFT, HUGE_PAGE_SIZE, PAGES_PER_HUGE, PageSize
 
 
 class FrameState(enum.Enum):
@@ -27,7 +28,7 @@ class FrameState(enum.Enum):
 
     FREE = "free"
     PARTIAL = "partial"  # carved into 4KB pages, possibly pinned ones
-    HUGE = "huge"  # backing one huge page
+    HUGE = "huge"  # backing one 2MB page, or 1/512 of a 1GB page
 
 
 class OutOfMemoryError(Exception):
@@ -44,6 +45,8 @@ class PhysMemStats:
     compactions: int = 0
     pages_migrated: int = 0
     huge_frees: int = 0
+    #: 4KB pages :meth:`PhysicalMemory.fragment` placed (pinned or not)
+    fragment_pages: int = 0
 
 
 @dataclass
@@ -90,6 +93,14 @@ class PhysicalMemory:
         """Frames currently backing huge pages."""
         return sum(1 for f in self._frames if f.state is FrameState.HUGE)
 
+    def base_pages_in_use(self) -> int:
+        """4KB pages currently carved out of partial frames."""
+        return sum(
+            f.used_base_pages
+            for f in self._frames
+            if f.state is FrameState.PARTIAL
+        )
+
     def fragmentation_fraction(self) -> float:
         """Fraction of frames unable to back a huge page right now."""
         return 1.0 - self.free_huge_frames() / self.total_frames
@@ -135,6 +146,9 @@ class PhysicalMemory:
             elif scatter_movable and fraction > 0.0:
                 frame.state = FrameState.PARTIAL
                 frame.used_base_pages = 1
+            else:
+                continue
+            self.stats.fragment_pages += 1
         return pinned
 
     # ------------------------------------------------------------------
@@ -195,70 +209,67 @@ class PhysicalMemory:
                 return index
         raise OutOfMemoryError("no 4KB page available")
 
-    def allocate_huge(self, allow_compaction: bool = False) -> tuple[int, int]:
-        """Claim one fully-free frame for a huge page.
+    def allocate_huge(
+        self, allow_compaction: bool = False, size: PageSize = PageSize.HUGE
+    ) -> tuple[int, int]:
+        """Claim the frames of one huge page of ``size``.
 
-        Returns ``(frame_index, pages_migrated)`` where the second item
-        is the compaction work performed (0 when a free frame existed).
-        Raises :class:`OutOfMemoryError` when neither a free frame nor a
-        compactable one exists.
+        A 2MB page takes one free frame; a 1GB page a 1GB-aligned run of
+        512. Returns ``(first_frame, pages_migrated)``: with
+        ``allow_compaction`` and no free run, the run whose pages are
+        cheapest to migrate out is emptied first. A run holding a pinned
+        page or a huge page never qualifies; when no run does, raises
+        :class:`OutOfMemoryError`.
         """
-        for index, frame in enumerate(self._frames):
-            if frame.state is FrameState.FREE:
-                frame.state = FrameState.HUGE
-                self.stats.huge_allocations += 1
-                return index, 0
-        if allow_compaction:
-            migrated = self._compact_one()
-            if migrated >= 0:
-                for index, frame in enumerate(self._frames):
-                    if frame.state is FrameState.FREE:
-                        frame.state = FrameState.HUGE
-                        self.stats.huge_allocations += 1
-                        return index, migrated
-        self.stats.huge_failures += 1
-        raise OutOfMemoryError("no contiguous 2MB frame available")
+        count = 1 << (size.value - HUGE_PAGE_SHIFT)
+        frames = self._frames
+        best, best_pages = None, -1
+        for start in range(0, self.total_frames - count + 1, count):
+            pages = 0
+            for frame in frames[start:start + count]:
+                if frame.state is FrameState.HUGE or frame.pinned_pages:
+                    break
+                pages += frame.used_base_pages
+            else:
+                if not pages:
+                    best, best_pages = start, 0
+                    break
+                if best is None or pages < best_pages:
+                    best, best_pages = start, pages
+        migrated = 0
+        if best_pages > 0:
+            migrated = self._migrate_out(best, count) if allow_compaction else -1
+        if best is None or migrated < 0:
+            self.stats.huge_failures += 1
+            raise OutOfMemoryError(f"no free {size.name} frame run available")
+        for frame in frames[best:best + count]:
+            frame.state = FrameState.HUGE
+        self.stats.huge_allocations += 1
+        return best, migrated
 
-    def _compact_one(self) -> int:
-        """Migrate one unpinned partial frame's pages elsewhere.
-
-        Returns pages moved, or -1 when no frame is compactable or no
-        destination space exists.
-        """
-        source = None
-        source_index = -1
-        for index, frame in enumerate(self._frames):
-            if frame.state is FrameState.PARTIAL and frame.pinned_pages == 0:
-                # prefer the emptiest frame: least migration work
-                if source is None or frame.used_base_pages < source.used_base_pages:
-                    source = frame
-                    source_index = index
-        if source is None:
-            return -1
-        to_move = source.used_base_pages
-        # Destination capacity in *other* partial frames (pinned frames
-        # can still absorb movable pages) — compaction must not consume
-        # a free frame or it defeats its purpose.
-        capacity = sum(
-            PAGES_PER_HUGE - f.used_base_pages
-            for i, f in enumerate(self._frames)
-            if f.state is FrameState.PARTIAL and i != source_index
-        )
-        if capacity < to_move:
+    def _migrate_out(self, start: int, count: int) -> int:
+        """Empty frames ``[start, start+count)`` into other partial ones
+        (pinned or not; a free frame would defeat compaction). Returns
+        the pages moved, or -1 when the other frames lack the room."""
+        run = range(start, start + count)
+        frames = self._frames
+        to_move = sum(frames[i].used_base_pages for i in run)
+        targets = [
+            f for i, f in enumerate(frames)
+            if f.state is FrameState.PARTIAL and i not in run
+        ]
+        if sum(PAGES_PER_HUGE - f.used_base_pages for f in targets) < to_move:
             return -1
         remaining = to_move
-        for i, frame in enumerate(self._frames):
-            if remaining == 0:
-                break
-            if frame.state is not FrameState.PARTIAL or i == source_index:
-                continue
-            room = PAGES_PER_HUGE - frame.used_base_pages
-            moved = min(room, remaining)
+        for frame in targets:
+            moved = min(PAGES_PER_HUGE - frame.used_base_pages, remaining)
             frame.used_base_pages += moved
             remaining -= moved
-        source.state = FrameState.FREE
-        source.used_base_pages = 0
-        self.stats.compactions += 1
+        for frame in frames[start:start + count]:
+            if frame.state is FrameState.PARTIAL:
+                self.stats.compactions += 1
+            frame.state = FrameState.FREE
+            frame.used_base_pages = 0
         self.stats.pages_migrated += to_move
         return to_move
 

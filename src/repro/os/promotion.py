@@ -7,8 +7,12 @@ B. merges them under the configured policy (highest-frequency or
    round-robin, plus process bias) and selects up to
    ``regions_to_promote`` candidates, and
 C. performs the promotions — allocating contiguous frames (compacting
-   if permitted), collapsing page-table entries, and broadcasting TLB
+   if needed), collapsing page-table entries, and broadcasting TLB
    shootdowns that also invalidate the promoted regions from the PCCs.
+
+2MB and 1GB candidates take the same path (§3.2.3 makes a 1GB page a
+collective promotion of its 2MB region): 2MB candidates first, then 1GB
+candidates that pass the dominance rule, the only 1GB-specific step.
 
 Demotion (§3.3.3) is driven by the same data: a candidate whose walks
 came from an *already promoted* leaf is poorly served by 2MB; under
@@ -24,8 +28,8 @@ from typing import Callable
 from repro.core.dump import CandidateRecord
 from repro.os import policies
 from repro.os.physmem import OutOfMemoryError, PhysicalMemory
-from repro.vm.address import PAGES_PER_HUGE, PageSize
-from repro.vm.pagetable import PageTable, PageTableError
+from repro.vm.address import HUGE_PER_GIGA, PAGES_PER_HUGE, PageSize
+from repro.vm.pagetable import PageTable
 
 
 @dataclass
@@ -34,6 +38,7 @@ class PromotionStats:
 
     intervals: int = 0
     candidates_seen: int = 0
+    #: 2MB promotions; 1GB ones count in ``giga_promotions``
     promotions: int = 0
     promotion_failures: int = 0
     demotions: int = 0
@@ -49,6 +54,7 @@ class PromotionStats:
 class PromotionOutcome:
     """What one interval accomplished (consumed by the timing model)."""
 
+    #: 2MB and 1GB promotions, in the order performed
     promoted: list[CandidateRecord] = field(default_factory=list)
     demoted: list[tuple[int, int]] = field(default_factory=list)  # (pid, prefix)
     pages_migrated: int = 0
@@ -64,8 +70,6 @@ class PromotionOutcome:
 class PromotionEngine:
     """Applies PCC candidate lists to page tables and physical memory."""
 
-    #: allocate promotion frames by compacting partial frames if needed
-    ALLOW_COMPACTION = True
     #: frequency ratio a promoted page must fall below (relative to the
     #: best waiting candidate) before demotion frees its frame
     DEMOTION_RATIO = 0.5
@@ -73,8 +77,6 @@ class PromotionEngine:
     #: the PCC holds "many entries with a frequency of 0" (§3.2.1) and
     #: spending scarce contiguity on them is wasteful
     MIN_FREQUENCY = 1
-    #: spend at most a quarter of scarce contiguity per interval
-    PRESSURE_THROTTLE = True
 
     def __init__(
         self,
@@ -90,6 +92,8 @@ class PromotionEngine:
         self.biased_pids = tuple(biased_pids)
         self.demotion_enabled = demotion_enabled
         self.stats = PromotionStats()
+        # Demotion bookkeeping covers 2MB pages only: 1GB pages are
+        # never demotion victims.
         #: frame backing each promoted (pid, prefix), for demotion
         self._huge_frames: dict[tuple[int, int], int] = {}
         #: PCC frequency observed at promotion time (demotion baseline)
@@ -119,107 +123,132 @@ class PromotionEngine:
         self,
         records: list[CandidateRecord],
         page_tables: dict[int, PageTable],
-        on_shootdown: Callable[[int, int], None] | None = None,
+        on_shootdown: Callable[[int, int, PageSize], None] | None = None,
         budget_regions: int | None = None,
     ) -> PromotionOutcome:
         """One Fig. 4 interval: select and perform promotions.
 
-        ``on_shootdown(pid, prefix)`` lets the engine's owner invalidate
-        TLBs and PCC entries for each promoted/demoted region.
-        ``budget_regions`` caps promotions *performed over the engine's
-        lifetime* (the utility-curve footprint limit); ``None`` means
-        unlimited.
+        ``records`` holds the dumped candidates of both PCCs; 2MB
+        candidates are promoted first, then 1GB ones.
+        ``on_shootdown(pid, tag, size)`` lets the engine's owner
+        invalidate TLBs and PCC entries for each promoted/demoted
+        region. ``budget_regions`` caps the 2MB regions promoted *over
+        the engine's lifetime* (the utility-curve footprint limit; a
+        1GB page counts as 512); ``None`` means unlimited.
         """
         self.stats.intervals += 1
         self.stats.candidates_seen += len(records)
         outcome = PromotionOutcome()
         if self.demotion_enabled:
             self._age_promoted_pages(page_tables, on_shootdown, outcome)
-        ordered = self.order_candidates(records)
-        quota = self.regions_to_promote
-        # Memory-pressure throttle (§3.3.1: the interval "can be tuned
-        # ... based on ... system memory pressure"): when contiguous
-        # capacity is scarce, spend at most a quarter of it per interval
-        # so later — better-informed — candidate lists still find room.
-        if self.PRESSURE_THROTTLE:
-            capacity = self.physmem.free_huge_frames()
-            if self.ALLOW_COMPACTION:
-                capacity += self.physmem.compactable_frames()
-            if capacity <= 4 * self.regions_to_promote:
-                quota = min(quota, max(1, capacity // 4))
-        for record in ordered:
-            if quota <= 0:
-                break
-            if budget_regions is not None and self.stats.promotions >= budget_regions:
-                break
-            table = page_tables.get(record.pid)
-            if table is None:
-                continue
-            if record.page_size is not PageSize.HUGE:
-                continue  # 1GB candidates handled by maybe_promote_giga
-            if record.promoted_leaf or table.is_promoted(record.tag):
-                continue  # already huge: demotion logic's concern
-            if record.frequency < self.MIN_FREQUENCY:
-                continue  # too cold to spend contiguous memory on
-            if not table.region_base_pages(record.tag):
-                continue  # nothing resident (stale candidate)
-            frame = self._acquire_frame(records, page_tables, record, on_shootdown,
-                                        outcome)
-            if frame is None:
-                self.stats.promotion_failures += 1
-                continue
-            remapped = table.promote(record.tag, frame)
-            self.physmem.release_base_pages(remapped)
-            self.stats.bloat_pages += PAGES_PER_HUGE - remapped
-            self._huge_frames[(record.pid, record.tag)] = frame
-            self._promo_frequency[(record.pid, record.tag)] = record.frequency
-            outcome.promoted.append(record)
-            self.stats.promotions += 1
-            self.stats.shootdowns += 1
-            quota -= 1
-            if on_shootdown is not None:
-                on_shootdown(record.pid, record.tag)
+        huge_records = [r for r in records if r.page_size is PageSize.HUGE]
+        # Each page size may promote ``regions_to_promote`` regions per
+        # interval. Memory-pressure throttle (§3.3.1: the interval "can
+        # be tuned ... based on ... system memory pressure"): when
+        # contiguous capacity is scarce, spend at most a quarter of it
+        # per interval so later — better-informed — candidate lists
+        # still find room.
+        interval_quota = self.regions_to_promote
+        capacity = (
+            self.physmem.free_huge_frames() + self.physmem.compactable_frames()
+        )
+        if capacity <= 4 * self.regions_to_promote:
+            interval_quota = min(interval_quota, max(1, capacity // 4))
+        for size in (PageSize.HUGE, PageSize.GIGA):
+            cost = size.base_pages // PAGES_PER_HUGE
+            quota = interval_quota
+            for record in self.order_candidates(
+                [r for r in records if r.page_size is size]
+            ):
+                if quota <= 0:
+                    break
+                if budget_regions is not None and (
+                    self.stats.promotions + cost
+                    + HUGE_PER_GIGA * self.stats.giga_promotions
+                    > budget_regions
+                ):
+                    break
+                table = page_tables.get(record.pid)
+                if table is None:
+                    continue
+                if record.promoted_leaf or table.is_promoted(record.tag, size):
+                    continue  # already this size: demotion logic's concern
+                if record.frequency < self.MIN_FREQUENCY:
+                    continue  # too cold to spend contiguous memory on
+                if size is PageSize.GIGA and not self._dominates(
+                    record, huge_records
+                ):
+                    continue  # 2MB pages already serve this span
+                covered = table.covered_pages(record.tag, size)
+                if not covered:
+                    continue  # nothing resident (stale candidate)
+                frame = self._acquire_frame(huge_records, page_tables, record,
+                                            on_shootdown, outcome)
+                if frame is None:
+                    self.stats.promotion_failures += 1
+                    continue
+                self._promote(record, table, frame, covered)
+                outcome.promoted.append(record)
+                quota -= 1
+                if on_shootdown is not None:
+                    on_shootdown(record.pid, record.tag, size)
         return outcome
+
+    def _promote(self, record: CandidateRecord, table: PageTable, frame: int,
+                 covered: int) -> None:
+        """Collapse ``record``'s region onto ``frame`` and account it."""
+        size = record.page_size
+        key = (record.pid, record.tag)
+        remapped = table.promote(record.tag, frame, size)
+        self.physmem.release_base_pages(remapped)
+        self.stats.bloat_pages += size.base_pages - covered
+        self.stats.shootdowns += 1
+        if size is PageSize.HUGE:
+            self._huge_frames[key] = frame
+            self._promo_frequency[key] = record.frequency
+            self.stats.promotions += 1
+            return
+        # the 1GB page absorbed the 2MB pages inside it: free their frames
+        for absorbed in [k for k in self._huge_frames
+                         if k[0] == record.pid
+                         and k[1] // HUGE_PER_GIGA == record.tag]:
+            self.physmem.free_huge(self._forget(absorbed))
+        self.stats.giga_promotions += 1
 
     def _acquire_frame(
         self,
-        records: list[CandidateRecord],
+        huge_records: list[CandidateRecord],
         page_tables: dict[int, PageTable],
         wanting: CandidateRecord,
-        on_shootdown: Callable[[int, int], None] | None,
+        on_shootdown: Callable[[int, int, PageSize], None] | None,
         outcome: PromotionOutcome,
     ) -> int | None:
-        """Free frame for ``wanting``, possibly via compaction/demotion."""
-        try:
-            frame, migrated = self.physmem.allocate_huge(
-                allow_compaction=self.ALLOW_COMPACTION
-            )
+        """Frames for ``wanting``, possibly via compaction/demotion.
+
+        A demotion frees one 2MB frame, so only a 2MB candidate demotes.
+        """
+        demote = self.demotion_enabled and wanting.page_size is PageSize.HUGE
+        while True:
+            try:
+                frame, migrated = self.physmem.allocate_huge(
+                    allow_compaction=True, size=wanting.page_size
+                )
+            except OutOfMemoryError:
+                victim = self._demotion_victim(huge_records, wanting) if demote else None
+                if victim is None:
+                    return None
+                pid, prefix = victim
+                self._demote(pid, prefix, page_tables[pid], on_shootdown, outcome)
+                demote = False  # one victim per candidate
+                continue
             self.stats.pages_migrated += migrated
             outcome.pages_migrated += migrated
             return frame
-        except OutOfMemoryError:
-            pass
-        if not self.demotion_enabled:
-            return None
-        victim = self._demotion_victim(records, wanting)
-        if victim is None:
-            return None
-        pid, prefix = victim
-        self._demote(pid, prefix, page_tables[pid], on_shootdown, outcome)
-        try:
-            frame, migrated = self.physmem.allocate_huge(
-                allow_compaction=self.ALLOW_COMPACTION
-            )
-            self.stats.pages_migrated += migrated
-            outcome.pages_migrated += migrated
-            return frame
-        except OutOfMemoryError:
-            return None
 
     def _age_promoted_pages(
         self,
         page_tables: dict[int, PageTable],
-        on_shootdown: Callable[[int, int], None] | None,
+        on_shootdown: Callable[[int, int, PageSize], None] | None,
         outcome: PromotionOutcome,
     ) -> None:
         """OS-assisted coldness detection for promoted pages (§3.3.3).
@@ -252,7 +281,7 @@ class PromotionEngine:
             self._probing.add(key)
             outcome.probes += 1
             if on_shootdown is not None:
-                on_shootdown(pid, prefix)
+                on_shootdown(pid, prefix, PageSize.HUGE)
 
     def _demotion_victim(
         self, records: list[CandidateRecord], wanting: CandidateRecord
@@ -288,20 +317,24 @@ class PromotionEngine:
         pid: int,
         prefix: int,
         table: PageTable,
-        on_shootdown: Callable[[int, int], None] | None,
+        on_shootdown: Callable[[int, int, PageSize], None] | None,
         outcome: PromotionOutcome,
     ) -> None:
-        frame = self._huge_frames.pop((pid, prefix))
-        self._promo_frequency.pop((pid, prefix), None)
-        self._probing.discard((pid, prefix))
-        self._cold.discard((pid, prefix))
+        frame = self._forget((pid, prefix))
         table.demote(prefix)
         self.physmem.free_huge(frame, as_base_pages=PAGES_PER_HUGE)
         outcome.demoted.append((pid, prefix))
         self.stats.demotions += 1
         self.stats.shootdowns += 1
         if on_shootdown is not None:
-            on_shootdown(pid, prefix)
+            on_shootdown(pid, prefix, PageSize.HUGE)
+
+    def _forget(self, key: tuple[int, int]) -> int:
+        """Drop a 2MB page's demotion bookkeeping; returns its frame."""
+        self._promo_frequency.pop(key, None)
+        self._probing.discard(key)
+        self._cold.discard(key)
+        return self._huge_frames.pop(key)
 
     #: 1GB dominance ratio standing in for the paper's 512x rule: with
     #: 8-bit saturating counters an actual 512x gap is unrepresentable,
@@ -313,50 +346,20 @@ class PromotionEngine:
     #: child lukewarm (ratio >3, promote).
     giga_dominance_ratio: int = 3
 
-    def maybe_promote_giga(
-        self,
-        records_2mb: list[CandidateRecord],
-        records_1gb: list[CandidateRecord],
-        page_tables: dict[int, PageTable],
-        on_giga_shootdown: Callable[[int, int], None] | None = None,
-    ) -> list[CandidateRecord]:
-        """1GB promotion rule (§3.2.3).
-
-        A 1GB region is collectively promoted when its walk frequency
-        dominates every constituent 2MB entry's — i.e. the 2MB page size
-        is not preventing last-level TLB misses for this span.
-        ``on_giga_shootdown(pid, giga_tag)`` lets the owner invalidate
-        all translations under the promoted gigabyte.
-        """
-        freq_2mb: dict[tuple[int, int], int] = {
-            (r.pid, r.tag): r.frequency for r in records_2mb
-        }
-        promoted: list[CandidateRecord] = []
-        for record in records_1gb:
-            table = page_tables.get(record.pid)
-            if table is None or table.is_giga_promoted(record.tag):
-                continue
-            if record.frequency < self.MIN_FREQUENCY:
-                continue
-            first_2mb = record.tag * 512
-            constituent_max = max(
-                (
-                    freq
-                    for (pid, tag), freq in freq_2mb.items()
-                    if pid == record.pid and first_2mb <= tag < first_2mb + 512
-                ),
-                default=0,
-            )
-            if record.frequency < self.giga_dominance_ratio * max(
-                1, constituent_max
-            ):
-                continue
-            try:
-                table.promote_giga(record.tag, frame=record.tag)
-            except PageTableError:
-                continue
-            promoted.append(record)
-            self.stats.giga_promotions += 1
-            if on_giga_shootdown is not None:
-                on_giga_shootdown(record.pid, record.tag)
-        return promoted
+    def _dominates(
+        self, record: CandidateRecord, huge_records: list[CandidateRecord]
+    ) -> bool:
+        """§3.2.3's 1GB rule: the 1GB region's walk frequency dominates
+        every constituent 2MB entry's — i.e. the 2MB page size is not
+        preventing last-level TLB misses for this span."""
+        constituent_max = max(
+            (
+                r.frequency
+                for r in huge_records
+                if r.pid == record.pid and r.tag // HUGE_PER_GIGA == record.tag
+            ),
+            default=0,
+        )
+        return record.frequency >= self.giga_dominance_ratio * max(
+            1, constituent_max
+        )

@@ -86,11 +86,9 @@ class Khugepaged:
         self,
         physmem: PhysicalMemory,
         scan_pages_per_interval: int = 4096,
-        allow_compaction: bool = True,
     ) -> None:
         self.physmem = physmem
         self.scan_budget = scan_pages_per_interval
-        self.allow_compaction = allow_compaction
         self.stats = THPStats()
         self._cursor: dict[int, int] = {}
 
@@ -121,9 +119,7 @@ class Khugepaged:
             if not mapped:
                 continue
             try:
-                frame, _ = self.physmem.allocate_huge(
-                    allow_compaction=self.allow_compaction
-                )
+                frame, _ = self.physmem.allocate_huge(allow_compaction=True)
             except OutOfMemoryError:
                 break
             remapped = page_table.promote(prefix, frame)

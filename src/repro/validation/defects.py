@@ -20,7 +20,11 @@ correctness mechanism the oracle and invariants are supposed to defend:
   root subtree, evicting a recently-used way. Every engine tier shares
   the drifted policy, so tier-vs-tier comparison stays green; only the
   independent reference oracle (``repro.validation.reference``) can
-  catch it, which is exactly what it exists to prove.
+  catch it, which is exactly what it exists to prove;
+- ``leaked-base-pages`` — promotion collapses a region's PTEs but never
+  returns their 4KB pages to physical memory. Every tier shares the OS,
+  so tier comparison is blind; the frame-conservation invariant sees
+  the carved pages outnumber the mapped ones.
 
 The test suite (and ``repro validate --inject-defect``) asserts that
 each injection is *caught* — by tier divergence or an invariant — and
@@ -36,7 +40,17 @@ from typing import Callable, Iterator
 
 
 @contextlib.contextmanager
-def lost_fast_hits() -> Iterator[None]:
+def _patched(owner, attribute: str, replacement) -> Iterator[None]:
+    """Install ``replacement`` as ``owner.attribute`` for the block."""
+    original = getattr(owner, attribute)
+    setattr(owner, attribute, replacement)
+    try:
+        yield
+    finally:
+        setattr(owner, attribute, original)
+
+
+def lost_fast_hits() -> contextlib.AbstractContextManager:
     """Make the pipeline's counter flush drop its pending 2MB L1 hits."""
     from repro.engine.machine import TranslationPipeline
 
@@ -49,28 +63,17 @@ def lost_fast_hits() -> Iterator[None]:
         tlb.accesses -= lost
         tlb.l1_huge.stats.hits -= lost
 
-    TranslationPipeline.sync = lossy_sync
-    try:
-        yield
-    finally:
-        TranslationPipeline.sync = original
+    return _patched(TranslationPipeline, "sync", lossy_sync)
 
 
-@contextlib.contextmanager
-def pcc_no_decay() -> Iterator[None]:
+def pcc_no_decay() -> contextlib.AbstractContextManager:
     """Disable the PCC's frequency decay on counter saturation."""
     from repro.core.pcc import PromotionCandidateCache
 
-    original = PromotionCandidateCache._decay
-    PromotionCandidateCache._decay = lambda self: None
-    try:
-        yield
-    finally:
-        PromotionCandidateCache._decay = original
+    return _patched(PromotionCandidateCache, "_decay", lambda self: None)
 
 
-@contextlib.contextmanager
-def region_count_drift() -> Iterator[None]:
+def region_count_drift() -> contextlib.AbstractContextManager:
     """Make the page table's per-region base-page count drift high."""
     from repro.vm.address import huge_prefix
     from repro.vm.pagetable import PageTable
@@ -82,15 +85,10 @@ def region_count_drift() -> Iterator[None]:
         prefix = huge_prefix(vaddr)
         self._base_count[prefix] = self._base_count.get(prefix, 0) + 1
 
-    PageTable.map_base = drifting_map_base
-    try:
-        yield
-    finally:
-        PageTable.map_base = original
+    return _patched(PageTable, "map_base", drifting_map_base)
 
 
-@contextlib.contextmanager
-def tlb_plru_drift() -> Iterator[None]:
+def tlb_plru_drift() -> contextlib.AbstractContextManager:
     """Make tree-PLRU victim selection descend the wrong root subtree.
 
     Flips the root direction bit before consulting the tree, so a full
@@ -110,11 +108,15 @@ def tlb_plru_drift() -> Iterator[None]:
             bits ^= 1 << 1  # invert the root's left/right decision
         return original(bits, ways)
 
-    plru.victim = drifted_victim
-    try:
-        yield
-    finally:
-        plru.victim = original
+    return _patched(plru, "victim", drifted_victim)
+
+
+def leaked_base_pages() -> contextlib.AbstractContextManager:
+    """Make promotion skip returning the collapsed base pages."""
+    from repro.os.physmem import PhysicalMemory
+
+    return _patched(PhysicalMemory, "release_base_pages",
+                    lambda self, count: 0)
 
 
 #: name -> context manager installing the defect for the duration
@@ -123,6 +125,7 @@ DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "pcc-no-decay": pcc_no_decay,
     "region-count-drift": region_count_drift,
     "tlb-plru-drift": tlb_plru_drift,
+    "leaked-base-pages": leaked_base_pages,
 }
 
 

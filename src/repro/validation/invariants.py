@@ -17,7 +17,11 @@ correctness argument rests on:
   doubly backed across granularities;
 - **statistics conservation** — every access is exactly one of an L1
   hit, an L2 hit, or a walk, per core and across the TLB structure
-  counters.
+  counters;
+- **frame conservation** — physical memory backs exactly what the page
+  tables map: the frames in the HUGE state equal the 2MB leaves plus
+  512 per 1GB leaf, and the 4KB pages carved out of partial frames
+  equal the mapped PTEs plus the pages fragmentation placed.
 
 The checks walk structures whose sizes are bounded by hardware
 capacities (TLB entries, PCC entries) or by the touched footprint
@@ -38,6 +42,7 @@ from repro.vm.address import (
     BASE_PAGE_SHIFT,
     GIGA_PAGE_SHIFT,
     HUGE_PAGE_SHIFT,
+    HUGE_PER_GIGA,
     PageSize,
 )
 
@@ -105,6 +110,7 @@ class InvariantMonitor:
             self.check_stats(core)
         for pid, process in self.machine.kernel.processes.items():
             self.check_page_table(pid, process.page_table)
+        self.check_frames()
         if ticks is not None:
             self.check_tick_accounting(ticks)
 
@@ -228,13 +234,13 @@ class InvariantMonitor:
                     f"pid {pid}: promoted 2MB region {prefix:#x} still "
                     f"holds {recount[prefix]} base PTEs",
                 )
-            if table.is_giga_promoted(prefix >> _GIGA_SHIFT):
+            if table.is_promoted(prefix >> _GIGA_SHIFT, PageSize.GIGA):
                 _fail(
                     "pagetable.double_backing",
                     f"pid {pid}: 2MB region {prefix:#x} promoted under "
                     f"promoted 1GB region {prefix >> _GIGA_SHIFT:#x}",
                 )
-        for giga in table.giga_promoted_regions():
+        for giga in table.promoted_regions(PageSize.GIGA):
             pages_under = sum(
                 n
                 for prefix, n in recount.items()
@@ -246,6 +252,33 @@ class InvariantMonitor:
                     f"pid {pid}: promoted 1GB region {giga:#x} still "
                     f"covers {pages_under} base PTEs",
                 )
+
+    # ------------------------------------------------------------------
+    # physical frames
+
+    def check_frames(self) -> None:
+        """Physical memory holds exactly what the page tables map."""
+        physmem = self.machine.kernel.physmem
+        tables = [p.page_table for p in self.machine.kernel.processes.values()]
+        leaf_frames = sum(
+            len(t.promoted_regions())
+            + HUGE_PER_GIGA * len(t.promoted_regions(PageSize.GIGA))
+            for t in tables
+        )
+        if physmem.huge_frames_in_use() != leaf_frames:
+            _fail(
+                "frames.huge",
+                f"{physmem.huge_frames_in_use()} HUGE frames != {leaf_frames}"
+                f" backing the 2MB leaves and {HUGE_PER_GIGA} per 1GB leaf",
+            )
+        backed = sum(t.mapped_base_page_count() for t in tables)
+        placed = physmem.stats.fragment_pages
+        if physmem.base_pages_in_use() != backed + placed:
+            _fail(
+                "frames.base",
+                f"{physmem.base_pages_in_use()} base pages in use != "
+                f"{backed} mapped PTEs + {placed} placed by fragmentation",
+            )
 
     # ------------------------------------------------------------------
     # statistics conservation

@@ -23,7 +23,6 @@ from repro.vm.address import (
     BASE_PAGE_SHIFT,
     GIGA_PAGE_SHIFT,
     HUGE_PAGE_SHIFT,
-    HUGE_PER_GIGA,
     PAGES_PER_HUGE,
     PageSize,
     giga_prefix,
@@ -260,36 +259,61 @@ class PageTable:
         """
         return self._base_count.get(prefix, 0)
 
-    def is_promoted(self, prefix: int) -> bool:
-        """Whether 2MB region ``prefix`` is backed by a huge page."""
-        state = self._huge.get(prefix)
-        return state is not None and state.promoted
+    def is_promoted(self, tag: int, size: PageSize = PageSize.HUGE) -> bool:
+        """Whether region ``tag`` at ``size`` is backed by one leaf."""
+        if size is PageSize.HUGE:
+            state = self._huge.get(tag)
+            return state is not None and state.promoted
+        return tag in self._giga
 
-    def is_giga_promoted(self, giga: int) -> bool:
-        """Whether 1GB region ``giga`` is backed by a giga page."""
-        return giga in self._giga
+    def covered_pages(self, tag: int, size: PageSize = PageSize.HUGE) -> int:
+        """4KB pages region ``tag`` at ``size`` maps: its base PTEs plus
+        512 per 2MB leaf inside it (what a promotion would absorb)."""
+        covered = 0
+        for prefix in self._huge_prefixes(tag, size):
+            state = self._huge.get(prefix)
+            if state is not None and state.promoted:
+                covered += PAGES_PER_HUGE
+            else:
+                covered += self._base_count.get(prefix, 0)
+        return covered
 
-    def promote(self, prefix: int, frame: int) -> int:
-        """Collapse 2MB region ``prefix``'s PTEs into one huge leaf.
+    def promote(self, tag: int, frame: int,
+                size: PageSize = PageSize.HUGE) -> int:
+        """Collapse region ``tag`` at ``size`` into one leaf on ``frame``.
 
-        Returns the number of 4KB pages that were remapped (the paper
-        zero-fills the rest of the region, which we charge in timing).
+        Every constituent is absorbed: the 4KB PTEs and, for a 1GB
+        page, the 2MB leaves as well (§3.2.3: "the entire region is
+        collectively promoted"). Returns the number of 4KB PTEs that
+        were remapped (the paper zero-fills the rest of the region,
+        which we charge in timing).
         """
-        state = self._huge.setdefault(prefix, _HugeRegionState())
-        if state.promoted:
-            raise PageTableError(f"2MB region {prefix:#x} already promoted")
-        remapped = self.mapped_pages_in_region(prefix)
-        if not remapped:
+        if self.is_promoted(tag, size):
+            raise PageTableError(f"{size.name} region {tag:#x} already promoted")
+        if not self.covered_pages(tag, size):
             raise PageTableError(
-                f"2MB region {prefix:#x} has no mapped pages to promote"
+                f"{size.name} region {tag:#x} has no mapped pages to promote"
             )
-        for page in remapped:
-            del self._ptes[page]
-        self._base_count[prefix] = 0
-        state.promoted = True
-        state.frame = frame
-        self.stats.promotions += 1
-        return len(remapped)
+        remapped = 0
+        for prefix in self._huge_prefixes(tag, size):
+            state = self._huge.get(prefix)
+            if state is not None:  # a 1GB page absorbs the 2MB leaves
+                state.promoted = False
+                state.frame = -1
+            pages = self.mapped_pages_in_region(prefix)
+            for page in pages:
+                del self._ptes[page]
+            remapped += len(pages)
+            self._base_count[prefix] = 0
+        if size is PageSize.HUGE:
+            state = self._huge.setdefault(tag, _HugeRegionState())
+            state.promoted = True
+            state.frame = frame
+            self.stats.promotions += 1
+        else:
+            self._giga[tag] = frame
+            self.stats.giga_promotions += 1
+        return remapped
 
     def demote(self, prefix: int, frames: list[int] | None = None) -> None:
         """Split promoted region ``prefix`` back into 512 base PTEs."""
@@ -310,33 +334,6 @@ class PageTable:
         state.promoted = False
         state.frame = -1
         self.stats.demotions += 1
-
-    def promote_giga(self, giga: int, frame: int) -> int:
-        """Collapse 1GB region ``giga`` into a single giga leaf.
-
-        Both 4KB-mapped and already-2MB-promoted constituents are
-        absorbed, per §3.2.3 ("the entire region is collectively
-        promoted"). Returns the count of absorbed leaf mappings.
-        """
-        if giga in self._giga:
-            raise PageTableError(f"1GB region {giga:#x} already promoted")
-        absorbed = 0
-        first_huge = giga * HUGE_PER_GIGA
-        for prefix in range(first_huge, first_huge + HUGE_PER_GIGA):
-            state = self._huge.get(prefix)
-            if state is not None and state.promoted:
-                state.promoted = False
-                state.frame = -1
-                absorbed += 1
-            for page in self.mapped_pages_in_region(prefix):
-                del self._ptes[page]
-                absorbed += 1
-            self._base_count[prefix] = 0
-        if absorbed == 0:
-            raise PageTableError(f"1GB region {giga:#x} has nothing to promote")
-        self._giga[giga] = frame
-        self.stats.giga_promotions += 1
-        return absorbed
 
     # ------------------------------------------------------------------
     # accessed-bit maintenance
@@ -374,12 +371,10 @@ class PageTable:
     # ------------------------------------------------------------------
     # inventory
 
-    def promoted_regions(self) -> list[int]:
-        """2MB region numbers currently promoted (sorted)."""
-        return sorted(p for p, s in self._huge.items() if s.promoted)
-
-    def giga_promoted_regions(self) -> list[int]:
-        """1GB region numbers currently promoted (sorted)."""
+    def promoted_regions(self, size: PageSize = PageSize.HUGE) -> list[int]:
+        """Region numbers currently promoted at ``size`` (sorted)."""
+        if size is PageSize.HUGE:
+            return sorted(p for p, s in self._huge.items() if s.promoted)
         return sorted(self._giga)
 
     def mapped_base_page_count(self) -> int:
@@ -396,6 +391,12 @@ class PageTable:
         regions = {p for p, c in self._base_count.items() if c}
         regions.update(p for p, s in self._huge.items() if s.promoted)
         return sorted(regions)
+
+    @staticmethod
+    def _huge_prefixes(tag: int, size: PageSize) -> range:
+        """2MB region numbers inside region ``tag`` at ``size``."""
+        count = 1 << (size.value - HUGE_PAGE_SHIFT)
+        return range(tag * count, (tag + 1) * count)
 
     @staticmethod
     def _region_pages(prefix: int) -> range:

@@ -90,10 +90,10 @@ class TestPromotedMapping:
         assert cycles == 0
         assert core.stats.walks == 1
 
-    def test_dump_pcc_ranked(self, core, table):
+    def test_snapshot_read_is_ranked(self, core, table):
         for page in range(4):
             core.access_page(VPN + page, table)
-        entries = core.dump_pcc()
+        entries = core.pcc.ranked()
         assert entries[0].tag == REGION
         assert len(core.pcc) == 1  # dump does not clear
 
@@ -101,7 +101,6 @@ class TestPromotedMapping:
 class TestGigaPCC:
     def test_disabled_by_default(self, core):
         assert core.pcc_1gb is None
-        assert core.dump_pcc_1gb() == []
 
     def test_enabled_tracks_1gb_regions(self, table):
         from repro.config import PCCConfig

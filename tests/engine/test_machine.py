@@ -142,12 +142,60 @@ class TestOsTickDriver:
         # run far below the interval: exactly the final-tick record
         assert len(result.promotion_timeline) == 1
 
+    def test_tick_charges_the_outcome_once(self):
+        from repro.core.dump import CandidateRecord
+        from repro.engine.timing import CycleAccounting
+        from repro.os.promotion import PromotionOutcome
+
+        class Kernel:
+            processes = {}
+
+        outcome = PromotionOutcome(
+            promoted=[CandidateRecord(pid=1, core=0, tag=7, frequency=3)],
+            pages_migrated=2,
+        )
+        ticks = OsTickDriver(Kernel(), interval=10,
+                             tick_fn=lambda cores, ledgers: outcome)
+        config = tiny_config()
+        ledgers = [CycleAccounting(config.timing) for _ in range(2)]
+        expected = CycleAccounting(config.timing)
+        expected.charge_promotions(promotions=1, shootdown_broadcasts=1,
+                                   migrated_pages=2, cores=2)
+        ticks.tick([], ledgers)
+        assert ticks.promotions == 1
+        assert ledgers[0].as_metrics("c") == expected.as_metrics("c")
+        idle = CycleAccounting(config.timing)
+        assert ledgers[1].as_metrics("c") == idle.as_metrics("c")
+
     def test_due_flag(self):
         ticks = OsTickDriver(kernel=None, interval=10, tick_fn=None)
         ticks.note(9)
         assert not ticks.due
         ticks.note(1)
         assert ticks.due
+
+
+class TestRunReleasesItsSlots:
+    def test_finished_run_frees_its_traces_by_refcount(self):
+        """The machine graph is cyclic, so a slot it still referenced
+        would live (with its trace lists) until a collection; under
+        PLRU the fast loop's last slot used to stay that way."""
+        import gc
+
+        from repro.engine.machine import _ThreadSlot
+
+        config = tiny_config()
+        config = config.with_(tlb=config.tlb.with_replacement("plru"))
+        gc.collect()
+        gc.disable()
+        try:
+            simulator = Simulator(config, policy=HugePagePolicy.PCC)
+            simulator.run([make_workload(_addresses(list(range(300)) * 3))])
+            del simulator
+            alive = [o for o in gc.get_objects() if isinstance(o, _ThreadSlot)]
+        finally:
+            gc.enable()
+        assert alive == []
 
 
 class TestPerPidWalkAttribution:

@@ -5,7 +5,7 @@ import pytest
 from repro.config import tiny_config
 from repro.core.dump import CandidateRecord
 from repro.os.kernel import HugePagePolicy, KernelParams, SimulatedKernel
-from repro.vm.address import HUGE_PAGE_SIZE
+from repro.vm.address import HUGE_PAGE_SIZE, PageSize
 from repro.vm.layout import AddressSpaceLayout
 
 BASE_LAYOUT_ADDR = 0x5555_5540_0000
@@ -151,9 +151,9 @@ class TestPromotionTick:
         seen = []
         kernel.promotion_tick(
             pcc_records=[CandidateRecord(pid=1, core=0, tag=prefix, frequency=5)],
-            on_shootdown=lambda pid, pfx: seen.append((pid, pfx)),
+            on_shootdown=lambda pid, pfx, size: seen.append((pid, pfx, size)),
         )
-        assert seen == [(1, prefix)]
+        assert seen == [(1, prefix, PageSize.HUGE)]
 
 
 class TestFragmentationSetup:

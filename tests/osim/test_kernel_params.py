@@ -71,7 +71,7 @@ class TestSnapshotWithGiga:
 
 
 class TestCompactionEnabled:
-    """Every deliberate promotion path compacts (``COMPACTION_ENABLED``).
+    """Every deliberate promotion path compacts.
 
     At 90% fragmentation no frame is free, so each 2MB mapping these
     policies make must come from compacting a frame that holds only a
@@ -101,7 +101,6 @@ class TestCompactionEnabled:
         ids=lambda policy: policy.name,
     )
     def test_fragmented_memory_is_compacted_for_huge_pages(self, policy):
-        assert KernelParams.COMPACTION_ENABLED
         stats = self._run(policy)
         assert stats.huge_allocations > 0
         assert stats.compactions == stats.huge_allocations

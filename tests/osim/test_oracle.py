@@ -48,8 +48,7 @@ class TestStaticAllocator:
 
     def test_fragmentation_falls_back_to_base(self):
         allocator = make_allocator([REGION], frames=2)
-        allocator.physmem.fragment(1.0)
-        allocator.allow_compaction = False
+        allocator.physmem.fragment(1.0)  # every frame pinned
         table = PageTable()
         assert not allocator.handle_fault(table, BASE)
         assert allocator.stats.huge_failures == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.os.physmem import FrameState, OutOfMemoryError, PhysicalMemory
-from repro.vm.address import HUGE_PAGE_SIZE, PAGES_PER_HUGE
+from repro.vm.address import HUGE_PAGE_SIZE, PAGES_PER_HUGE, PageSize
 
 
 def make_mem(frames=8):
@@ -83,3 +83,61 @@ class TestFrameStateTransitions:
         released = mem.release_base_pages(PAGES_PER_HUGE)
         assert released == PAGES_PER_HUGE
         assert mem._frames[frame].state is FrameState.FREE
+
+
+class TestGigaAllocation:
+    """A 1GB page claims a 1GB-aligned run of 512 frames."""
+
+    def test_claims_the_first_free_aligned_run(self):
+        mem = make_mem(1024)
+        mem.allocate_huge()  # frame 0 breaks the first run
+        start, migrated = mem.allocate_huge(size=PageSize.GIGA)
+        assert (start, migrated) == (512, 0)
+        assert mem.huge_frames_in_use() == 1 + 512
+        assert mem.stats.huge_allocations == 2
+
+    def test_compaction_empties_an_unpinned_run(self):
+        mem = make_mem(1024)
+        mem.allocate_base(count=3)  # frame 0
+        mem._fill_cursor = 600
+        mem.allocate_base(count=10)  # frame 600: destination slack
+        mem.allocate_huge()  # frame 1: run 0 now also holds a huge page
+        with pytest.raises(OutOfMemoryError):
+            mem.allocate_huge(size=PageSize.GIGA)  # no compaction
+        mem.free_huge(1)
+        start, migrated = mem.allocate_huge(
+            allow_compaction=True, size=PageSize.GIGA
+        )
+        # run 0 moves 3 pages, run 1 would move 10: the cheaper one wins
+        assert (start, migrated) == (0, 3)
+        assert mem.base_pages_in_use() == 13
+        assert mem.stats.compactions == 1
+
+    def test_a_huge_frame_in_every_run_refuses(self):
+        mem = make_mem(1024)
+        mem._fill_cursor = 1
+        mem.allocate_huge()  # frame 0
+        mem._frames[512].state = FrameState.HUGE
+        with pytest.raises(OutOfMemoryError):
+            mem.allocate_huge(allow_compaction=True, size=PageSize.GIGA)
+        assert mem.stats.huge_failures == 1
+
+    def test_pinned_pages_refuse_even_with_compaction(self):
+        mem = make_mem(512)
+        mem.fragment(0.01, scatter_movable=False)
+        with pytest.raises(OutOfMemoryError):
+            mem.allocate_huge(allow_compaction=True, size=PageSize.GIGA)
+
+    def test_memory_below_a_gigabyte_refuses(self):
+        with pytest.raises(OutOfMemoryError):
+            make_mem(511).allocate_huge(allow_compaction=True,
+                                        size=PageSize.GIGA)
+
+    def test_fragment_counts_the_pages_it_places(self):
+        mem = make_mem(16)
+        mem.fragment(0.25)
+        assert mem.stats.fragment_pages == 16
+        assert mem.base_pages_in_use() == 16
+        other = make_mem(16)
+        other.fragment(0.25, scatter_movable=False)
+        assert other.stats.fragment_pages == 4

@@ -82,9 +82,9 @@ class TestBasicPromotion:
         calls = []
         engine.run_interval(
             [rec(REGION)], {1: table},
-            on_shootdown=lambda pid, prefix: calls.append((pid, prefix)),
+            on_shootdown=lambda pid, tag, size: calls.append((pid, tag, size)),
         )
-        assert calls == [(1, REGION)]
+        assert calls == [(1, REGION, PageSize.HUGE)]
 
     def test_skips_unknown_pid(self):
         engine = make_engine()
@@ -245,47 +245,142 @@ class TestDemotion:
         assert engine.stats.promotion_failures == 1
 
 
+GIGA = 2  # virtual 1GB region number of the test candidates
+
+
+def giga_table(giga=GIGA, regions=1, pid=1):
+    table = PageTable(pid=pid)
+    for region in range(regions):
+        table.map_base((giga << 30) + region * HUGE_PAGE_SIZE, frame=region)
+    return table
+
+
 class TestGigaPromotion:
     def test_promotes_when_frequency_dominates(self):
-        engine = make_engine()
-        table = PageTable(pid=1)
-        giga = 2
-        table.map_base(giga << 30, frame=1)
-        promoted = engine.maybe_promote_giga(
-            records_2mb=[],
-            records_1gb=[rec(giga, freq=200, page_size=PageSize.GIGA)],
-            page_tables={1: table},
-        )
-        assert len(promoted) == 1
-        assert table.is_giga_promoted(giga)
+        engine = make_engine(frames=2048)
+        table = giga_table()
+        record = rec(GIGA, freq=200, page_size=PageSize.GIGA)
+        outcome = engine.run_interval([record], {1: table})
+        assert outcome.promoted == [record]
+        assert table.is_promoted(GIGA, PageSize.GIGA)
         assert engine.stats.giga_promotions == 1
+        assert engine.stats.promotions == 0
+        # one 1GB page holds a 1GB-aligned run of 512 frames
+        assert engine.physmem.huge_frames_in_use() == 512
+        assert table.translate(GIGA << 30).frame % 512 == 0
 
     def test_skipped_when_2mb_serves_well(self):
         """§3.2.3's intent with saturating counters: promote to 1GB only
         when the 1GB frequency dominates every constituent 2MB entry —
         a lone hot child saturates alongside the 1GB entry and blocks
         the collective promotion."""
-        engine = make_engine()
-        table = PageTable(pid=1)
-        giga = 2
-        table.map_base(giga << 30, frame=1)
-        constituent = rec((giga << 9), freq=150)  # hot first 2MB child
-        promoted = engine.maybe_promote_giga(
-            records_2mb=[constituent],
-            records_1gb=[rec(giga, freq=200, page_size=PageSize.GIGA)],
-            page_tables={1: table},
+        engine = make_engine(frames=2048)
+        table = giga_table()
+        constituent = rec(GIGA << 9, freq=150)  # hot first 2MB child
+        outcome = engine.run_interval(
+            [constituent, rec(GIGA, freq=200, page_size=PageSize.GIGA)],
+            {1: table},
         )
-        assert promoted == []
+        assert outcome.promoted == [constituent]
+        assert engine.stats.giga_promotions == 0
 
     def test_giga_shootdown_callback(self):
-        engine = make_engine()
-        table = PageTable(pid=1)
-        table.map_base(5 << 30, frame=1)
+        engine = make_engine(frames=2048)
+        table = giga_table(giga=5)
         seen = []
-        engine.maybe_promote_giga(
-            records_2mb=[],
-            records_1gb=[rec(5, freq=200, page_size=PageSize.GIGA)],
-            page_tables={1: table},
-            on_giga_shootdown=lambda pid, giga: seen.append((pid, giga)),
+        engine.run_interval(
+            [rec(5, freq=200, page_size=PageSize.GIGA)],
+            {1: table},
+            on_shootdown=lambda pid, tag, size: seen.append((pid, tag, size)),
         )
-        assert seen == [(1, 5)]
+        assert seen == [(1, 5, PageSize.GIGA)]
+
+    def test_2mb_candidates_run_first_each_with_its_own_quota(self):
+        engine = make_engine(frames=2048, regions_to_promote=1)
+        table = giga_table(regions=2)
+        outcome = engine.run_interval(
+            [rec(GIGA, freq=250, page_size=PageSize.GIGA),
+             rec((GIGA << 9) + 1, freq=10),
+             rec(GIGA << 9, freq=9)],
+            {1: table},
+        )
+        # the hotter 1GB candidate waits for the 2MB pass, and the 2MB
+        # pass's quota of one leaves the 1GB pass its own
+        assert [(r.tag, r.page_size) for r in outcome.promoted] == [
+            ((GIGA << 9) + 1, PageSize.HUGE), (GIGA, PageSize.GIGA)
+        ]
+
+    def test_absorbs_2mb_pages_and_frees_their_frames(self):
+        engine = make_engine(frames=2048, demotion_enabled=True)
+        table = giga_table(regions=2)
+        child = GIGA << 9
+        engine.run_interval([rec(child, freq=9)], {1: table})
+        assert engine.physmem.huge_frames_in_use() == 1
+        engine.run_interval(
+            [rec(GIGA, freq=200, page_size=PageSize.GIGA)], {1: table}
+        )
+        assert table.promoted_regions() == []
+        assert engine.physmem.huge_frames_in_use() == 512
+        # the absorbed 2MB page left the demotion bookkeeping
+        assert engine._huge_frames == {}
+        assert engine._promo_frequency == {}
+        assert not engine._probing and not engine._cold
+
+    def test_bloat_counts_the_unmapped_gigabyte(self):
+        engine = make_engine(frames=2048)
+        table = giga_table(regions=2)
+        engine.run_interval(
+            [rec(GIGA, freq=200, page_size=PageSize.GIGA)], {1: table}
+        )
+        assert engine.stats.bloat_pages == PageSize.GIGA.base_pages - 2
+
+    def test_releases_remapped_base_pages(self):
+        engine = make_engine(frames=2048)
+        engine.physmem.allocate_base(3)
+        table = PageTable(pid=1)
+        for page in range(3):
+            table.map_base((GIGA << 30) + page * 4096, frame=page)
+        engine.run_interval(
+            [rec(GIGA, freq=200, page_size=PageSize.GIGA)], {1: table}
+        )
+        assert engine.physmem.base_pages_in_use() == 0
+
+    @pytest.mark.parametrize("budget, promoted", [(511, 0), (512, 1)])
+    def test_counts_512_regions_against_budget(self, budget, promoted):
+        engine = make_engine(frames=2048)
+        table = giga_table()
+        engine.run_interval(
+            [rec(GIGA, freq=200, page_size=PageSize.GIGA)], {1: table},
+            budget_regions=budget,
+        )
+        assert engine.stats.giga_promotions == promoted
+
+    def test_refused_without_a_free_gigabyte_run(self):
+        engine = make_engine(frames=512)
+        engine.physmem.fragment(1.0)
+        table = giga_table(giga=0)
+        outcome = engine.run_interval(
+            [rec(0, freq=200, page_size=PageSize.GIGA)], {1: table}
+        )
+        assert outcome.promoted == []
+        assert engine.stats.promotion_failures == 1
+        assert not table.is_promoted(0, PageSize.GIGA)
+
+    def test_refused_when_memory_is_smaller_than_a_gigabyte(self):
+        engine = make_engine(frames=16)
+        table = giga_table(giga=0)
+        outcome = engine.run_interval(
+            [rec(0, freq=200, page_size=PageSize.GIGA)], {1: table}
+        )
+        assert outcome.promoted == []
+        assert engine.stats.promotion_failures == 1
+
+    def test_never_demotes_for_a_gigabyte(self):
+        engine = make_engine(frames=512, demotion_enabled=True)
+        table = giga_table(giga=0, regions=2)
+        engine.run_interval([rec(0, freq=2)], {1: table})
+        outcome = engine.run_interval(
+            [rec(0, freq=250, page_size=PageSize.GIGA)], {1: table}
+        )
+        assert outcome.demoted == []
+        assert table.is_promoted(0)

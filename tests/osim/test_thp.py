@@ -107,7 +107,7 @@ class TestKhugepaged:
     def test_stops_on_memory_exhaustion(self):
         mem = make_mem(2)
         mem.fragment(1.0)
-        daemon = Khugepaged(mem, allow_compaction=False)
+        daemon = Khugepaged(mem)  # every frame pinned: nothing compacts
         table = self._table_with_regions(2)
         assert daemon.scan_interval(table) == []
 

@@ -238,7 +238,7 @@ def test_fast_path_survives_fragmentation_and_demotion(tier, streams,
 
 
 @pytest.mark.parametrize("tier", TIERS_UNDER_TEST)
-def test_fast_path_handles_giga_promoted_regions(tier):
+def test_fast_path_handles_1gb_backed_regions(tier):
     """1GB-backed regions are answered by a structure the L1 probe does
     not cover; every tier must route them through the full path."""
     from repro.experiments.ablations import giant_span_workload
@@ -246,11 +246,15 @@ def test_fast_path_handles_giga_promoted_regions(tier):
 
     workload = giant_span_workload(giga_regions=2, accesses=20_000)
     config = config_for(workload)
+    config = config.with_(
+        memory_bytes=4 << 30, pcc=replace(config.pcc, giga_enabled=True)
+    )
     prints = {}
     for name in ("scalar", tier):
         simulator = Simulator(config, policy=HugePagePolicy.PCC,
                               **ENGINE_TIER_SWITCHES[name])
         result = simulator.run([copy.deepcopy(workload)])
+        assert simulator.kernel._engine.stats.giga_promotions >= 1, name
         prints[name] = _result_fingerprint(result)
     assert prints[tier] == prints["scalar"]
 

@@ -52,7 +52,7 @@ class TestAdmissionProtocol:
     def test_giga_leaf_skips_2mb_pcc(self, walker):
         table = PageTable()
         table.map_base(GIGA_PAGE_SIZE, frame=1)
-        table.promote_giga(1, frame=2)
+        table.promote(1, 2, PageSize.GIGA)
         walker.walk(GIGA_PAGE_SIZE, table)
         result = walker.walk(GIGA_PAGE_SIZE + HUGE_PAGE_SIZE, table)
         assert result.pcc_2mb_candidate is None
@@ -76,7 +76,7 @@ class TestWalkLatency:
         walker = PageTableWalker(config)
         table = PageTable()
         table.map_base(GIGA_PAGE_SIZE, frame=1)
-        table.promote_giga(1, frame=2)
+        table.promote(1, 2, PageSize.GIGA)
         walk = walker.walk(GIGA_PAGE_SIZE, table)
         assert walk.cycles == 2 * config.memory_ref_cycles
 

@@ -73,7 +73,8 @@ class TestReplay:
 
 class TestDefectSelfTest:
     @pytest.mark.parametrize(
-        "defect", ["lost-fast-hits", "pcc-no-decay", "region-count-drift"]
+        "defect", ["lost-fast-hits", "pcc-no-decay", "region-count-drift",
+                   "leaked-base-pages"]
     )
     def test_planted_defect_is_caught_and_shrunk(
         self, capsys, tmp_path, defect

@@ -15,6 +15,7 @@ from repro.config import tiny_config
 from repro.core.pcc import PromotionCandidateCache
 from repro.engine.machine import Machine, TranslationPipeline
 from repro.os.kernel import HugePagePolicy
+from repro.os.physmem import PhysicalMemory
 from repro.tlb import plru
 from repro.validation import defects
 from repro.validation.generators import generate_case
@@ -30,6 +31,7 @@ PATCHED = {
     "pcc-no-decay": (PromotionCandidateCache, "_decay"),
     "region-count-drift": (PageTable, "map_base"),
     "tlb-plru-drift": (plru, "victim"),
+    "leaked-base-pages": (PhysicalMemory, "release_base_pages"),
 }
 
 

@@ -71,3 +71,71 @@ def test_validate_flag_threads_through_the_simulator_facade():
     )
     simulator.run([case.build_workload()])
     assert simulator.machine.monitor is not None
+
+
+def test_leaked_base_pages_defect_trips_the_frame_invariant():
+    case = generate_case(0)
+    with defects.inject("leaked-base-pages"):
+        with pytest.raises(InvariantViolation) as exc:
+            run_case(case, policy=HugePagePolicy.PCC)
+    assert exc.value.domain == "frames.base"
+
+
+def test_tier_comparison_is_blind_to_leaked_base_pages():
+    from repro.validation.oracle import fingerprint
+
+    case = generate_case(0)
+    with defects.inject("leaked-base-pages"):
+        prints = {
+            tier: fingerprint(run_case(case, tier=tier, validate=False)[1])
+            for tier in ENGINE_TIER_SWITCHES
+        }
+    assert prints["fast"] == prints["scalar"] == prints["columnar"]
+
+
+@pytest.mark.parametrize(
+    "policy", list(HugePagePolicy), ids=lambda policy: policy.name
+)
+def test_frames_are_conserved_under_fragmentation(policy):
+    from repro.config import tiny_config
+    from repro.os.kernel import KernelParams
+    from tests.conftest import make_workload
+    from tests.engine.test_simulation import hot_cold_addresses
+
+    params = KernelParams(
+        demotion_enabled=True,
+        static_huge_regions=(0x5555_5540_0000 >> 21,),
+    )
+    simulator = Simulator(tiny_config(), policy=policy, params=params,
+                          fragmentation=0.5, validate=True)
+    simulator.run([make_workload(hot_cold_addresses(repeats=500))])
+    monitor = simulator.machine.monitor
+    assert monitor.checks > 1
+    monitor.check_frames()
+
+
+def test_frames_are_conserved_across_1gb_promotions():
+    import copy
+    from dataclasses import replace
+
+    from repro.experiments.ablations import giant_span_workload
+    from repro.experiments.common import config_for
+
+    workload = giant_span_workload(giga_regions=2, accesses=20_000)
+    config = config_for(workload)
+    config = config.with_(
+        memory_bytes=4 << 30, pcc=replace(config.pcc, giga_enabled=True)
+    )
+    simulator = Simulator(config, policy=HugePagePolicy.PCC, validate=True)
+    simulator.run([copy.deepcopy(workload)])
+    assert simulator.kernel._engine.stats.giga_promotions >= 1
+    assert simulator.kernel.physmem.huge_frames_in_use() >= 512
+
+
+def test_a_frame_no_leaf_maps_breaks_conservation():
+    case = generate_case(0)
+    simulator, _ = run_case(case, policy=HugePagePolicy.PCC)
+    simulator.kernel.physmem.allocate_huge(allow_compaction=True)
+    with pytest.raises(InvariantViolation) as exc:
+        simulator.machine.monitor.check_frames()
+    assert exc.value.domain == "frames.huge"

@@ -132,27 +132,32 @@ class TestDemotion:
 
 
 class TestGigaPromotion:
-    def test_promote_giga_absorbs_base_and_huge(self, table):
+    def test_giga_collapse_absorbs_base_and_huge(self, table):
         giga_base = GIGA_PAGE_SIZE  # giga region 1
         table.map_base(giga_base, frame=1)
         table.map_huge(giga_base + HUGE_PAGE_SIZE, frame=2)
-        absorbed = table.promote_giga(1, frame=77)
-        assert absorbed == 2
-        assert table.is_giga_promoted(1)
+        assert table.covered_pages(1, PageSize.GIGA) == 1 + 512
+        remapped = table.promote(1, 77, PageSize.GIGA)
+        assert remapped == 1  # the 4KB PTE; the 2MB leaf is absorbed too
+        assert table.is_promoted(1, PageSize.GIGA)
+        assert table.promoted_regions() == []
+        assert table.promoted_regions(PageSize.GIGA) == [1]
+        assert table.mapped_base_page_count() == 0
+        assert table.stats.giga_promotions == 1
         for offset in (0, HUGE_PAGE_SIZE + 5, GIGA_PAGE_SIZE - 1):
             mapping = table.translate(giga_base + offset)
             assert mapping.page_size is PageSize.GIGA
             assert mapping.frame == 77
 
-    def test_promote_giga_empty_rejected(self, table):
-        with pytest.raises(PageTableError, match="nothing to promote"):
-            table.promote_giga(5, frame=1)
+    def test_giga_collapse_of_empty_region_rejected(self, table):
+        with pytest.raises(PageTableError, match="no mapped pages"):
+            table.promote(5, 1, PageSize.GIGA)
 
-    def test_promote_giga_twice_rejected(self, table):
+    def test_giga_collapse_twice_rejected(self, table):
         table.map_base(GIGA_PAGE_SIZE, frame=1)
-        table.promote_giga(1, frame=2)
+        table.promote(1, 2, PageSize.GIGA)
         with pytest.raises(PageTableError, match="already promoted"):
-            table.promote_giga(1, frame=3)
+            table.promote(1, 3, PageSize.GIGA)
 
 
 class TestWalkAccessBits:
@@ -182,7 +187,7 @@ class TestWalkAccessBits:
 
     def test_giga_walk_has_no_pmd_level(self, table):
         table.map_base(GIGA_PAGE_SIZE, frame=1)
-        table.promote_giga(1, frame=2)
+        table.promote(1, 2, PageSize.GIGA)
         mapping, _, pmd_was = table.walk(GIGA_PAGE_SIZE + 123)
         assert mapping.page_size is PageSize.GIGA
         assert not pmd_was
