@@ -31,9 +31,10 @@ fuzz:
 	$(PYTHON) -m repro validate --replay tests/corpus
 
 # prove the harness catches planted bugs (each must fail + shrink).
-# tlb-plru-drift goes through `crosscheck`, not `validate`: every
-# engine tier shares the drifted policy, so only the independent
-# reference model can see it.
+# slot-order-faults needs two or more threads: one thread's span has a
+# single fault window. tlb-plru-drift goes through `crosscheck`, not
+# `validate`: every engine tier shares the drifted policy, so only the
+# independent reference model can see it.
 fuzz-selftest:
 	@for defect in lost-fast-hits pcc-no-decay region-count-drift \
 		leaked-base-pages; do \
@@ -42,6 +43,10 @@ fuzz-selftest:
 			--inject-defect $$defect \
 			--corpus-dir $${TMPDIR:-/tmp}/repro-fuzz-selftest || exit 1; \
 	done
+	@echo "=== defect: slot-order-faults (two or more threads) ==="
+	@$(PYTHON) -m repro validate --fuzz 40 --min-threads 2 \
+		--inject-defect slot-order-faults \
+		--corpus-dir $${TMPDIR:-/tmp}/repro-fuzz-selftest
 	@echo "=== defect: tlb-plru-drift (reference cross-check) ==="
 	@$(PYTHON) -m repro crosscheck --cases 8 --tlb-replacement plru \
 		--inject-defect tlb-plru-drift \

@@ -46,19 +46,22 @@ to) leaves the per-record loop behind: between TLB-mutating events
 there is no reason to stop at quantum boundaries at all. In an
 unobserved run (walk observers wrap the per-record translate binding
 the epoch pass bypasses), the machine retires the **entire remaining
-OS-tick interval** as one epoch per live thread:
+OS-tick interval** as one epoch per live thread, whether one thread
+is live or several:
 
-1. *Window*: the epoch end comes from iterating the per-quantum
-   ``searchsorted`` rule until the accumulated accesses cover the
-   remaining promotion interval — exactly the records the scalar loop
-   would run before its next due-check fires. With several live
-   threads the same rule plans a full round-robin schedule
-   (``Machine._multithread_epoch``): every round covers every live
-   slot in scheduler order, and per-core epochs span the whole plan —
-   sound because distinct cores' TLBs, walkers and PCCs never observe
-   each other's records, faults replay in exact (round, slot) order,
-   and the one cross-core coupling (page-table accessed bits) gets a
-   merged per-process pass in scalar walk order.
+1. *Window*: ``Machine._columnar_span`` plans the round-robin schedule
+   the scalar loop would run before its next due-check fires: every
+   round covers every live slot in scheduler order under the
+   per-quantum ``searchsorted`` rule, until the accumulated accesses
+   cover the remaining promotion interval or a slot runs out. Each
+   slot's epoch spans its whole share of the plan
+   (:meth:`TranslationPipeline.run_epoch`). With one live slot that is
+   simply its remaining interval. With several it is sound because
+   distinct cores' TLBs, walkers and PCCs never observe each other's
+   records, faults replay in exact (round, slot) order, and the one
+   cross-core coupling (page-table accessed bits) gets a merged
+   per-process pass in scalar walk order. Only then do two gates
+   apply: no shared PCC and no two live slots on one core.
 2. *Fault pre-pass*: every first-touch fault in the window fires
    up-front, in first-occurrence order. This is exact because fault
    handling never touches TLBs and never sets accessed bits
@@ -100,10 +103,10 @@ uses, so ``sync()`` remains the single flush point.
 ``columnar=False`` selects the quantum tiers unconditionally.
 
 Under tree-PLRU the classifier's exact-LRU algebra does not apply, so a
-PLRU epoch or multi-thread span plans its window the same way, takes
-the fault pre-pass (policy-blind: faults never touch TLBs), and replays
-the window through the fast loop — the path a declined LRU window
-takes. Each counts once as ``columnar_plru_fallbacks``.
+PLRU span plans its rounds the same way, takes the fault pre-pass
+(policy-blind: faults never touch TLBs), and replays the rounds through
+the fast loop (``Machine._replay_rounds``) — the path a declined LRU
+span takes. Each PLRU span counts once as ``columnar_plru_fallbacks``.
 """
 
 from __future__ import annotations
@@ -232,12 +235,27 @@ def _rebuild_sets(sets_dicts, stats, epoch: _SetsEpoch, entry) -> None:
                 entries[tag] = entry
 
 
+def _fault_windows(slots, ends) -> list:
+    """A planned span's fault windows ``[k, start, end]`` (slot k's
+    records ``[start, end)``) in the scalar loop's (round, slot) order,
+    adjacent windows of one slot merged."""
+    windows = []
+    for r in range(len(ends[0])):
+        for k, slot in enumerate(slots):
+            if windows and windows[-1][0] == k:
+                windows[-1][2] = ends[k][r]
+            else:
+                start = ends[k][r - 1] if r else slot.cursor
+                windows.append([k, start, ends[k][r]])
+    return windows
+
+
 class _EpochContext:
     """Classification results for one epoch window, pre-commit.
 
     Produced read-only by ``TranslationPipeline._epoch_classify`` and
-    consumed by ``_epoch_finish``; splitting the two lets multi-thread
-    epochs interleave the page-table pass across cores between them.
+    consumed by ``_epoch_finish``; splitting the two lets a span run one
+    merged page-table pass per process between them.
     ``base``/``huge``/``l2``/``giga`` are the four classified LRU
     structures (L1-4K, L1-2M, unified L2, L1-1G), each a
     :class:`_SetsEpoch` or None when the window never touches it.
@@ -344,7 +362,8 @@ class TranslationPipeline:
     """
 
     #: below this epoch window (records) the whole-epoch pass cannot
-    #: amortize its setup; delegate the quantum to the fast tier
+    #: amortize its setup; a span with a shorter window runs one scalar
+    #: round instead
     MIN_EPOCH_RECORDS = 64
 
     def __init__(self, core: Core, fast_path: bool = True) -> None:
@@ -388,9 +407,9 @@ class TranslationPipeline:
         self.columnar_mt_epochs = 0
         self.columnar_faults_batched = 0
         self.columnar_faults_scalar = 0
-        # PLRU epochs: the whole-epoch classifier is exact-LRU-specific,
-        # so a tree-PLRU window or multi-thread span (counted once) runs
-        # as fault pre-pass plus fast-loop replay; bit-identical.
+        # PLRU spans: the whole-epoch classifier is exact-LRU-specific,
+        # so a tree-PLRU span (counted once) runs as fault pre-pass plus
+        # fast-loop replay; bit-identical.
         self.columnar_plru_fallbacks = 0
         # Under PLRU dict order no longer tracks recency, so the fast
         # loop probes the tag->way maps and performs the masked
@@ -598,101 +617,78 @@ class TranslationPipeline:
     # ------------------------------------------------------------------
     # the columnar epoch tier
 
-    def run_epoch(self, slot: _ThreadSlot, budget: int, page_table,
-                  interval_remaining: int) -> tuple:
-        """Retire up to one whole OS-tick interval of ``slot`` at once.
+    @classmethod
+    def run_epoch(cls, pipelines, slots, ends, tables, charge_faults):
+        """Retire one planned round-robin span as one epoch per slot.
 
-        The caller (the machine's run loop, single-live-slot case only)
-        passes the accesses remaining until the next promotion tick;
-        the epoch window covers exactly the quanta the round loop would
-        run before its due-check fires — iterating the per-quantum
-        ``searchsorted`` rule, since the scalar loop checks ``due``
-        after every quantum and the final quantum may overshoot the
-        interval just like it may overshoot its budget. Returns the
-        same ``(cursor, accesses, translation_cycles, walks)`` tuple as
-        :meth:`run_quantum`; small windows delegate one quantum to the
-        fast tier, and tree-PLRU windows replay through it after the
-        fault pre-pass.
+        ``slots`` are the span's live slots in scheduler order,
+        ``pipelines`` their cores' pipelines, ``tables`` the page tables
+        by pid, and ``ends[k]`` slot k's cursor after each planned round
+        (``Machine._columnar_span``). Faults fire first, in the scalar
+        loop's (round, slot) order; adjacent windows of one slot merge,
+        so a lone slot takes one pre-pass, and ``charge_faults(slot)``
+        follows each window. Then each slot classifies its whole span
+        against its own core, each process gets one page-table pass in
+        scalar walk order, and each slot commits. Returns one
+        ``(cursor, accesses, translation_cycles, walks)`` tuple per
+        slot, or None when the caller must replay the plan through the
+        quantum tiers: a tree-PLRU span, or a window the classifier
+        declines (L2 aliasing the model cannot license, a fill shape it
+        does not cover, or an unmapped hole whose walk must raise the
+        scalar path's error). Only the faults have happened then.
         """
-        cum = slot.stream.cum
-        start = slot.cursor
-        n = slot.length
-        end = start
-        acc = 0
-        while acc < interval_remaining and end < n:
-            nxt = int(np.searchsorted(cum, cum[end] + budget, side="left"))
-            if nxt > n:
-                nxt = n
-            if nxt <= end:  # pragma: no cover - counts are >= 1
-                nxt = end + 1
-            end = nxt
-            acc = int(cum[end] - cum[start])
-        if end - start < self.MIN_EPOCH_RECORDS:
-            return self.run_quantum(slot, budget, page_table)
-        if self._plru:
-            # The whole-epoch classifier proves hits against exact-LRU
-            # stack depths; no such closed form exists for tree-PLRU.
-            # The window still takes the fault pre-pass (policy-blind:
-            # faults never touch TLBs) and replays through the fast
-            # loop, the exact path a declined LRU window takes.
-            self.columnar_plru_fallbacks += 1
-            self._epoch_faults(slot, start, end, page_table)
-            return self._replay_window(slot, start, end, budget, page_table)
-        if slot.bsets is None:
-            self._attach_epoch_views(slot)
-        return self._run_epoch_columnar(slot, start, end, budget, page_table)
+        for k, start, end in _fault_windows(slots, ends):
+            slot = slots[k]
+            pipelines[k]._epoch_faults(slot, start, end, tables[slot.pid])
+            charge_faults(slot)
+        if pipelines[0]._plru:
+            # The classifier proves hits against exact-LRU stack depths;
+            # no such closed form exists for tree-PLRU.
+            pipelines[0].columnar_plru_fallbacks += 1
+            return None
 
-    def _run_epoch_columnar(self, slot: _ThreadSlot, start: int, end: int,
-                            budget: int, page_table) -> tuple:
-        """One vectorized epoch pass over ``[start, end)``.
+        ctxs = []
+        for pipeline, slot, slot_ends in zip(pipelines, slots, ends):
+            if slot.bsets is None:
+                pipeline._attach_epoch_views(slot)
+            ctx = pipeline._epoch_classify(slot, slot.cursor, slot_ends[-1],
+                                           tables[slot.pid])
+            if ctx is None:
+                pipeline.columnar_fallbacks += 1
+                return None
+            ctxs.append(ctx)
 
-        Composes the phases the module docstring describes: the fault
-        pre-pass (:meth:`_epoch_faults`), read-only classification of
-        the window against every LRU structure in the machine
-        (:meth:`_epoch_classify`), the page-table accessed-bit pass,
-        and the commit (:meth:`_epoch_finish`). A window the classifier
-        declines — L2 aliasing the model cannot license, a fill shape
-        it does not cover, or an unmapped hole whose walk must raise
-        the scalar path's error — replays through the quantum tiers
-        instead (:meth:`_replay_window`), bit-identically either way.
-        """
-        self._epoch_faults(slot, start, end, page_table)
-        ctx = self._epoch_classify(slot, start, end, page_table)
-        if ctx is None:
-            self.columnar_fallbacks += 1
-            return self._replay_window(slot, start, end, budget, page_table)
-        ctx.walk_pud, ctx.walk_pmd = residue.page_table_pass(
-            page_table, ctx.walk_vpns, ctx.walk_sizes
-        )
-        return self._epoch_finish(ctx)
+        # ---- page-table accessed bits: one merged pass per process, in
+        # scalar walk order (round, then round-robin position, then
+        # program order within the slot).
+        by_pid: dict[int, list[int]] = {}
+        for k, slot in enumerate(slots):
+            by_pid.setdefault(slot.pid, []).append(k)
+        for pid, ks in by_pid.items():
+            sizes = [int(ctxs[k].walk_vpns.size) for k in ks]
+            rounds = np.concatenate([
+                np.searchsorted(ends[k], ctxs[k].walk_ridx, side="right")
+                for k in ks
+            ])
+            order = np.lexsort((np.repeat(np.arange(len(ks)), sizes), rounds))
+            vpns = np.concatenate([ctxs[k].walk_vpns for k in ks])[order]
+            walk_sizes = np.concatenate([ctxs[k].walk_sizes for k in ks])
+            pud = np.empty(vpns.size, dtype=bool)
+            pmd = np.empty(vpns.size, dtype=bool)
+            pud[order], pmd[order] = residue.page_table_pass(
+                tables[pid], vpns, walk_sizes[order]
+            )
+            splits = np.cumsum(sizes)[:-1]
+            for k, k_pud, k_pmd in zip(ks, np.split(pud, splits),
+                                       np.split(pmd, splits)):
+                ctxs[k].walk_pud, ctxs[k].walk_pmd = k_pud, k_pmd
 
-    def _replay_window(self, slot: _ThreadSlot, start: int, end: int,
-                       budget: int, page_table) -> tuple:
-        """Replay a planned epoch window through the quantum tiers.
-
-        ``run_quantum``'s budget rule (a record runs iff the accesses
-        before it are under budget) is the epoch planner's searchsorted
-        rule, so iterating it retires
-        precisely ``[start, end)`` in the steps the scalar round loop
-        would have taken (the planner stopped at the first quantum
-        covering the remaining interval, so no tick fires inside the
-        window). The cursor is restored before returning: the caller's
-        single ``scheduler.advance`` call keeps the remaining-record
-        accounting intact, exactly as after a classified epoch.
-        """
-        accesses = 0
-        cycles = 0
-        walks = 0
-        cursor = start
-        while cursor < end:
-            slot.cursor = cursor
-            cursor, acc, cyc, wlk = self.run_quantum(slot, budget,
-                                                     page_table)
-            accesses += acc
-            cycles += cyc
-            walks += wlk
-        slot.cursor = start
-        return cursor, accesses, cycles, walks
+        multi = len(slots) > 1
+        results = []
+        for pipeline, ctx in zip(pipelines, ctxs):
+            results.append(pipeline._epoch_finish(ctx))
+            pipeline.columnar_mt_epochs += multi
+        return results
 
     def _epoch_faults(self, slot: _ThreadSlot, start: int, end: int,
                       page_table) -> None:
@@ -1292,12 +1288,8 @@ class Machine:
         if obs is not None:
             self._attach_walk_observers(obs, ticks)
 
-        kernel = self.kernel
-        processes = kernel.processes
+        processes = self.kernel.processes
         pipelines = self.pipelines
-        ledgers = self.ledgers
-        quantum = self.thread_quantum
-        drain_fault_work = kernel.drain_fault_work
         walks_by_pid = {pid: 0 for pid in processes}
 
         # The columnar epoch tier needs the translate binding untouched:
@@ -1336,66 +1328,10 @@ class Machine:
             while scheduler.remaining > 0:
                 if prog is not None and prog.due():
                     report_progress()
-                if use_columnar:
-                    live = [
-                        slot for slot in scheduler.slots
-                        if slot.live and slot.cursor < slot.length
-                    ]
-                    if len(live) == 1:
-                        # Single runnable thread: between here and the
-                        # next TLB-mutating event (the tick below) no
-                        # quantum switch can interleave, so the whole
-                        # remaining interval retires as one epoch.
-                        slot = live[0]
-                        ledger = ledgers[slot.core_id]
-                        cursor, accesses, cycles, walks = (
-                            pipelines[slot.core_id].run_epoch(
-                                slot,
-                                quantum,
-                                processes[slot.pid].page_table,
-                                ticks.interval - ticks.accesses_since_tick,
-                            )
-                        )
-                        scheduler.advance(slot, cursor)
-                        ledger.charge_translation(cycles)
-                        ledger.charge_accesses(accesses)
-                        walks_by_pid[slot.pid] += walks
-                        ticks.note(accesses)
-                        huge_z, base_z, migrated = drain_fault_work()
-                        ledger.charge_fault_work(huge_z, base_z, migrated)
-                        self._after_span(ticks, monitor, obs)
-                        continue
-                    elif len(live) > 1 and self._multithread_epoch(
-                        live, scheduler, ticks, walks_by_pid,
-                        monitor, obs
-                    ):
-                        continue
-                for slot in scheduler.next_round():
-                    pipeline = pipelines[slot.core_id]
-                    ledger = ledgers[slot.core_id]
-                    table = processes[slot.pid].page_table
-                    if tracer is None:
-                        cursor, accesses, cycles, walks = pipeline.run_quantum(
-                            slot, quantum, table
-                        )
-                    else:
-                        with tracer.span(
-                            "quantum",
-                            cat="engine",
-                            tid=CORE_TID_BASE + slot.core_id,
-                            process=slot.pid,
-                        ):
-                            cursor, accesses, cycles, walks = (
-                                pipeline.run_quantum(slot, quantum, table)
-                            )
-                    scheduler.advance(slot, cursor)
-                    ledger.charge_translation(cycles)
-                    ledger.charge_accesses(accesses)
-                    walks_by_pid[slot.pid] += walks
-                    ticks.note(accesses)
-                    huge_z, base_z, migrated = drain_fault_work()
-                    ledger.charge_fault_work(huge_z, base_z, migrated)
-
+                if not (use_columnar and self._columnar_span(
+                        scheduler, ticks, walks_by_pid)):
+                    self._replay_rounds(scheduler, 1, ticks, walks_by_pid,
+                                        tracer)
                 if ticks.due:
                     self._run_tick(ticks, monitor, obs)
                     if monitor is not None:
@@ -1430,39 +1366,33 @@ class Machine:
         return result
 
     # ------------------------------------------------------------------
-    # multi-thread columnar epochs
+    # columnar spans
 
-    def _multithread_epoch(self, live, scheduler, ticks, walks_by_pid,
-                           monitor, obs) -> bool:
+    def _columnar_span(self, scheduler, ticks, walks_by_pid) -> bool:
         """Retire one scalar round-robin span as per-core epochs.
 
-        The scalar loop interleaves fixed quanta round-robin and checks
-        the tick only at round boundaries, so between two TLB-mutating
-        events every core's record stream is a deterministic function
-        of the plan alone: per-core TLBs, walkers and PCCs see only
-        their own slot's accesses (distinct cores required), page
-        faults are globally ordered by (round, slot) — replayed exactly
-        by per-window fault pre-passes — and page-table accessed bits,
-        the only cross-core coupling, get one merged per-process pass
-        in scalar walk order. Returns False (nothing retired) when a
-        gate fails; True when the span retired as epochs or replayed
-        bit-identically after the fault pre-pass (a tree-PLRU span, or
-        a classifier decline).
+        The scalar loop interleaves fixed quanta round-robin over the
+        live slots and checks the tick only at round boundaries, so
+        between two TLB-mutating events every core's record stream is a
+        deterministic function of the plan alone (one live slot is the
+        one-slot case of the same rule). Returns False (nothing retired)
+        when a slot's window is too short to amortize an epoch or a
+        multi-slot gate fails; True when the span retired as epochs
+        (:meth:`TranslationPipeline.run_epoch`) or replayed
+        bit-identically after the fault pre-pass.
         """
-        if self.config.pcc.shared:
+        live = [slot for slot in scheduler.slots
+                if slot.live and slot.cursor < slot.length]
+        if len(live) > 1 and (
             # One PCC consumes walk admissions from every core in
             # round-interleaved order; per-slot bulk applies would
             # reorder them.
+            self.config.pcc.shared
+            # Two slots on one core share its TLBs; their probe streams
+            # interleave mid-span and cannot be classified independently.
+            or len({slot.core_id for slot in live}) < len(live)
+        ):
             return False
-        pipelines = self.pipelines
-        seen_cores = set()
-        for slot in live:
-            if slot.core_id in seen_cores:
-                # Two slots on one core share its TLBs; their probe
-                # streams interleave mid-span and cannot be classified
-                # independently.
-                return False
-            seen_cores.add(slot.core_id)
 
         # ---- plan the rounds the scalar loop would run before its
         # due-check fires: every round covers every live slot, in
@@ -1472,14 +1402,11 @@ class Machine:
         # set; the outer loop re-enters and re-plans).
         quantum = self.thread_quantum
         interval_remaining = ticks.interval - ticks.accesses_since_tick
-        cur = [slot.cursor for slot in live]
         ends: list[list[int]] = [[] for _ in live]
-        rounds: list[list[tuple[int, int, int]]] = []
         total = 0
         while True:
-            this_round = []
-            for i, slot in enumerate(live):
-                c = cur[i]
+            for slot, slot_ends in zip(live, ends):
+                c = slot_ends[-1] if slot_ends else slot.cursor
                 cum = slot.stream.cum
                 nxt = int(np.searchsorted(cum, cum[c] + quantum,
                                           side="left"))
@@ -1487,161 +1414,85 @@ class Machine:
                     nxt = slot.length
                 if nxt <= c:  # pragma: no cover - counts are >= 1
                     nxt = c + 1
-                this_round.append((i, c, nxt))
                 total += int(cum[nxt] - cum[c])
-                cur[i] = nxt
-            rounds.append(this_round)
-            for i in range(len(live)):
-                ends[i].append(cur[i])
+                slot_ends.append(nxt)
             if total >= interval_remaining or any(
-                cur[i] >= s.length for i, s in enumerate(live)
+                slot_ends[-1] >= slot.length
+                for slot, slot_ends in zip(live, ends)
             ):
                 break
-        min_records = TranslationPipeline.MIN_EPOCH_RECORDS
-        if any(cur[i] - s.cursor < min_records
-               for i, s in enumerate(live)):
+        if any(slot_ends[-1] - slot.cursor
+               < TranslationPipeline.MIN_EPOCH_RECORDS
+               for slot, slot_ends in zip(live, ends)):
             return False
 
         processes = self.kernel.processes
         ledgers = self.ledgers
         drain = self.kernel.drain_fault_work
-        tables = {slot.pid: processes[slot.pid].page_table
-                  for slot in live}
 
-        # ---- faults in exact scalar order: per (round, slot) window,
-        # drained and charged to the running core like a quantum.
-        for this_round in rounds:
-            for i, s0, s1 in this_round:
-                slot = live[i]
-                pipelines[slot.core_id]._epoch_faults(
-                    slot, s0, s1, tables[slot.pid]
-                )
-                huge_z, base_z, migrated = drain()
-                ledgers[slot.core_id].charge_fault_work(
-                    huge_z, base_z, migrated
-                )
+        def charge_faults(slot) -> None:
+            # a fault window's kernel work, charged like a quantum's
+            ledgers[slot.core_id].charge_fault_work(*drain())
 
-        first = pipelines[live[0].core_id]
-        if first._plru:
-            # The epoch classifier is exact-LRU-specific (see
-            # run_epoch): replay the faulted plan, counted once.
-            first.columnar_plru_fallbacks += 1
-            self._replay_rounds(live, rounds, scheduler, ticks,
-                                walks_by_pid, tables)
-            self._after_span(ticks, monitor, obs)
+        results = TranslationPipeline.run_epoch(
+            [self.pipelines[slot.core_id] for slot in live], live, ends,
+            {slot.pid: processes[slot.pid].page_table for slot in live},
+            charge_faults,
+        )
+        if results is None:
+            self._replay_rounds(scheduler, len(ends[0]), ticks,
+                                walks_by_pid)
             return True
-
-        # ---- classify each slot's whole span against its own core
-        # (read-only; a decline replays the plan through the quantum
-        # tiers instead, with identical results).
-        ctxs = []
-        for i, slot in enumerate(live):
-            pipeline = pipelines[slot.core_id]
-            if slot.bsets is None:
-                pipeline._attach_epoch_views(slot)
-            ctx = pipeline._epoch_classify(
-                slot, slot.cursor, ends[i][-1], tables[slot.pid]
-            )
-            if ctx is None:
-                pipeline.columnar_fallbacks += 1
-                self._replay_rounds(live, rounds, scheduler, ticks,
-                                    walks_by_pid, tables)
-                self._after_span(ticks, monitor, obs)
-                return True
-            ctxs.append(ctx)
-
-        # ---- page-table accessed bits: one merged pass per process,
-        # in scalar walk order (round, then round-robin position, then
-        # program order within the slot).
-        by_pid: dict[int, list[int]] = {}
-        for i, slot in enumerate(live):
-            by_pid.setdefault(slot.pid, []).append(i)
-        for pid, idxs in by_pid.items():
-            table = tables[pid]
-            if len(idxs) == 1:
-                ctx = ctxs[idxs[0]]
-                ctx.walk_pud, ctx.walk_pmd = residue.page_table_pass(
-                    table, ctx.walk_vpns, ctx.walk_sizes
-                )
-                continue
-            vpn_parts = []
-            size_parts = []
-            round_keys = []
-            order_keys = []
-            for pos, i in enumerate(idxs):
-                ctx = ctxs[i]
-                round_ends = np.asarray(ends[i], dtype=np.int64)
-                round_keys.append(np.searchsorted(
-                    round_ends, ctx.walk_ridx, side="right"
-                ))
-                order_keys.append(np.full(
-                    ctx.walk_ridx.size, pos, dtype=np.int64
-                ))
-                vpn_parts.append(ctx.walk_vpns)
-                size_parts.append(ctx.walk_sizes)
-            vpns = np.concatenate(vpn_parts)
-            sizes = np.concatenate(size_parts)
-            order = np.lexsort((
-                np.concatenate(order_keys), np.concatenate(round_keys)
-            ))
-            pud = np.empty(vpns.size, dtype=bool)
-            pmd = np.empty(vpns.size, dtype=bool)
-            pud[order], pmd[order] = residue.page_table_pass(
-                table, vpns[order], sizes[order]
-            )
-            pos0 = 0
-            for i in idxs:
-                ctx = ctxs[i]
-                nw = int(ctx.walk_vpns.size)
-                ctx.walk_pud = pud[pos0:pos0 + nw]
-                ctx.walk_pmd = pmd[pos0:pos0 + nw]
-                pos0 += nw
-
-        # ---- commit per slot, with the scalar loop's bookkeeping.
-        for i, slot in enumerate(live):
-            pipeline = pipelines[slot.core_id]
-            ledger = ledgers[slot.core_id]
-            cursor, accesses, cycles, walks = pipeline._epoch_finish(ctxs[i])
+        for slot, (cursor, accesses, cycles, walks) in zip(live, results):
             scheduler.advance(slot, cursor)
+            ledger = ledgers[slot.core_id]
             ledger.charge_translation(cycles)
             ledger.charge_accesses(accesses)
             walks_by_pid[slot.pid] += walks
             ticks.note(accesses)
-            pipeline.columnar_mt_epochs += 1
-        self._after_span(ticks, monitor, obs)
         return True
 
-    def _replay_rounds(self, live, rounds, scheduler, ticks,
-                       walks_by_pid, tables) -> None:
-        """Replay a planned multi-thread span through the quantum
-        tiers: the scalar round loop, minus the per-round due check
-        (the plan already stops where the scalar loop's would fire)."""
+    def _replay_rounds(self, scheduler, rounds: int, ticks, walks_by_pid,
+                       tracer=None) -> None:
+        """Run ``rounds`` rounds of the scalar round-robin loop.
+
+        Every live slot runs one quantum per round through the quantum
+        tiers, charged to its core, with no due check in between. The
+        run loop takes one round at a time; a columnar span that must
+        replay (tree-PLRU, or a classifier decline) takes its whole
+        plan, which already stops where the scalar loop's due-check
+        would fire and whose faults have already fired.
+        """
         quantum = self.thread_quantum
         pipelines = self.pipelines
         ledgers = self.ledgers
+        processes = self.kernel.processes
         drain = self.kernel.drain_fault_work
-        for this_round in rounds:
-            for i, _s0, _s1 in this_round:
-                slot = live[i]
+        for _ in range(rounds):
+            for slot in scheduler.next_round():
                 pipeline = pipelines[slot.core_id]
-                ledger = ledgers[slot.core_id]
-                cursor, accesses, cycles, walks = pipeline.run_quantum(
-                    slot, quantum, tables[slot.pid]
-                )
+                table = processes[slot.pid].page_table
+                if tracer is None:
+                    cursor, accesses, cycles, walks = pipeline.run_quantum(
+                        slot, quantum, table
+                    )
+                else:
+                    with tracer.span(
+                        "quantum",
+                        cat="engine",
+                        tid=CORE_TID_BASE + slot.core_id,
+                        process=slot.pid,
+                    ):
+                        cursor, accesses, cycles, walks = (
+                            pipeline.run_quantum(slot, quantum, table)
+                        )
                 scheduler.advance(slot, cursor)
+                ledger = ledgers[slot.core_id]
                 ledger.charge_translation(cycles)
                 ledger.charge_accesses(accesses)
                 walks_by_pid[slot.pid] += walks
                 ticks.note(accesses)
-                huge_z, base_z, migrated = drain()
-                ledger.charge_fault_work(huge_z, base_z, migrated)
-
-    def _after_span(self, ticks, monitor, obs) -> None:
-        """The scalar loop's post-round due check."""
-        if ticks.due:
-            self._run_tick(ticks, monitor, obs)
-            if monitor is not None:
-                monitor.after_tick(ticks)
+                ledger.charge_fault_work(*drain())
 
     # ------------------------------------------------------------------
     # observability hooks

@@ -184,18 +184,26 @@ class JobStore:
 #: columnar epochs and retirements, fallbacks).
 _TIER_COUNTER_MARKER = ".fastpath."
 
+#: The columnar tier's span counters, exported from the first served
+#: job on even at zero (a PLRU-only daemon never epochs; an LRU one may
+#: never fall back), so every scrape has all four series.
+_SPAN_COUNTERS = ("columnar_epochs", "columnar_mt_epochs",
+                  "columnar_fallbacks", "columnar_plru_fallbacks")
+
 
 def accumulate_engine_counters(results) -> None:
     """Fold per-run engine-tier counters onto the resilience bus.
 
     The per-run registries are ephemeral (they live on the result
     object); the serving daemon's ``/metrics`` surface needs
-    cumulative tier activity across every job, so the
-    tier counters are re-published here under ``engine.*`` — an
-    un-prefixed name, hence ``bus.registry()`` rather than
-    ``bus.counter`` (which would stamp ``resilience.``).
+    cumulative tier activity across every job, so the tier counters
+    are summed over cores and jobs and re-published here under
+    ``engine.*`` — an un-prefixed name, hence ``bus.registry()``
+    rather than ``bus.counter`` (which would stamp ``resilience.``).
     """
     registry = bus.registry()
+    for short in _SPAN_COUNTERS:
+        registry.counter(f"engine.{short}")
     for result in results:
         metrics = getattr(result, "metrics", None)
         if not isinstance(metrics, dict):

@@ -24,7 +24,13 @@ correctness mechanism the oracle and invariants are supposed to defend:
 - ``leaked-base-pages`` — promotion collapses a region's PTEs but never
   returns their 4KB pages to physical memory. Every tier shares the OS,
   so tier comparison is blind; the frame-conservation invariant sees
-  the carved pages outnumber the mapped ones.
+  the carved pages outnumber the mapped ones;
+- ``slot-order-faults`` — a columnar span's fault pre-pass runs slot by
+  slot instead of in the scalar loop's (round, slot) order, so a page
+  two threads share faults on whichever slot comes first in the
+  scheduler, not on the one that touched it first, and its fault work
+  lands on that core's ledger. Only multi-round, multi-thread spans
+  differ, and only the tier comparison sees it.
 
 The test suite (and ``repro validate --inject-defect``) asserts that
 each injection is *caught* — by tier divergence or an invariant — and
@@ -119,6 +125,18 @@ def leaked_base_pages() -> contextlib.AbstractContextManager:
                     lambda self, count: 0)
 
 
+def slot_order_faults() -> contextlib.AbstractContextManager:
+    """Run a span's fault windows slot by slot, not round by round."""
+    from repro.engine import machine
+
+    original = machine._fault_windows
+
+    def by_slot(slots, ends) -> list:
+        return sorted(original(slots, ends), key=lambda window: window[0])
+
+    return _patched(machine, "_fault_windows", by_slot)
+
+
 #: name -> context manager installing the defect for the duration
 DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "lost-fast-hits": lost_fast_hits,
@@ -126,6 +144,7 @@ DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "region-count-drift": region_count_drift,
     "tlb-plru-drift": tlb_plru_drift,
     "leaked-base-pages": leaked_base_pages,
+    "slot-order-faults": slot_order_faults,
 }
 
 

@@ -14,10 +14,11 @@ scatter, and segments replayed across threads for sharing. All
 randomness flows through the case seed, so ``generate_case(seed)`` is a
 pure function.
 
-1GB (giga) promotion stays disabled in generated cases: the oracle's
-huge-page ledger relation (``promoted regions == promotions -
-demotions``) is only exact while 2MB regions are the sole promotion
-currency.
+Some PCC cases enable the 1GB PCC (``giga``) on a machine with two
+1GB frame runs, so 1GB promotions — and the 2MB pages they absorb —
+run through the same oracle as everything else. Some cases shrink the
+round-robin ``thread_quantum`` below a promotion interval, so a tick
+spans several scheduler rounds.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.engine.system import ProcessWorkload
 from repro.os.kernel import HugePagePolicy, KernelParams
 from repro.trace import synthesis
 from repro.trace.events import Trace
-from repro.vm.address import BASE_PAGE_SHIFT, HUGE_PAGE_SHIFT
+from repro.vm.address import BASE_PAGE_SHIFT, GIGA_PAGE_SHIFT, HUGE_PAGE_SHIFT
 from repro.vm.layout import DEFAULT_HEAP_BASE, AddressSpaceLayout
 
 #: Every fuzz stream lives in one VMA at the canonical heap base.
@@ -81,6 +82,12 @@ class FuzzCase:
     tlb_geometry: dict = field(default_factory=dict)
     #: pages in the single VMA window (multiple 2MB regions)
     window_pages: int = 1024
+    #: enable the 1GB PCC (and memory for a 1GB-aligned frame run);
+    #: omitted from the JSON form when off
+    giga: bool = False
+    #: accesses per scheduler quantum; omitted from the JSON form at
+    #: the engine default
+    thread_quantum: int = 2048
     #: window-relative 2MB region indexes preselected for ORACLE runs
     static_regions: list[int] = field(default_factory=list)
     #: per-thread streams of window-relative 4KB page indexes
@@ -104,15 +111,17 @@ class FuzzCase:
     def to_dict(self) -> dict:
         """Plain-data form for JSON round-tripping.
 
-        The TLB knobs are dropped at their defaults so every case
-        minted before they existed serializes — and hashes — exactly
-        as it always did (``case_id`` is a content hash).
+        The TLB, 1GB and quantum knobs are dropped at their defaults
+        so every case minted before they existed serializes — and
+        hashes — exactly as it always did (``case_id`` is a content
+        hash).
         """
         data = asdict(self)
-        if data["tlb_replacement"] == "lru":
-            del data["tlb_replacement"]
-        if not data["tlb_geometry"]:
-            del data["tlb_geometry"]
+        for name, default in (("tlb_replacement", "lru"),
+                              ("tlb_geometry", {}), ("giga", False),
+                              ("thread_quantum", 2048)):
+            if data[name] == default:
+                del data[name]
         return data
 
     @classmethod
@@ -165,8 +174,13 @@ class FuzzCase:
                 entries=self.pcc_entries,
                 counter_bits=self.pcc_counter_bits,
                 giga_entries=2,
+                giga_enabled=self.giga,
                 replacement=self.pcc_replacement,
             ),
+            # two 1GB-aligned frame runs: one stays free while 2MB pages
+            # occupy the other
+            memory_bytes=(2 << GIGA_PAGE_SHIFT) if self.giga
+            else base.memory_bytes,
             os=OSConfig(
                 promote_every_accesses=self.promote_every,
                 regions_to_promote=self.regions_to_promote,
@@ -349,6 +363,8 @@ def generate_case(
     # meaningful.
     picks = rng.randrange(0, nregions + 1)
     case.static_regions = sorted(rng.sample(range(nregions), picks))
+    case.giga = case.policy == "PCC" and rng.random() < 0.4
+    case.thread_quantum = rng.choice((2048, 2048, 8, 32))
     if tlb_replacement is not None:
         case.tlb_replacement = tlb_replacement
     if tlb_geometry is not None:

@@ -20,8 +20,9 @@ moves:
      from ``NONE`` (same translations, zero promotions);
    - ``PCC`` with ``promotion_budget_regions=0`` performs the same
      translations as ``NONE`` and promotes nothing;
-   - the huge-page ledger balances: promoted regions still standing at
-     the end equal promotions minus demotions (2MB-only currency);
+   - the huge-page ledger balances: 2MB and 1GB leaves still standing
+     at the end, plus the 2MB leaves 1GB promotions absorbed, equal
+     promotions minus demotions;
    - conservation: accesses partition into L1 hits + L2 hits + walks,
      and the promotion timeline sums to the promotion total.
 
@@ -44,6 +45,7 @@ from repro.experiments.common import ENGINE_TIER_SWITCHES
 from repro.os.kernel import HugePagePolicy
 from repro.validation.generators import FuzzCase
 from repro.validation.invariants import InvariantViolation
+from repro.vm.address import PageSize
 
 class ValidationFailure(AssertionError):
     """A case broke a hard relation; carries a machine-readable domain."""
@@ -91,6 +93,7 @@ def run_case(
         policy=policy if policy is not None else case.huge_policy(),
         params=params if params is not None else case.build_params(),
         fragmentation=case.fragmentation,
+        thread_quantum=case.thread_quantum,
         validate=validate,
         **ENGINE_TIER_SWITCHES[tier],
     )
@@ -233,19 +236,23 @@ def check_conservation(case: FuzzCase, result: SimulationResult,
 
 def check_ledger(case: FuzzCase, simulator: Simulator,
                  result: SimulationResult, report: CaseReport) -> None:
-    """Standing promoted regions must balance the promotion ledger.
+    """Standing huge leaves must balance the promotion ledger.
 
-    Tick-driven policies (NONE, PCC, HAWKEYE) create 2MB mappings only
-    through counted promotions, so ``standing == promotions -
-    demotions`` exactly. Greedy/static policies (LINUX_THP, IDEAL,
+    Every promotion, 2MB or 1GB, creates one leaf; a demotion removes a
+    2MB leaf, and a 1GB promotion absorbs the 2MB leaves inside it.
+    Tick-driven policies (NONE, PCC, HAWKEYE) create huge mappings only
+    through counted promotions, so ``standing + absorbed == promotions
+    - demotions`` exactly. Greedy/static policies (LINUX_THP, IDEAL,
     ORACLE) also map huge pages at fault time without counting a
-    promotion, so only the inequality ``standing >= promotions -
-    demotions`` is a law for them.
+    promotion, so only the inequality ``standing + absorbed >=
+    promotions - demotions`` is a law for them.
     """
-    standing = sum(
-        len(process.page_table.promoted_regions())
-        for process in simulator.kernel.processes.values()
-    )
+    standing = 0
+    for process in simulator.kernel.processes.values():
+        table = process.page_table
+        standing += (len(table.promoted_regions())
+                     + len(table.promoted_regions(PageSize.GIGA))
+                     + table.stats.absorbed)
     balance = result.promotions - result.demotions
     exact = case.huge_policy() in (
         HugePagePolicy.NONE,
@@ -255,7 +262,7 @@ def check_ledger(case: FuzzCase, simulator: Simulator,
     if (standing != balance) if exact else (standing < balance):
         raise ValidationFailure(
             "ledger.huge_pages",
-            f"{standing} promoted regions standing, but ledger says "
+            f"{standing} huge leaves standing or absorbed, but ledger says "
             f"{result.promotions} promotions - {result.demotions} "
             f"demotions = {balance} "
             f"({'exact' if exact else 'lower-bound'} law for "

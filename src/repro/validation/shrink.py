@@ -10,8 +10,8 @@ failure reproduces, in three structural stages:
    halving granularity (classic delta debugging) until 1-access
    resolution;
 3. **simplify knobs** — reset each configuration knob toward its most
-   boring value (no demotion, LFU, flush mode, zero fragmentation, no
-   static regions) and shrink the window, keeping each change only if
+   boring value (no demotion, no 1GB PCC, the default quantum, LFU,
+   flush mode, zero fragmentation, no static regions) and shrink the window, keeping each change only if
    the case still fails.
 
 The predicate is arbitrary (typically "``check_case`` raises a failure
@@ -148,6 +148,8 @@ def _simplify_knobs(
     """Stage 3: push each knob to its most boring value."""
     attempts: list[dict] = [
         {"demotion": False},
+        {"giga": False},
+        {"thread_quantum": 2048},
         {"fragmentation": 0.0},
         {"pcc_dump_mode": "flush"},
         {"pcc_replacement": "lfu"},

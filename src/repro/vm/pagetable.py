@@ -54,6 +54,8 @@ class PageTableStats:
     promotions: int = 0
     demotions: int = 0
     giga_promotions: int = 0
+    #: 2MB leaves that 1GB promotions absorbed
+    absorbed: int = 0
 
 
 class PageTableError(Exception):
@@ -298,6 +300,7 @@ class PageTable:
         for prefix in self._huge_prefixes(tag, size):
             state = self._huge.get(prefix)
             if state is not None:  # a 1GB page absorbs the 2MB leaves
+                self.stats.absorbed += state.promoted
                 state.promoted = False
                 state.frame = -1
             pages = self.mapped_pages_in_region(prefix)

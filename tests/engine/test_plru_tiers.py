@@ -4,9 +4,8 @@ The engine's upper tiers were built on LRU shortcuts (dict
 reinsert as recency, the columnar epoch classifier's exact-LRU
 algebra). Under ``tlb_replacement="plru"`` the fast loop's live-hit
 tier performs the masked tree touch instead of the reinsert, and the
-columnar tier runs each single-thread window and each multi-thread
-span as fault pre-pass plus fast-loop replay (the classifier has no
-PLRU analogue). The observable
+columnar tier runs each span, one live thread or several, as fault
+pre-pass plus fast-loop replay (the classifier has no PLRU analogue). The observable
 simulation must stay bit-identical across all three tiers — the same
 guarantee the differential oracle enforces for LRU. PLRU epochs are
 counted (``columnar_plru_fallbacks``) so operators can see them in
@@ -26,12 +25,16 @@ WIDE = {"l1_base": [8, 4], "l2": [16, 8]}
 
 
 def _case(replacement):
-    return generate_case(
+    case = generate_case(
         5,
         min_threads=2,
         tlb_replacement=replacement if replacement != "lru" else None,
         tlb_geometry=WIDE,
     )
+    # the engine's default quantum (this seed now draws 8): one round
+    # covers each thread, so the spans are long enough to go columnar
+    case.thread_quantum = 2048
+    return case
 
 
 def test_all_tiers_are_bit_identical_under_plru():

@@ -167,6 +167,31 @@ class TestLiveEndpoints:
         assert after["repro_resilience_serve_completed_total"] == \
             before["repro_resilience_serve_completed_total"] + 1
 
+    def test_span_counters_sum_over_served_jobs(self, serve_factory,
+                                                 monkeypatch):
+        """Every columnar span of a tree-PLRU job replays, so its PLRU
+        fallbacks reach ``/metrics``; all four span counters appear."""
+        from dataclasses import replace
+
+        from repro.serve.protocol import JobRequest
+
+        original = JobRequest.to_specs
+        monkeypatch.setattr(
+            JobRequest, "to_specs",
+            lambda self: [replace(spec, tlb_replacement="plru")
+                          for spec in original(self)],
+        )
+        handle = serve_factory()
+        before = handle.counters()
+        handle.request("POST", "/v1/jobs", small_job("prom-plru"))
+        handle.wait_for_state("prom-plru")
+        after = handle.counters()
+        names = [f"repro_engine_columnar_{short}_total" for short in
+                 ("epochs", "mt_epochs", "fallbacks", "plru_fallbacks")]
+        assert set(names) <= set(after)
+        plru = "repro_engine_columnar_plru_fallbacks_total"
+        assert after[plru] > before.get(plru, 0.0)
+
     def test_removed_json_metrics_route_is_a_404(self, serve_factory):
         handle = serve_factory()
         # the JSON alias of /metrics that earlier daemons served

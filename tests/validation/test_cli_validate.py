@@ -74,16 +74,19 @@ class TestReplay:
 class TestDefectSelfTest:
     @pytest.mark.parametrize(
         "defect", ["lost-fast-hits", "pcc-no-decay", "region-count-drift",
-                   "leaked-base-pages"]
+                   "leaked-base-pages", "slot-order-faults"]
     )
     def test_planted_defect_is_caught_and_shrunk(
         self, capsys, tmp_path, defect
     ):
+        # one thread's span has a single fault window
+        extra = ["--min-threads", "2"] if defect == "slot-order-faults" else []
         assert (
             cli.main(
                 [
                     "validate",
                     "--fuzz", "10",
+                    *extra,
                     "--inject-defect", defect,
                     "--corpus-dir", str(tmp_path),
                 ]

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import tiny_config
 from repro.core.pcc import PromotionCandidateCache
+from repro.engine import machine as machine_module
 from repro.engine.machine import Machine, TranslationPipeline
 from repro.os.kernel import HugePagePolicy
 from repro.os.physmem import PhysicalMemory
@@ -32,6 +33,7 @@ PATCHED = {
     "region-count-drift": (PageTable, "map_base"),
     "tlb-plru-drift": (plru, "victim"),
     "leaked-base-pages": (PhysicalMemory, "release_base_pages"),
+    "slot-order-faults": (machine_module, "_fault_windows"),
 }
 
 
@@ -103,3 +105,13 @@ def test_lost_fast_hits_keeps_every_invariant_balanced():
         simulator, result = run_case(case, tier="fast", validate=True)
         simulator.machine.monitor.check_all(simulator.machine.ticks)
     assert result.accesses == case.total_accesses
+
+
+def test_slot_order_faults_is_inert_on_one_thread():
+    """A lone slot's span has one fault window: nothing to reorder."""
+    case = generate_case(0)
+    assert len(case.threads) == 1
+    _, healthy = run_case(case, tier="columnar")
+    with defects.inject("slot-order-faults"):
+        _, broken = run_case(case, tier="columnar")
+    assert fingerprint(broken) == fingerprint(healthy)

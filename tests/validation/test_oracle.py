@@ -86,3 +86,18 @@ def test_report_counts_case_accesses():
     assert report.case_id == case.case_id
     assert report.accesses == case.total_accesses
     assert report.policy == case.policy
+
+
+@pytest.mark.parametrize("seed", [24, 38, 161])
+def test_generated_1gb_promotions_balance_the_ledger(seed):
+    """These seeds draw the 1GB PCC and promote a 1GB page that absorbs
+    standing 2MB pages; every tier agrees and the ledger still balances
+    once absorbed leaves count."""
+    case = generate_case(seed)
+    assert case.giga
+    report = check_case(case)
+    assert {"tier:columnar", "ledger"} <= set(report.checks)
+    simulator, result = run_case(case, tier="columnar")
+    tables = [p.page_table for p in simulator.kernel.processes.values()]
+    assert result.metrics["counters"]["kernel.promotion.giga_promotions"] > 0
+    assert sum(table.stats.absorbed for table in tables) > 0
