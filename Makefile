@@ -31,10 +31,11 @@ fuzz:
 	$(PYTHON) -m repro validate --replay tests/corpus
 
 # prove the harness catches planted bugs (each must fail + shrink).
-# slot-order-faults needs two or more threads: one thread's span has a
-# single fault window. tlb-plru-drift goes through `crosscheck`, not
-# `validate`: every engine tier shares the drifted policy, so only the
-# independent reference model can see it.
+# slot-order-faults and span-core-alias need two or more threads: one
+# thread's span has a single fault window and a zero core offset.
+# tlb-plru-drift goes through `crosscheck`, not `validate`: every engine
+# tier shares the drifted policy, so only the independent reference
+# model can see it.
 fuzz-selftest:
 	@for defect in lost-fast-hits pcc-no-decay region-count-drift \
 		leaked-base-pages; do \
@@ -43,10 +44,12 @@ fuzz-selftest:
 			--inject-defect $$defect \
 			--corpus-dir $${TMPDIR:-/tmp}/repro-fuzz-selftest || exit 1; \
 	done
-	@echo "=== defect: slot-order-faults (two or more threads) ==="
-	@$(PYTHON) -m repro validate --fuzz 40 --min-threads 2 \
-		--inject-defect slot-order-faults \
-		--corpus-dir $${TMPDIR:-/tmp}/repro-fuzz-selftest
+	@for defect in slot-order-faults span-core-alias; do \
+		echo "=== defect: $$defect (two or more threads) ==="; \
+		$(PYTHON) -m repro validate --fuzz 40 --min-threads 2 \
+			--inject-defect $$defect \
+			--corpus-dir $${TMPDIR:-/tmp}/repro-fuzz-selftest || exit 1; \
+	done
 	@echo "=== defect: tlb-plru-drift (reference cross-check) ==="
 	@$(PYTHON) -m repro crosscheck --cases 8 --tlb-replacement plru \
 		--inject-defect tlb-plru-drift \

@@ -89,9 +89,6 @@ class ColumnarStream:
     - ``region_ridx`` / ``region_tags``: dense index into the sorted
       unique-2MB-region vocabulary (the per-epoch mapping-state gather
       keys by this).
-
-    ``slot`` records which scheduler slot the stream was bound to; -1
-    until a machine binds it.
     """
 
     vpns: np.ndarray
@@ -102,7 +99,6 @@ class ColumnarStream:
     page_tags: np.ndarray
     region_ridx: np.ndarray
     region_tags: np.ndarray
-    slot: int = -1
 
     def __len__(self) -> int:
         return int(self.vpns.size)
@@ -113,12 +109,11 @@ class ColumnarStream:
         return int(self.cum[-1])
 
     @classmethod
-    def encode(cls, vpns: np.ndarray, counts: np.ndarray,
-               slot: int = -1) -> "ColumnarStream":
+    def encode(cls, vpns: np.ndarray, counts: np.ndarray) -> "ColumnarStream":
         """Encode a compressed record stream into column arrays."""
         from repro.resilience.faults import fault_point
 
-        fault_point("engine.columnar.encode", detail=f"slot={slot}")
+        fault_point("engine.columnar.encode", detail=f"records={len(vpns)}")
         vpns = np.ascontiguousarray(vpns, dtype=np.uint64)
         counts = np.ascontiguousarray(counts, dtype=np.int64)
         if vpns.shape != counts.shape:
@@ -141,11 +136,10 @@ class ColumnarStream:
             page_tags=page_tags,
             region_ridx=np.ascontiguousarray(region_ridx, dtype=np.intp),
             region_tags=region_tags,
-            slot=slot,
         )
 
     @classmethod
-    def from_trace(cls, trace, cache=None, slot: int = -1) -> "ColumnarStream":
+    def from_trace(cls, trace, cache=None) -> "ColumnarStream":
         """Encode a :class:`~repro.trace.events.CompressedTrace`.
 
         With a :class:`~repro.trace.cache.TraceCache`, the derived
@@ -155,7 +149,7 @@ class ColumnarStream:
         memory-mapped back on subsequent runs.
         """
         if cache is None:
-            return cls.encode(trace.vpns, trace.counts, slot=slot)
+            return cls.encode(trace.vpns, trace.counts)
         vpns = np.ascontiguousarray(trace.vpns, dtype=np.uint64)
         counts = np.ascontiguousarray(trace.counts, dtype=np.int64)
         params = stream_content_params(vpns, counts)
@@ -192,7 +186,6 @@ class ColumnarStream:
             page_tags=arrays["page_tags"],
             region_ridx=arrays["region_ridx"].astype(np.intp, copy=False),
             region_tags=arrays["region_tags"],
-            slot=slot,
         )
 
     # ------------------------------------------------------------------
@@ -419,14 +412,11 @@ def _final_contents(p_set, p_tag, pair_order, pair_start, total, nsets,
     last_touch = pair_order[last_idx]
     order2 = np.lexsort((last_touch, pr_set))
     o_set = pr_set[order2]
-    o_tag = pr_tag[order2]
-    bounds = np.searchsorted(o_set, np.arange(nsets + 1))
+    o_tag = pr_tag[order2].tolist()
+    bounds = np.searchsorted(o_set, np.arange(nsets + 1)).tolist()
     out: list[list[int]] = []
-    for s in range(nsets):
-        lo, hi = int(bounds[s]), int(bounds[s + 1])
-        if hi - lo > ways:
-            lo = hi - ways
-        out.append(o_tag[lo:hi].tolist())
+    for lo, hi in zip(bounds, bounds[1:]):
+        out.append(o_tag[max(lo, hi - ways):hi])
     return out
 
 
@@ -501,14 +491,16 @@ def final_lru_contents(
 
 
 def epoch_evictions(miss_set_ids: np.ndarray, nsets: int, ways: int,
-                    occupancy0: np.ndarray) -> int:
+                    occupancy0: np.ndarray, groups: int) -> np.ndarray:
     """Evictions a structure performs over one epoch, without replay.
 
     Occupancy never falls mid-epoch (no invalidations between ticks)
     and every classified miss fills exactly one entry, so per set the
     first ``ways - occupancy0`` fills land in empty ways and every
-    further fill evicts the LRU victim.
+    further fill evicts the LRU victim. The ``nsets`` sets split into
+    ``groups`` equal runs (one per core of a span); returns each run's
+    eviction count.
     """
     fills = np.bincount(miss_set_ids, minlength=nsets)
     headroom = ways - occupancy0
-    return int(np.maximum(fills - headroom, 0).sum())
+    return np.maximum(fills - headroom, 0).reshape(groups, -1).sum(axis=1)

@@ -46,8 +46,8 @@ to) leaves the per-record loop behind: between TLB-mutating events
 there is no reason to stop at quantum boundaries at all. In an
 unobserved run (walk observers wrap the per-record translate binding
 the epoch pass bypasses), the machine retires the **entire remaining
-OS-tick interval** as one epoch per live thread, whether one thread
-is live or several:
+OS-tick interval** as one span, one epoch per live thread, in one
+array pass whether one thread is live or several:
 
 1. *Window*: ``Machine._columnar_span`` plans the round-robin schedule
    the scalar loop would run before its next due-check fires: every
@@ -55,13 +55,15 @@ is live or several:
    per-quantum ``searchsorted`` rule, until the accumulated accesses
    cover the remaining promotion interval or a slot runs out. Each
    slot's epoch spans its whole share of the plan
-   (:meth:`TranslationPipeline.run_epoch`). With one live slot that is
-   simply its remaining interval. With several it is sound because
-   distinct cores' TLBs, walkers and PCCs never observe each other's
-   records, faults replay in exact (round, slot) order, and the one
-   cross-core coupling (page-table accessed bits) gets a merged
-   per-process pass in scalar walk order. Only then do two gates
-   apply: no shared PCC and no two live slots on one core.
+   (:meth:`TranslationPipeline.run_epoch`), and the slots' windows
+   join in scheduler order into one span stream, each record tagged
+   with its slot. With one live slot that is simply its remaining
+   interval. With several it is sound because distinct cores' TLBs,
+   walkers and PCCs never observe each other's records, faults replay
+   in exact (round, slot) order, and the one cross-core coupling
+   (page-table accessed bits) gets a merged per-process pass in
+   scalar walk order. Only then do two gates apply: no shared PCC and
+   no two live slots on one core.
 2. *Fault pre-pass*: every first-touch fault in the window fires
    up-front, in first-occurrence order. This is exact because fault
    handling never touches TLBs and never sets accessed bits
@@ -72,11 +74,14 @@ is live or several:
    kernels take the array-batched fault path (one allocator sweep +
    one bulk PTE install for the window's first-touch set).
 3. *Classification*: each record is routed to the L1 structure its
-   region's mapping state selects, and the structure's whole epoch
-   touch stream is classified hit/miss in one exact vectorized LRU
-   pass (:mod:`repro.engine.columnar`). Classified hits retire in
-   bulk — counters and hit cycles are array reductions, no per-record
-   Python.
+   region's mapping state selects, and the structure's whole span
+   touch stream — every core's — is classified hit/miss in one exact
+   vectorized LRU pass (:mod:`repro.engine.columnar`). Slot k's set s
+   is span set ``k * nsets + s`` (:func:`residue.span_set_ids`): the
+   gates keep every (core, set) stream private, so one call over the
+   side-by-side sets equals one call per core. Classified hits retire
+   in bulk — counters and hit cycles are array reductions, no
+   per-record Python.
 4. *Residue*: the L1-miss stream is itself classified, not replayed
    (:mod:`repro.engine.residue`). The unified L2 and the 1GB L1 are
    two more whole-epoch LRU streams (4K records at their VPN,
@@ -84,17 +89,21 @@ is live or several:
    giga tag); the scalar lookup's silent probes are licensed as
    LRU-inert by a conservative alias pre-check, and windows the model
    cannot cover (aliasing, odd fill shapes, unmapped holes) replay
-   through the quantum tiers bit-identically. Only classified L2/1GB
-   misses walk: the walker's cost model and its page-walk caches are
-   vectorized too (memo + per-level LRU classification), page-table
-   accessed bits land in one compute-then-apply pass, and PCC
-   admissions apply in one bulk call per structure at epoch end (the
-   OS only reads the PCC at ticks, which an epoch never spans).
-5. *Reconstruction*: every classified structure's set dicts — both
-   L1s, the L2, the 1GB L1, and the PWCs — are rebuilt to their exact
-   end-of-epoch contents (the W most recently touched distinct tags
-   per set, LRU→MRU), evictions are counted from per-set fill counts
-   against start-of-epoch occupancy — so every later tier, tick, and
+   through the quantum tiers bit-identically (the alias check keys
+   tags by core, so one check covers the span). Only classified
+   L2/1GB misses walk: the walkers' cost model and their page-walk
+   caches are vectorized too (each slot's memo over its own walks,
+   then one LRU classification per level over every core's PWC),
+   page-table accessed bits land in one compute-then-apply pass, and
+   PCC admissions apply in one bulk call per structure and core at
+   epoch end (the OS only reads the PCC at ticks, which an epoch
+   never spans).
+5. *Reconstruction*: the results split back per core, and every
+   classified structure's set dicts — both L1s, the L2, the 1GB L1,
+   and the PWCs — are rebuilt to their exact end-of-epoch contents
+   (the W most recently touched distinct tags per set, LRU→MRU),
+   evictions are counted from per-set fill counts against
+   start-of-epoch occupancy — so every later tier, tick, and
    invariant check observes precisely the state record-at-a-time
    simulation would have left.
 
@@ -171,68 +180,100 @@ def _region_mapping_state(page_table, tag: int) -> int:
 
 
 class _SetsEpoch(NamedTuple):
-    """One LRU structure's classified epoch (:func:`_classify_sets`)."""
+    """One LRU structure's classified span (:func:`_classify_sets`)."""
 
-    #: the structure's touch tags, program order
+    #: the structure's touch tags, slot by slot, program order within
     tags: np.ndarray
     #: per-touch hit mask
     hits: np.ndarray
-    #: every set's end-of-epoch contents, LRU→MRU
+    #: every core's end-of-span set contents, LRU→MRU, slot k's set s
+    #: at ``k * nsets + s``
     final: list
-    #: fills that evict, counted against start-of-epoch occupancy
-    evictions: int
+    #: per slot: fills that evict, against start-of-span occupancy
+    evictions: np.ndarray
+    #: per slot: its touches are ``tags[bounds[k]:bounds[k + 1]]``
+    bounds: list
 
 
-def _classify_sets(sets_dicts, setw, tags, ways: int) -> _SetsEpoch:
-    """Classify one LRU structure's epoch touch stream, read-only.
+def _classify_sets(structures, slots, local_sets, tags) -> _SetsEpoch:
+    """Classify one LRU structure's span touch stream, read-only.
 
-    ``sets_dicts`` are the structure's live set dicts (insertion order
-    is LRU→MRU); their contents enter the classifier as synthetic older
-    touches, which reproduces the exact recency state at epoch start.
-    ``setw``/``tags`` are the epoch's touches in program order.
-    Evictions need no replay: occupancy never falls mid-epoch (no
-    invalidations between ticks) and every classified miss fills one
-    entry, so per set the fills beyond the start-of-epoch headroom
-    each evict.
+    ``structures`` holds the structure on each slot's core, in slot
+    order; ``slots`` / ``local_sets`` / ``tags`` are the span's touches,
+    slot by slot in program order: each touch's slot, its set in that
+    core's structure, and its tag. Every core's sets lie side by side
+    under span-wide set ids (:func:`residue.span_set_ids`), so one
+    classifier call covers all of them. The live set dicts' contents
+    (insertion order is LRU→MRU) enter as synthetic older touches,
+    which reproduces the exact recency state at span start. Evictions
+    need no replay: occupancy never falls mid-epoch (no invalidations
+    between ticks) and every classified miss fills one entry, so per
+    set the fills beyond the start-of-span headroom each evict.
     """
+    sets_dicts = [entries for structure in structures
+                  for entries in structure.sets]
     nsets = len(sets_dicts)
+    ways = structures[0].config.ways
+    setw = residue.span_set_ids(structures, slots, local_sets)
     init_sets, init_tags = residue.stack_arrays(sets_dicts)
     hits, final = classify_lru_hits(
         setw, tags, ways, init_sets, init_tags, nsets=nsets
     )
-    occ0 = np.fromiter((len(entries) for entries in sets_dicts), np.int64,
-                       nsets)
-    evictions = epoch_evictions(setw[~hits], nsets, ways, occ0)
-    return _SetsEpoch(tags, hits, final, evictions)
+    occ0 = np.bincount(init_sets, minlength=nsets)
+    evictions = epoch_evictions(setw[~hits], nsets, ways, occ0,
+                                len(structures))
+    bounds = np.searchsorted(slots, np.arange(len(structures) + 1))
+    return _SetsEpoch(tags, hits, final, evictions, bounds.tolist())
 
 
-def _rebuild_sets(sets_dicts, stats, epoch: _SetsEpoch, entry) -> None:
-    """Commit a :func:`_classify_sets` result to the live structure.
+def _rebuild_sets(structures, epoch: _SetsEpoch, entry) -> None:
+    """Commit a :func:`_classify_sets` result to the live structures.
 
-    Counts the evictions into ``stats`` and rebuilds every set dict to
-    its end-of-epoch contents, LRU→MRU. ``entry`` is the value a fill
-    stores: one int, or — for the unified L2, whose 4K and 2MB fills
-    store different values — an array of one value per touch; a hit
-    keeps the stored value, so the fill history is replayed over the
-    initial values.
+    For each core that touched the structure, counts its evictions and
+    rebuilds every set dict to its end-of-span contents, LRU→MRU.
+    ``entry`` is the value a fill stores: one int, or — for the unified
+    L2, whose 4K and 2MB fills store different values — an array of one
+    value per touch; a hit keeps the stored value, so the core's fill
+    history is replayed over its initial values.
     """
-    stats.evictions += epoch.evictions
-    if isinstance(entry, np.ndarray):
-        value_of = {}
-        for entries in sets_dicts:
-            value_of.update(entries)
-        miss = ~epoch.hits
-        value_of.update(zip(epoch.tags[miss].tolist(),
-                            entry[miss].tolist()))
-        for entries, content in zip(sets_dicts, epoch.final):
-            entries.clear()
-            for tag in content:
-                entries[tag] = value_of[tag]
-    else:
-        for entries, content in zip(sets_dicts, epoch.final):
-            entries.clear()
-            for tag in content:
-                entries[tag] = entry
+    bounds = epoch.bounds
+    for k, structure in enumerate(structures):
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo == hi:
+            continue
+        structure.stats.evictions += int(epoch.evictions[k])
+        sets_dicts = structure.sets
+        nsets = len(sets_dicts)
+        final = epoch.final[k * nsets:(k + 1) * nsets]
+        if isinstance(entry, np.ndarray):
+            value_of = {}
+            for entries in sets_dicts:
+                value_of.update(entries)
+            miss = ~epoch.hits[lo:hi]
+            value_of.update(zip(epoch.tags[lo:hi][miss].tolist(),
+                                entry[lo:hi][miss].tolist()))
+            for entries, content in zip(sets_dicts, final):
+                entries.clear()
+                for tag in content:
+                    entries[tag] = value_of[tag]
+        else:
+            for entries, content in zip(sets_dicts, final):
+                entries.clear()
+                for tag in content:
+                    entries[tag] = entry
+
+
+def _span_cat(parts) -> np.ndarray:
+    """The slots' arrays joined in slot order (a lone slot's as is)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _segment_sums(values, bounds) -> list:
+    """Per-slot sums of ``values`` over the segments ``bounds``."""
+    csum = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=csum[1:])
+    bounds = np.asarray(bounds)
+    return (csum[bounds[1:]] - csum[bounds[:-1]]).tolist()
 
 
 def _fault_windows(slots, ends) -> list:
@@ -250,22 +291,25 @@ def _fault_windows(slots, ends) -> list:
     return windows
 
 
-class _EpochContext:
-    """Classification results for one epoch window, pre-commit.
+class _SpanContext:
+    """Classification results for one span, pre-commit.
 
     Produced read-only by ``TranslationPipeline._epoch_classify`` and
-    consumed by ``_epoch_finish``; splitting the two lets a span run one
-    merged page-table pass per process between them.
+    consumed by ``_epoch_finish``; splitting the two lets the span run
+    one merged page-table pass per process between them. Arrays run
+    over the whole span, slot by slot; ``offsets`` / ``res_bounds`` /
+    ``walk_bounds`` cut records, residue records and walks per slot.
     ``base``/``huge``/``l2``/``giga`` are the four classified LRU
     structures (L1-4K, L1-2M, unified L2, L1-1G), each a
-    :class:`_SetsEpoch` or None when the window never touches it.
+    :class:`_SetsEpoch` or None when no slot touches it.
     """
 
     __slots__ = (
-        "start", "end", "window_units", "hit_units", "base", "huge",
-        "l2", "giga", "res_counts", "l2_rows", "l2_fills", "giga_rows",
-        "walk_vpns", "walk_sizes", "walk_repeats", "walk_ridx",
-        "walk_plan", "walk_pud", "walk_pmd",
+        "starts", "stops", "offsets", "window_units", "hit_units", "base",
+        "huge", "l2", "giga", "res_counts", "res_bounds", "l2_rows",
+        "l2_fills", "giga_rows", "walk_vpns", "walk_sizes", "walk_repeats",
+        "walk_pos", "walk_slots", "walk_bounds", "walk_plans", "walk_pud",
+        "walk_pmd",
     )
 
 
@@ -619,7 +663,7 @@ class TranslationPipeline:
 
     @classmethod
     def run_epoch(cls, pipelines, slots, ends, tables, charge_faults):
-        """Retire one planned round-robin span as one epoch per slot.
+        """Retire one planned round-robin span in one array pass.
 
         ``slots`` are the span's live slots in scheduler order,
         ``pipelines`` their cores' pipelines, ``tables`` the page tables
@@ -627,15 +671,17 @@ class TranslationPipeline:
         (``Machine._columnar_span``). Faults fire first, in the scalar
         loop's (round, slot) order; adjacent windows of one slot merge,
         so a lone slot takes one pre-pass, and ``charge_faults(slot)``
-        follows each window. Then each slot classifies its whole span
-        against its own core, each process gets one page-table pass in
-        scalar walk order, and each slot commits. Returns one
-        ``(cursor, accesses, translation_cycles, walks)`` tuple per
-        slot, or None when the caller must replay the plan through the
-        quantum tiers: a tree-PLRU span, or a window the classifier
-        declines (L2 aliasing the model cannot license, a fill shape it
-        does not cover, or an unmapped hole whose walk must raise the
-        scalar path's error). Only the faults have happened then.
+        follows each window. Then the whole span classifies at once
+        against every core (:meth:`_epoch_classify`), each process gets
+        one page-table pass in scalar walk order, and every core
+        commits (:meth:`_epoch_finish`). Returns one ``(cursor,
+        accesses, translation_cycles, walks)`` tuple per slot, or None
+        when the caller must replay the plan through the quantum tiers:
+        a tree-PLRU span, or a span the classifier declines (L2
+        aliasing the model cannot license, a fill shape it does not
+        cover, or an unmapped hole whose walk must raise the scalar
+        path's error). Only the faults have happened then; the decline
+        counts on the first slot that declines on its own.
         """
         for k, start, end in _fault_windows(slots, ends):
             slot = slots[k]
@@ -647,48 +693,42 @@ class TranslationPipeline:
             pipelines[0].columnar_plru_fallbacks += 1
             return None
 
-        ctxs = []
-        for pipeline, slot, slot_ends in zip(pipelines, slots, ends):
+        for pipeline, slot in zip(pipelines, slots):
             if slot.bsets is None:
                 pipeline._attach_epoch_views(slot)
-            ctx = pipeline._epoch_classify(slot, slot.cursor, slot_ends[-1],
-                                           tables[slot.pid])
-            if ctx is None:
-                pipeline.columnar_fallbacks += 1
-                return None
-            ctxs.append(ctx)
+        span = cls._epoch_classify(pipelines, slots, ends, tables)
+        if span is None:
+            last = len(slots) - 1
+            k = next((k for k in range(last) if cls._epoch_classify(
+                pipelines[k:k + 1], slots[k:k + 1], ends[k:k + 1], tables
+            ) is None), last)
+            pipelines[k].columnar_fallbacks += 1
+            return None
 
         # ---- page-table accessed bits: one merged pass per process, in
         # scalar walk order (round, then round-robin position, then
-        # program order within the slot).
-        by_pid: dict[int, list[int]] = {}
-        for k, slot in enumerate(slots):
-            by_pid.setdefault(slot.pid, []).append(k)
-        for pid, ks in by_pid.items():
-            sizes = [int(ctxs[k].walk_vpns.size) for k in ks]
-            rounds = np.concatenate([
-                np.searchsorted(ends[k], ctxs[k].walk_ridx, side="right")
-                for k in ks
-            ])
-            order = np.lexsort((np.repeat(np.arange(len(ks)), sizes), rounds))
-            vpns = np.concatenate([ctxs[k].walk_vpns for k in ks])[order]
-            walk_sizes = np.concatenate([ctxs[k].walk_sizes for k in ks])
-            pud = np.empty(vpns.size, dtype=bool)
-            pmd = np.empty(vpns.size, dtype=bool)
-            pud[order], pmd[order] = residue.page_table_pass(
-                tables[pid], vpns, walk_sizes[order]
+        # program order within the slot). Row k of ``round_ends`` holds
+        # slot k's round ends as span record positions; flattened it is
+        # sorted, so one search finds every walk's round.
+        nslots = len(slots)
+        rounds = len(ends[0])
+        round_ends = (np.asarray(ends) - np.asarray(span.starts)[:, None]
+                      + span.offsets[:-1, None]).ravel()
+        walk_slots = span.walk_slots
+        walk_round = (np.searchsorted(round_ends, span.walk_pos, side="right")
+                      - walk_slots * rounds)
+        scalar_order = np.argsort(walk_round * nslots + walk_slots,
+                                  kind="stable")
+        pid_of_walk = np.asarray([slot.pid for slot in slots])[walk_slots]
+        span.walk_pud = np.empty(walk_slots.size, dtype=bool)
+        span.walk_pmd = np.empty(walk_slots.size, dtype=bool)
+        for pid, table in tables.items():
+            order = scalar_order[pid_of_walk[scalar_order] == pid]
+            span.walk_pud[order], span.walk_pmd[order] = (
+                residue.page_table_pass(table, span.walk_vpns[order],
+                                        span.walk_sizes[order])
             )
-            splits = np.cumsum(sizes)[:-1]
-            for k, k_pud, k_pmd in zip(ks, np.split(pud, splits),
-                                       np.split(pmd, splits)):
-                ctxs[k].walk_pud, ctxs[k].walk_pmd = k_pud, k_pmd
-
-        multi = len(slots) > 1
-        results = []
-        for pipeline, ctx in zip(pipelines, ctxs):
-            results.append(pipeline._epoch_finish(ctx))
-            pipeline.columnar_mt_epochs += multi
-        return results
+        return cls._epoch_finish(pipelines, span)
 
     def _epoch_faults(self, slot: _ThreadSlot, start: int, end: int,
                       page_table) -> None:
@@ -705,22 +745,24 @@ class TranslationPipeline:
         if slot.seen_np is None:
             slot.seen_np = np.zeros(slot.stream.page_tags.size, dtype=bool)
         seen_np = slot.seen_np
+        # Drop the records of pages this slot already saw before
+        # sorting; the survivors keep program order.
         pr_w = slot.stream.page_ridx[start:end]
-        uq_pages, first_pos = np.unique(pr_w, return_index=True)
-        unseen = ~seen_np[uq_pages]
-        if not unseen.any():
+        pr_w = pr_w[~seen_np[pr_w]]
+        if not pr_w.size:
             return
-        cand = uq_pages[unseen]
-        order = np.argsort(first_pos[unseen], kind="stable")
+        cand, first_pos = np.unique(pr_w, return_index=True)
+        # the window's new pages in first-occurrence order
+        first_touched = slot.stream.page_tags[
+            cand[np.argsort(first_pos, kind="stable")]
+        ].tolist()
         seen = slot.seen
         is_mapped = page_table.is_mapped
-        page_tags = slot.stream.page_tags
         bulk = slot.bulk_fault
         if bulk is not None:
             vaddrs: list[int] = []
             append = vaddrs.append
-            for k in order.tolist():
-                vpn = int(page_tags[cand[k]])
+            for vpn in first_touched:
                 if vpn not in seen:
                     seen.add(vpn)
                     vaddr = vpn << BASE_PAGE_SHIFT
@@ -731,8 +773,7 @@ class TranslationPipeline:
                 self.columnar_faults_batched += len(vaddrs)
         else:
             fault = slot.fault
-            for k in order.tolist():
-                vpn = int(page_tags[cand[k]])
+            for vpn in first_touched:
                 if vpn not in seen:
                     seen.add(vpn)
                     vaddr = vpn << BASE_PAGE_SHIFT
@@ -741,15 +782,21 @@ class TranslationPipeline:
                         self.columnar_faults_scalar += 1
         seen_np[cand] = True
 
-    def _epoch_classify(self, slot: _ThreadSlot, start: int, end: int,
-                        page_table):
-        """Phases B–C plus residue planning, all read-only.
+    @classmethod
+    def _epoch_classify(cls, pipelines, slots, ends, tables):
+        """Phases B–C plus residue planning for a whole span, read-only.
 
-        Region states, L1-4K/L1-2M classification, then the residue
-        pipeline: the unified L2 and the 1GB L1 as two more classified
-        LRU streams, the live-walk subset, and the vectorized walker
-        cost plan. Mutates nothing; returns an :class:`_EpochContext`,
-        or None when the window must replay through the quantum tiers.
+        The slots' windows join in scheduler order into one span stream,
+        each record tagged with its slot. Region states, L1-4K/L1-2M
+        classification, then the residue pipeline: the unified L2 and
+        the 1GB L1 as two more classified LRU streams, the live-walk
+        subset, and the vectorized walker cost plan. Each structure is
+        one classifier call over every core's sets, and one alias check
+        covers every core's L2 (tags keyed by core); the span gates (one
+        slot per core, no shared PCC across slots) keep every (core,
+        set) stream private, so a lone slot is simply the one-slot case.
+        Mutates nothing; returns a :class:`_SpanContext`, or None when
+        some slot's window must replay through the quantum tiers.
 
         The residue identities mirror the scalar probe sequence
         (``TLBHierarchy.lookup`` → walker → fill): a 4K-backed record
@@ -760,56 +807,73 @@ class TranslationPipeline:
         exact). The silent L2 probes the scalar lookup also performs
         (a 4K VPN for a huge/1GB-backed record, a 2MB tag for a
         4K/1GB-backed one) are guaranteed misses — LRU-inert — exactly
-        when :func:`residue.l2_alias_conflict` clears the window.
+        when :func:`residue.l2_alias_conflict` clears the span.
         """
-        # ---- phase B: post-fault region states for the window.
-        stream = slot.stream
-        rr_w = stream.region_ridx[start:end]
-        uqr = np.unique(rr_w)
-        region_tags = slot.region_tags
-        st = np.empty(uqr.size, dtype=np.int8)
-        for k, ridx in enumerate(uqr.tolist()):
-            st[k] = _region_mapping_state(page_table, region_tags[ridx])
-        if (st == _REGION_EMPTY).any():
-            # An unmapped hole: its walk must raise the scalar path's
-            # PageTableError at the exact access, so replay the window.
-            return None
-        rec_state = st[np.searchsorted(uqr, rr_w)]
+        # ---- phase B: post-fault region states, slot by slot.
+        starts = [slot.cursor for slot in slots]
+        stops = [slot_ends[-1] for slot_ends in ends]
+        rec_states = []
+        for slot, start, stop in zip(slots, starts, stops):
+            rr_w = slot.stream.region_ridx[start:stop]
+            region_tags = slot.region_tags
+            touched = np.zeros(len(region_tags), dtype=bool)
+            touched[rr_w] = True
+            uqr = np.flatnonzero(touched)
+            page_table = tables[slot.pid]
+            states = [_region_mapping_state(page_table, region_tags[ridx])
+                      for ridx in uqr.tolist()]
+            if _REGION_EMPTY in states:
+                # An unmapped hole: its walk must raise the scalar path's
+                # PageTableError at the exact access, so replay the span.
+                return None
+            region_state = np.empty(len(region_tags), dtype=np.int8)
+            region_state[uqr] = states
+            rec_states.append(region_state[rr_w])
+        rec_state = _span_cat(rec_states)
+        lengths = [stop - start for start, stop in zip(starts, stops)]
+        offsets = np.zeros(len(slots) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        slot_of = np.repeat(np.arange(len(slots)), lengths)
+
+        def window(columns):
+            """The slots' windows of one column each, joined."""
+            return _span_cat([column[start:stop] for column, start, stop
+                              in zip(columns, starts, stops)])
+
+        vpns = window([slot.stream.vpns for slot in slots])
+        counts = window([slot.stream.counts for slot in slots])
 
         # ---- phase C: exact LRU classification per suppressed L1.
-        core = self.core
-        tlbH = core.tlb
-        cum = stream.cum
-        vpns_w = stream.vpns[start:end]
-        counts_w = cum[start + 1:end + 1] - cum[start:end]
+        tlbs = [pipeline.core.tlb for pipeline in pipelines]
         base_idx = np.flatnonzero(rec_state == _REGION_BASE)
         huge_idx = np.flatnonzero(rec_state == _REGION_HUGE)
-        hit_mask = np.zeros(end - start, dtype=bool)
+        hit_mask = np.zeros(vpns.size, dtype=bool)
         base = huge = None
         if base_idx.size:
             base = _classify_sets(
-                self._base_sets, slot.bsets[start:end][base_idx],
-                vpns_w[base_idx], tlbH.l1_base.config.ways,
+                [tlb.l1_base for tlb in tlbs], slot_of[base_idx],
+                window([slot.bsets for slot in slots])[base_idx],
+                vpns[base_idx],
             )
             hit_mask[base_idx[base.hits]] = True
         if huge_idx.size:
             huge = _classify_sets(
-                self._huge_sets, slot.hsets[start:end][huge_idx],
-                stream.htags[start:end][huge_idx], tlbH.l1_huge.config.ways,
+                [tlb.l1_huge for tlb in tlbs], slot_of[huge_idx],
+                window([slot.hsets for slot in slots])[huge_idx],
+                window([slot.stream.htags for slot in slots])[huge_idx],
             )
             hit_mask[huge_idx[huge.hits]] = True
-        window_units = int(cum[end] - cum[start])
-        hit_units = int(counts_w[hit_mask].sum())
         res_idx = np.flatnonzero(~hit_mask)
 
         # ---- the residue as three more classified streams.
-        res_vpns = vpns_w[res_idx]
-        res_counts = counts_w[res_idx]
+        res_vpns = vpns[res_idx]
+        res_counts = counts[res_idx]
         res_states = rec_state[res_idx]
+        res_slots = slot_of[res_idx]
         is_base = res_states == _REGION_BASE
         is_huge = res_states == _REGION_HUGE
         is_other = ~(is_base | is_huge)
-        plan = tlbH._fill_plan
+        plan = tlbs[0]._fill_plan
         serves_huge = plan[PageSize.HUGE][2] is not None
         if is_base.any() and plan[PageSize.BASE][2] is None:
             # 4K-backed residue would probe the L2 without ever filling
@@ -819,14 +883,17 @@ class TranslationPipeline:
             # 1GB walks would fill the L2 conditionally on the 1GB-L1
             # outcome, a shape the one-pass model does not cover.
             return None
-        resident = np.fromiter(
-            (tag for entries in tlbH._l2_sets for tag in entries),
-            np.uint64,
+        l2s = [tlb.l2 for tlb in tlbs]
+        l2_n = l2s[0].nsets
+        resident_sets, resident = residue.stack_arrays(
+            [entries for l2 in l2s for entries in l2.sets]
         )
         other_vpns = res_vpns[is_other]
-        if residue.l2_alias_conflict(resident, res_vpns[is_base],
-                                     res_vpns[is_huge], other_vpns,
-                                     serves_huge):
+        if residue.l2_alias_conflict(
+            resident, res_vpns[is_base], res_vpns[is_huge], other_vpns,
+            serves_huge, cores=(resident_sets // l2_n, res_slots[is_base],
+                                res_slots[is_huge], res_slots[is_other]),
+        ):
             return None
 
         # Unified L2 stream: 4K records at their VPN, huge-backed ones
@@ -839,9 +906,8 @@ class TranslationPipeline:
             sel = res_vpns[l2_rows]
             l2_tags = np.where(kind_huge, sel >> np.uint64(_HUGE_SHIFT), sel)
             l2 = _classify_sets(
-                tlbH._l2_sets,
-                (l2_tags % np.uint64(tlbH._l2_n)).astype(np.intp),
-                l2_tags, tlbH.l2.config.ways,
+                l2s, res_slots[l2_rows],
+                (l2_tags % np.uint64(l2_n)).astype(np.intp), l2_tags,
             )
             l2_fills = np.where(kind_huge, plan[PageSize.HUGE][3],
                                 plan[PageSize.BASE][3])
@@ -850,11 +916,11 @@ class TranslationPipeline:
         giga_rows = np.flatnonzero(is_other)
         giga = None
         if giga_rows.size:
+            gigas = [tlb.l1_giga for tlb in tlbs]
             g_tags = other_vpns >> np.uint64(_GIGA_SHIFT_FULL)
             giga = _classify_sets(
-                tlbH._g_sets,
-                (g_tags % np.uint64(tlbH._g_n)).astype(np.intp),
-                g_tags, tlbH.l1_giga.config.ways,
+                gigas, res_slots[giga_rows],
+                (g_tags % np.uint64(gigas[0].nsets)).astype(np.intp), g_tags,
             )
 
         # Live-walk subset, program order: classified L2 misses,
@@ -868,150 +934,179 @@ class TranslationPipeline:
             walk_mask[giga_rows[~giga.hits]] = True
         walk_idx = np.flatnonzero(walk_mask)
 
-        ctx = _EpochContext()
-        ctx.start = start
-        ctx.end = end
-        ctx.window_units = window_units
-        ctx.hit_units = hit_units
-        ctx.base = base
-        ctx.huge = huge
-        ctx.l2 = l2
-        ctx.giga = giga
-        ctx.res_counts = res_counts
-        ctx.l2_rows = l2_rows
-        ctx.l2_fills = l2_fills
-        ctx.giga_rows = giga_rows
-        ctx.walk_vpns = res_vpns[walk_idx]
-        ctx.walk_sizes = (res_states[walk_idx] - 1).astype(np.int8)
-        ctx.walk_repeats = res_counts[walk_idx]
-        ctx.walk_ridx = res_idx[walk_idx] + start
-        ctx.walk_plan = residue.plan_walks(
-            core.walker, ctx.walk_vpns, ctx.walk_sizes
+        slot_ids = np.arange(len(slots) + 1)
+        span = _SpanContext()
+        span.starts = starts
+        span.stops = stops
+        span.offsets = offsets
+        span.window_units = [
+            int(slot.stream.cum[stop] - slot.stream.cum[start])
+            for slot, start, stop in zip(slots, starts, stops)
+        ]
+        span.hit_units = _segment_sums(np.where(hit_mask, counts, 0), offsets)
+        span.base = base
+        span.huge = huge
+        span.l2 = l2
+        span.giga = giga
+        span.res_counts = res_counts
+        span.res_bounds = np.searchsorted(res_slots, slot_ids)
+        span.l2_rows = l2_rows
+        span.l2_fills = l2_fills
+        span.giga_rows = giga_rows
+        span.walk_vpns = res_vpns[walk_idx]
+        span.walk_sizes = (res_states[walk_idx] - 1).astype(np.int8)
+        span.walk_repeats = res_counts[walk_idx]
+        span.walk_pos = res_idx[walk_idx]
+        span.walk_slots = res_slots[walk_idx]
+        span.walk_bounds = np.searchsorted(span.walk_slots, slot_ids)
+        span.walk_plans = residue.plan_walks(
+            [pipeline.core.walker for pipeline in pipelines],
+            span.walk_vpns, span.walk_sizes, span.walk_slots,
         )
-        ctx.walk_pud = None
-        ctx.walk_pmd = None
-        return ctx
+        span.walk_pud = None
+        span.walk_pmd = None
+        return span
 
-    def _epoch_finish(self, ctx: _EpochContext) -> tuple:
-        """Commit a classified epoch: stats, PCCs, reconstructions.
+    @classmethod
+    def _epoch_finish(cls, pipelines, span: _SpanContext) -> list:
+        """Commit a classified span: stats, PCCs, reconstructions.
 
         Everything the old live-residue loop mutated record-at-a-time
-        lands here as array reductions and end-state rebuilds. Counting
-        identities, from the scalar probe sequence: every residue
-        record is exactly one of an L2 hit, a 1GB-L1 hit, or a live
-        walk; only 1GB-L1 hits are L1 hits (and skip the L2 counters);
-        repeats after a record's first access always hit L1 (the first
-        access left its translation at MRU).
+        lands here as array reductions and end-state rebuilds, split
+        back per core. Counting identities, from the scalar probe
+        sequence: every residue record is exactly one of an L2 hit, a
+        1GB-L1 hit, or a live walk; only 1GB-L1 hits are L1 hits (and
+        skip the L2 counters); repeats after a record's first access
+        always hit L1 (the first access left its translation at MRU).
+        Returns one ``(cursor, accesses, cycles, walks)`` per slot.
         """
-        core = self.core
-        tlbH = core.tlb
-        l1_cyc = core._l1_hit_cycles
-        l2_cyc = core._l2_hit_cycles
-        res_counts = ctx.res_counts
-        n_res = int(res_counts.size)
-
-        n_l2hit = l2hit_units = 0
-        if ctx.l2 is not None:
-            hit_rows = ctx.l2_rows[ctx.l2.hits]
-            n_l2hit = int(hit_rows.size)
-            l2hit_units = int(res_counts[hit_rows].sum())
-        n_ghit = ghit_units = 0
-        if ctx.giga is not None:
-            g_rows = ctx.giga_rows[ctx.giga.hits]
-            n_ghit = int(g_rows.size)
-            ghit_units = int(res_counts[g_rows].sum())
-        walk_repeats = ctx.walk_repeats
-        n_walks = int(walk_repeats.size)
-        if n_walks:
-            walk_units = int(walk_repeats.sum())
-            tcyc_d = int(
-                (ctx.walk_plan.cycles + l1_cyc * (walk_repeats - 1)).sum()
+        nslots = len(pipelines)
+        zeros = [0] * nslots
+        res_counts = span.res_counts
+        n_res = np.diff(span.res_bounds).tolist()
+        n_bhit = n_hhit = n_l2hit = l2hit_units = n_ghit = ghit_units = zeros
+        if span.base is not None:
+            n_bhit = _segment_sums(span.base.hits, span.base.bounds)
+        if span.huge is not None:
+            n_hhit = _segment_sums(span.huge.hits, span.huge.bounds)
+        if span.l2 is not None:
+            hits = span.l2.hits
+            n_l2hit = _segment_sums(hits, span.l2.bounds)
+            l2hit_units = _segment_sums(
+                np.where(hits, res_counts[span.l2_rows], 0), span.l2.bounds
             )
-        else:
-            walk_units = 0
-            tcyc_d = 0
-        cycles = (
-            l1_cyc * ctx.hit_units
-            + n_l2hit * l2_cyc
-            + l1_cyc * (l2hit_units - n_l2hit)
-            + l1_cyc * ghit_units
-            + tcyc_d
-        )
-        l1h_d = (l2hit_units - n_l2hit) + ghit_units + (walk_units - n_walks)
+        if span.giga is not None:
+            hits = span.giga.hits
+            n_ghit = _segment_sums(hits, span.giga.bounds)
+            ghit_units = _segment_sums(
+                np.where(hits, res_counts[span.giga_rows], 0),
+                span.giga.bounds,
+            )
+        walk_bounds = span.walk_bounds
+        n_walks = np.diff(walk_bounds).tolist()
+        walk_units = _segment_sums(span.walk_repeats, walk_bounds)
 
         # Deferred PCC admissions, in walk order, one bulk apply per
-        # structure (nothing reads a PCC mid-epoch; the 2MB and 1GB
-        # PCCs are independent and per-structure order is preserved).
-        if n_walks:
-            walk_pud = ctx.walk_pud
-            walk_sizes = ctx.walk_sizes
-            pmd_rows = ctx.walk_pmd & (walk_sizes != residue.SIZE_GIGA)
-            n_pmd = int(np.count_nonzero(pmd_rows))
-            if n_pmd:
-                core.pcc.access_many(list(zip(
-                    (ctx.walk_vpns[pmd_rows]
-                     >> np.uint64(_HUGE_SHIFT)).tolist(),
-                    (walk_sizes[pmd_rows] == residue.SIZE_HUGE).tolist(),
-                )))
-            n_pud = int(np.count_nonzero(walk_pud))
-            if n_pud and core._pcc_1gb_access is not None:
-                core.pcc_1gb.access_many(list(zip(
-                    (ctx.walk_vpns[walk_pud]
-                     >> np.uint64(_GIGA_SHIFT_FULL)).tolist(),
-                    (walk_sizes[walk_pud] == residue.SIZE_GIGA).tolist(),
-                )))
-            residue.apply_walk_plan(core.walker, ctx.walk_plan,
-                                    pud_candidates=n_pud,
-                                    pmd_candidates=n_pmd)
+        # structure and core (nothing reads a PCC mid-epoch; the 2MB and
+        # 1GB PCCs are independent and per-structure order is
+        # preserved).
+        walk_sizes = span.walk_sizes
+        pmd_rows = np.flatnonzero(span.walk_pmd
+                                  & (walk_sizes != residue.SIZE_GIGA))
+        pmd_events = list(zip(
+            (span.walk_vpns[pmd_rows] >> np.uint64(_HUGE_SHIFT)).tolist(),
+            (walk_sizes[pmd_rows] == residue.SIZE_HUGE).tolist(),
+        ))
+        pmd_cuts = np.searchsorted(pmd_rows, walk_bounds).tolist()
+        pud_rows = np.flatnonzero(span.walk_pud)
+        pud_cuts = np.searchsorted(pud_rows, walk_bounds).tolist()
+        pud_events = None
+        if pipelines[0].core._pcc_1gb_access is not None:
+            pud_events = list(zip(
+                (span.walk_vpns[pud_rows]
+                 >> np.uint64(_GIGA_SHIFT_FULL)).tolist(),
+                (walk_sizes[pud_rows] == residue.SIZE_GIGA).tolist(),
+            ))
 
         # ---- phase E: reconstruct every classified structure. No live
         # code touched their dicts since classification, and the final
         # content of a W-way LRU set is the last W distinct tags by
         # last touch.
-        plan = tlbH._fill_plan
-        if ctx.base is not None:
-            _rebuild_sets(self._base_sets, tlbH.l1_base.stats, ctx.base,
+        tlbs = [pipeline.core.tlb for pipeline in pipelines]
+        plan = tlbs[0]._fill_plan
+        if span.base is not None:
+            _rebuild_sets([tlb.l1_base for tlb in tlbs], span.base,
                           plan[PageSize.BASE][3])
-        if ctx.huge is not None:
-            _rebuild_sets(self._huge_sets, tlbH.l1_huge.stats, ctx.huge,
+        if span.huge is not None:
+            _rebuild_sets([tlb.l1_huge for tlb in tlbs], span.huge,
                           plan[PageSize.HUGE][3])
-        if ctx.l2 is not None:
-            _rebuild_sets(tlbH._l2_sets, tlbH.l2.stats, ctx.l2,
-                          ctx.l2_fills)
-        if ctx.giga is not None:
-            _rebuild_sets(tlbH._g_sets, tlbH.l1_giga.stats, ctx.giga,
+        if span.l2 is not None:
+            _rebuild_sets([tlb.l2 for tlb in tlbs], span.l2, span.l2_fills)
+        if span.giga is not None:
+            _rebuild_sets([tlb.l1_giga for tlb in tlbs], span.giga,
                           plan[PageSize.GIGA][3])
 
-        # ---- statistics flush. Classified L1 hits ride the pending
-        # counters (sync() stays the single flush point); residue
-        # counters land directly, exactly as the live calls would have.
-        n_bhit = n_hhit = 0
-        if ctx.base is not None:
-            n_bhit = int(np.count_nonzero(ctx.base.hits))
-        if ctx.huge is not None:
-            n_hhit = int(np.count_nonzero(ctx.huge.hits))
-        self._pending_base_records += n_bhit
-        self._pending_huge_records += n_hhit
-        self._pending_accesses += ctx.hit_units
-        tlbH.accesses += n_res
-        tlbH._b_stats.misses += n_res - n_ghit
-        tlbH._g_stats.hits += n_ghit
-        tlbH._l2_stats.hits += n_l2hit
-        tlbH._l2_stats.misses += n_walks
-        stats = core.stats
-        stats.accesses += ctx.window_units - ctx.hit_units
-        stats.l1_hits += l1h_d
-        stats.l2_hits += n_l2hit
-        stats.walks += n_walks
-        stats.translation_cycles += tcyc_d
-        self.columnar_epochs += 1
-        self.columnar_retired += n_bhit + n_hhit
-        self.columnar_residue_records += n_res
-        self.columnar_l2_retired += n_l2hit + n_ghit
-        self.columnar_live_walked += n_walks
-        length = ctx.end - ctx.start
-        self.columnar_epoch_buckets[min(length.bit_length(), 31)] += 1
-        return ctx.end, ctx.window_units, cycles, n_walks
+        multi = nslots > 1
+        results = []
+        for k, pipeline in enumerate(pipelines):
+            core = pipeline.core
+            tlbH = core.tlb
+            l1_cyc = core._l1_hit_cycles
+            hit_units = span.hit_units[k]
+            tcyc_d = 0
+            if n_walks[k]:
+                n_pmd = pmd_cuts[k + 1] - pmd_cuts[k]
+                if n_pmd:
+                    core.pcc.access_many(
+                        pmd_events[pmd_cuts[k]:pmd_cuts[k + 1]])
+                n_pud = pud_cuts[k + 1] - pud_cuts[k]
+                if n_pud and pud_events is not None:
+                    core.pcc_1gb.access_many(
+                        pud_events[pud_cuts[k]:pud_cuts[k + 1]])
+                walk_plan = span.walk_plans[k]
+                residue.apply_walk_plan(core.walker, walk_plan,
+                                        pud_candidates=n_pud,
+                                        pmd_candidates=n_pmd)
+                tcyc_d = (int(walk_plan.cycles.sum())
+                          + l1_cyc * (walk_units[k] - n_walks[k]))
+            cycles = (
+                l1_cyc * hit_units
+                + n_l2hit[k] * core._l2_hit_cycles
+                + l1_cyc * (l2hit_units[k] - n_l2hit[k])
+                + l1_cyc * ghit_units[k]
+                + tcyc_d
+            )
+            l1h_d = ((l2hit_units[k] - n_l2hit[k]) + ghit_units[k]
+                     + (walk_units[k] - n_walks[k]))
+
+            # ---- statistics flush. Classified L1 hits ride the pending
+            # counters (sync() stays the single flush point); residue
+            # counters land directly, exactly as the live calls would.
+            pipeline._pending_base_records += n_bhit[k]
+            pipeline._pending_huge_records += n_hhit[k]
+            pipeline._pending_accesses += hit_units
+            tlbH.accesses += n_res[k]
+            tlbH._b_stats.misses += n_res[k] - n_ghit[k]
+            tlbH._g_stats.hits += n_ghit[k]
+            tlbH._l2_stats.hits += n_l2hit[k]
+            tlbH._l2_stats.misses += n_walks[k]
+            stats = core.stats
+            window_units = span.window_units[k]
+            stats.accesses += window_units - hit_units
+            stats.l1_hits += l1h_d
+            stats.l2_hits += n_l2hit[k]
+            stats.walks += n_walks[k]
+            stats.translation_cycles += tcyc_d
+            pipeline.columnar_epochs += 1
+            pipeline.columnar_retired += n_bhit[k] + n_hhit[k]
+            pipeline.columnar_residue_records += n_res[k]
+            pipeline.columnar_l2_retired += n_l2hit[k] + n_ghit[k]
+            pipeline.columnar_live_walked += n_walks[k]
+            pipeline.columnar_mt_epochs += multi
+            length = span.stops[k] - span.starts[k]
+            pipeline.columnar_epoch_buckets[min(length.bit_length(), 31)] += 1
+            results.append((span.stops[k], window_units, cycles, n_walks[k]))
+        return results
 
     # ------------------------------------------------------------------
 
@@ -1630,9 +1725,7 @@ class Machine:
                 thread.core = core
                 self._core_pid_map[core] = process.pid
                 stream = (
-                    thread.columnar_stream(
-                        cache=stream_cache, slot=len(scheduler.slots)
-                    )
+                    thread.columnar_stream(cache=stream_cache)
                     if self.columnar else None
                 )
                 scheduler.add(

@@ -28,12 +28,17 @@ This module retires that residue as array passes too:
   cost model, vectorized), applied to the walker's stats bags and PWC
   set dicts at epoch end.
 
+Each pass covers a whole span at once: every core's structure takes
+part, its sets side by side under span-wide set ids
+(:func:`span_set_ids`), its walks and tags tagged with their slot.
 Everything here is pure with respect to program order: callers capture
 pre-state, compute, then apply — the exactness arguments mirror the
 phase-by-phase ones in :mod:`repro.engine.machine`'s docstring.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -57,13 +62,41 @@ _PWC_VPN_SHIFTS = (27, 18, 9)
 #: Entry value every PWC fill stores (``pwc.fill(tag, PageSize.BASE)``).
 _PWC_ENTRY = int(PageSize.BASE)
 
+#: Low bits that key an L2 tag by its core in the alias pre-check.
+_CORE_KEY_BITS = 8
+
+
+# ----------------------------------------------------------------------
+# span-wide set ids
+
+
+def span_set_ids(structures, slots, local_sets):
+    """Span-wide set ids of one per-core structure's touches.
+
+    ``structures`` holds the structure (a TLB or PWC) of each slot's
+    core, in slot order; ``slots`` / ``local_sets`` give each touch's
+    slot and its set within that core's structure. Slot k's set s is
+    span set ``k * nsets + s``: the cores' sets lie side by side, so
+    one classifier call covers every core while each (core, set)
+    stream stays private.
+    """
+    return slots * structures[0].nsets + local_sets
+
 
 # ----------------------------------------------------------------------
 # L2 aliasing pre-check
 
 
+def _on_core(tags, core):
+    """``tags`` as one core's L2 sees them: keyed by ``core`` in the low
+    bits, so equal tags on two cores never compare equal. A key can only
+    collide across cores past 256 cores, and then only spuriously, which
+    declines the span (conservative)."""
+    return (tags << np.uint64(_CORE_KEY_BITS)) | core
+
+
 def l2_alias_conflict(resident, base_vpns, huge_vpns, other_vpns,
-                      serves_huge: bool) -> bool:
+                      serves_huge: bool, cores=(0, 0, 0, 0)) -> bool:
     """Whether any silent L2 probe could collide with a live tag.
 
     ``resident`` holds every tag currently in the L2; ``base_vpns`` /
@@ -73,28 +106,37 @@ def l2_alias_conflict(resident, base_vpns, huge_vpns, other_vpns,
     probe could carry must stay outside the union of residents and
     modelled tags for the whole epoch, so the check compares against
     that union (conservative: fills only grow it).
+
+    ``cores`` gives the four arrays' core (a span's slot index), per
+    element or one for the whole array. A probe only meets its own
+    core's L2, so tags compare keyed by core and one call checks every
+    core of a span.
     """
-    parts = [np.asarray(resident, dtype=np.uint64),
-             np.asarray(base_vpns, dtype=np.uint64)]
+    r_core, b_core, h_core, o_core = (
+        np.asarray(core, dtype=np.uint64) for core in cores
+    )
+    shift = np.uint64(_HUGE_SHIFT)
+    parts = [_on_core(np.asarray(resident, dtype=np.uint64), r_core),
+             _on_core(np.asarray(base_vpns, dtype=np.uint64), b_core)]
     if serves_huge and huge_vpns.size:
-        parts.append(huge_vpns >> np.uint64(_HUGE_SHIFT))
-    live = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        parts.append(_on_core(huge_vpns >> shift, h_core))
+    live = np.concatenate(parts)
     if not live.size:
         return False
-    if serves_huge and base_vpns.size and np.isin(
-        base_vpns >> np.uint64(_HUGE_SHIFT), live
-    ).any():
-        return True  # huge-tag probe of a 4K-backed region's record
-    if huge_vpns.size and np.isin(huge_vpns, live).any():
-        return True  # 4K-VPN probe of a huge-backed region's record
-    if other_vpns.size:
-        if np.isin(other_vpns, live).any():
-            return True  # 4K-VPN probe of a 1GB-backed region's record
-        if serves_huge and np.isin(
-            other_vpns >> np.uint64(_HUGE_SHIFT), live
-        ).any():
-            return True  # 2MB-tag probe of a 1GB-backed region's record
-    return False
+    # Every tag a silent probe carries: a 4K record's 2MB tag (only
+    # when the L2 serves 2MB entries), a huge-backed record's VPN, and
+    # a 1GB-backed record's VPN and 2MB tag.
+    probes = [_on_core(huge_vpns, h_core), _on_core(other_vpns, o_core)]
+    if serves_huge:
+        probes += [_on_core(base_vpns >> shift, b_core),
+                   _on_core(other_vpns >> shift, o_core)]
+    probes = np.concatenate(probes)
+    if not probes.size:
+        return False
+    live.sort()
+    at = np.searchsorted(live, probes)
+    np.minimum(at, live.size - 1, out=at)
+    return bool((live[at] == probes).any())
 
 
 # ----------------------------------------------------------------------
@@ -109,56 +151,68 @@ def stack_arrays(initial):
     these as synthetic older touches that reproduce the structure's
     recency state at epoch start.
     """
-    sets_out: list[int] = []
-    tags_out: list[int] = []
-    for set_index, content in enumerate(initial):
-        if content:
-            sets_out.extend([set_index] * len(content))
-            tags_out.extend(content)
-    return (
-        np.asarray(sets_out, dtype=np.intp),
-        np.asarray(tags_out, dtype=np.uint64),
-    )
+    sizes = np.fromiter(map(len, initial), np.intp, len(initial))
+    tags = np.fromiter(chain.from_iterable(initial), np.uint64,
+                       int(sizes.sum()))
+    return np.repeat(np.arange(len(initial)), sizes), tags
 
 
-def pwc_level_outcomes(tags, last_tag: int, initial: list[list[int]],
-                       nsets: int, ways: int):
-    """Classify one PWC level's epoch walk stream without touching it.
+def pwc_level_outcomes(pwcs, last_tags, tags, slots):
+    """Classify one PWC level's span walk stream without touching it.
 
-    ``tags`` is the level's tag per participating walk, in walk order;
-    ``last_tag`` the walker's memo for the level; ``initial`` the PWC's
-    per-set contents LRU→MRU. Returns ``(outcomes, contents, evictions,
-    final_last)``: per-walk int8 codes (0 memo hit, 1 LRU hit, 2 miss),
-    the reconstructed end-of-epoch per-set contents, the fill-eviction
-    count, and the memo's end value. The memo absorbs consecutive
-    repeats before the LRU ever sees them — exactly the walker's inline
-    fast path — so the LRU stream is the memo-miss subset only.
+    ``pwcs`` / ``last_tags`` are the level's PWC and walker memo on
+    each slot's core, in slot order; ``tags`` is the level's tag per
+    participating walk in span order (slot by slot, walk order within
+    a slot) and ``slots`` each walk's slot. Returns ``(outcomes,
+    contents, evictions, final_last)``: per-walk int8 codes (0 memo
+    hit, 1 LRU hit, 2 miss), the reconstructed end-of-epoch contents of
+    every slot's sets (slot k's set s at ``k * nsets + s``), the fill
+    evictions per slot, and each slot's memo end value. The memo
+    absorbs consecutive repeats before the LRU ever sees them — exactly
+    the walker's inline fast path — so the LRU stream is the memo-miss
+    subset only; a slot's first walk compares against its own memo.
     """
+    nslots = len(pwcs)
+    sets = [entries for pwc in pwcs for entries in pwc.sets]
+    final_last = list(last_tags)
     n = int(tags.size)
-    if n == 0:
-        return (np.zeros(0, dtype=np.int8),
-                [list(stack) for stack in initial], 0, last_tag)
-    memo = np.empty(n, dtype=bool)
-    memo[0] = int(tags[0]) == last_tag
-    np.equal(tags[1:], tags[:-1], out=memo[1:])
     outcomes = np.zeros(n, dtype=np.int8)
-    probe_pos = np.flatnonzero(~memo)
+    probe_pos = np.zeros(0, dtype=np.intp)
+    if n:
+        heads = np.empty(n, dtype=bool)
+        heads[0] = True
+        np.not_equal(slots[1:], slots[:-1], out=heads[1:])
+        head_pos = np.flatnonzero(heads)
+        prev = np.empty(n, dtype=np.int64)
+        prev[1:] = tags[:-1]
+        prev[head_pos] = np.asarray(last_tags, dtype=np.int64)[
+            slots[head_pos]]
+        probe_pos = np.flatnonzero(tags != prev)
+        tail_pos = np.append(head_pos[1:] - 1, n - 1)
+        for slot, tag in zip(slots[tail_pos].tolist(),
+                             tags[tail_pos].tolist()):
+            final_last[slot] = tag
     if not probe_pos.size:
-        # Every walk re-hit the memo: the structure was never probed.
-        return outcomes, [list(stack) for stack in initial], 0, int(tags[-1])
+        # No walk, or every walk re-hit its memo: nothing was probed.
+        return (outcomes, [list(entries) for entries in sets],
+                np.zeros(nslots, dtype=np.int64), final_last)
     probe_tags = tags[probe_pos].astype(np.uint64)
-    probe_sets = (probe_tags % np.uint64(nsets)).astype(np.intp)
-    init_sets, init_tags = stack_arrays(initial)
+    nsets = pwcs[0].nsets
+    ways = pwcs[0].config.ways
+    probe_sets = span_set_ids(
+        pwcs, slots[probe_pos],
+        (probe_tags % np.uint64(nsets)).astype(np.intp),
+    )
+    init_sets, init_tags = stack_arrays(sets)
     hits, contents = classify_lru_hits(
-        probe_sets, probe_tags, ways, init_sets, init_tags, nsets=nsets
+        probe_sets, probe_tags, ways, init_sets, init_tags, nsets=len(sets)
     )
     outcomes[probe_pos[hits]] = 1
     outcomes[probe_pos[~hits]] = 2
-    occupancy0 = np.fromiter(
-        (len(stack) for stack in initial), np.int64, nsets
-    )
-    evictions = epoch_evictions(probe_sets[~hits], nsets, ways, occupancy0)
-    return outcomes, contents, int(evictions), int(tags[-1])
+    occupancy0 = np.bincount(init_sets, minlength=len(sets))
+    evictions = epoch_evictions(probe_sets[~hits], len(sets), ways,
+                                occupancy0, nslots)
+    return outcomes, contents, evictions, final_last
 
 
 # ----------------------------------------------------------------------
@@ -253,50 +307,63 @@ class WalkPlan:
         self.levels = levels
 
 
-def plan_walks(walker, vpns, sizes) -> WalkPlan:
-    """Vectorize the walker's inlined cost model over an epoch's walks.
+def plan_walks(walkers, vpns, sizes, slots) -> list:
+    """Vectorize the walkers' inlined cost model over a span's walks.
 
-    A walk of size code ``s`` references ``4 - s`` radix levels; each
-    of its upper levels L (those with ``s <= 2 - L``) is served by PWC
-    level L — a memo or LRU hit replaces the level's memory reference
-    with a fast lookup, a miss pays the reference and fills the PWC.
-    The leaf level always references memory. Reads PWC state without
-    touching it; :func:`apply_walk_plan` commits the side effects.
+    ``walkers`` are the span's walkers in slot order; ``vpns`` /
+    ``sizes`` the walks slot by slot (walk order within a slot) and
+    ``slots`` each walk's slot. A walk of size code ``s`` references
+    ``4 - s`` radix levels; each of its upper levels L (those with
+    ``s <= 2 - L``) is served by PWC level L of its own core — a memo
+    or LRU hit replaces the level's memory reference with a fast
+    lookup, a miss pays the reference and fills the PWC. The leaf
+    level always references memory. Every slot's PWCs at one level are
+    classified in one pass (:func:`pwc_level_outcomes`). Reads PWC
+    state without touching it; returns one :class:`WalkPlan` per
+    walker, which :func:`apply_walk_plan` commits.
     """
-    n = int(vpns.size)
+    nslots = len(walkers)
+    bounds = np.searchsorted(slots, np.arange(nslots + 1)).tolist()
+    segments = list(zip(bounds, bounds[1:]))
     sizes64 = sizes.astype(np.int64)
-    memory_ref = walker._memory_ref_cycles
-    if not walker._pwcs:
+    memory_ref = walkers[0]._memory_ref_cycles
+    if not walkers[0]._pwcs:
         cycles = (4 - sizes64) * memory_ref
-        return WalkPlan(cycles, 4 * n - int(sizes64.sum()), 0, 0, [])
-    pwc_hit = walker._pwc_hit_cycles
-    cycles = np.full(n, memory_ref, dtype=np.int64)  # the leaf reference
-    refs = n
-    pwc_hits = 0
-    pwc_misses = 0
-    levels = []
+        return [WalkPlan(cycles[lo:hi], 4 * (hi - lo)
+                         - int(sizes64[lo:hi].sum()), 0, 0, [])
+                for lo, hi in segments]
+    pwc_hit = walkers[0]._pwc_hit_cycles
+    cycles = np.full(int(vpns.size), memory_ref, dtype=np.int64)  # leaf
+    pwc_hits = np.zeros(nslots, dtype=np.int64)
+    pwc_misses = np.zeros(nslots, dtype=np.int64)
+    levels = [[] for _ in walkers]
     for level, shift in enumerate(_PWC_VPN_SHIFTS):
         part = np.flatnonzero(sizes64 <= 2 - level)
         if not part.size:
             continue
-        pwc = walker._pwcs[level]
-        tags = (vpns[part] >> np.uint64(shift)).astype(np.int64)
-        initial = [list(entries) for entries in pwc.sets]
+        pwcs = [walker._pwcs[level] for walker in walkers]
+        part_slots = slots[part]
         outcomes, contents, evictions, final_last = pwc_level_outcomes(
-            tags, walker._last_tags[level], initial, pwc.nsets,
-            pwc.config.ways,
+            pwcs, [walker._last_tags[level] for walker in walkers],
+            (vpns[part] >> np.uint64(shift)).astype(np.int64), part_slots,
         )
         hit = outcomes < 2
         cycles[part[hit]] += pwc_hit
-        missed = part[~hit]
-        cycles[missed] += memory_ref
-        refs += int(missed.size)
-        lookup_hits = int(np.count_nonzero(outcomes == 1))
-        pwc_hits += int(np.count_nonzero(hit))
-        pwc_misses += int(missed.size)
-        levels.append((level, contents, evictions, final_last,
-                       lookup_hits, int(missed.size)))
-    return WalkPlan(cycles, refs, pwc_hits, pwc_misses, levels)
+        cycles[part[~hit]] += memory_ref
+        walks = np.bincount(part_slots, minlength=nslots)
+        hits = np.bincount(part_slots[hit], minlength=nslots)
+        lookup_hits = np.bincount(part_slots[outcomes == 1],
+                                  minlength=nslots)
+        pwc_hits += hits
+        pwc_misses += walks - hits
+        nsets = pwcs[0].nsets
+        for k in np.flatnonzero(walks).tolist():
+            levels[k].append((level, contents[k * nsets:(k + 1) * nsets],
+                              int(evictions[k]), final_last[k],
+                              int(lookup_hits[k]), int(walks[k] - hits[k])))
+    return [WalkPlan(cycles[lo:hi], hi - lo + int(pwc_misses[k]),
+                     int(pwc_hits[k]), int(pwc_misses[k]), levels[k])
+            for k, (lo, hi) in enumerate(segments)]
 
 
 def apply_walk_plan(walker, plan: WalkPlan, pud_candidates: int,

@@ -32,7 +32,7 @@ class ThreadWorkload:
         """Compress a raw trace into a core-bindable thread."""
         return cls(trace=trace.compress(), core=core)
 
-    def columnar_stream(self, cache=None, slot: int = -1):
+    def columnar_stream(self, cache=None):
         """This thread's whole-stream columnar encoding.
 
         The stream-emission half of the columnar engine tier: encodes
@@ -44,11 +44,7 @@ class ThreadWorkload:
         from repro.engine.columnar import ColumnarStream
 
         if self._stream is None:
-            self._stream = ColumnarStream.from_trace(
-                self.trace, cache=cache, slot=slot
-            )
-        else:
-            self._stream.slot = slot
+            self._stream = ColumnarStream.from_trace(self.trace, cache=cache)
         return self._stream
 
 

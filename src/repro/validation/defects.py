@@ -30,7 +30,13 @@ correctness mechanism the oracle and invariants are supposed to defend:
   two threads share faults on whichever slot comes first in the
   scheduler, not on the one that touched it first, and its fault work
   lands on that core's ledger. Only multi-round, multi-thread spans
-  differ, and only the tier comparison sees it.
+  differ, and only the tier comparison sees it;
+- ``span-core-alias`` — a columnar span's unified-L2 touches lose their
+  core offset, so every core's L2 stream lands in the first core's
+  sets: one core's fills evict and refresh another's entries, and the
+  other cores' L2s never change. A lone slot's offset is zero anyway,
+  so only multi-thread spans differ, and only the tier comparison sees
+  it.
 
 The test suite (and ``repro validate --inject-defect``) asserts that
 each injection is *caught* — by tier divergence or an invariant — and
@@ -137,6 +143,20 @@ def slot_order_faults() -> contextlib.AbstractContextManager:
     return _patched(machine, "_fault_windows", by_slot)
 
 
+def span_core_alias() -> contextlib.AbstractContextManager:
+    """Drop the core offset from a span's unified-L2 set ids."""
+    from repro.engine import residue
+
+    original = residue.span_set_ids
+
+    def aliased(structures, slots, local_sets):
+        if structures[0].name == "L2":
+            return local_sets
+        return original(structures, slots, local_sets)
+
+    return _patched(residue, "span_set_ids", aliased)
+
+
 #: name -> context manager installing the defect for the duration
 DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "lost-fast-hits": lost_fast_hits,
@@ -145,6 +165,7 @@ DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "tlb-plru-drift": tlb_plru_drift,
     "leaked-base-pages": leaked_base_pages,
     "slot-order-faults": slot_order_faults,
+    "span-core-alias": span_core_alias,
 }
 
 

@@ -164,14 +164,28 @@ def _first_diff(a: dict, b: dict) -> str:
 def check_tiers(
     case: FuzzCase, report: CaseReport
 ) -> tuple[Simulator, SimulationResult]:
-    """Every engine tier must be bit-identical on this case."""
+    """Every engine tier must be bit-identical on this case.
+
+    A tier that raises where the scalar reference ran clean diverges
+    too (an invariant it breaks keeps its own domain).
+    """
     simulator, reference = run_case(case, tier="scalar")
     ref_fp = fingerprint(reference)
     ref_counters = _counters(reference)
     for tier in ENGINE_TIER_SWITCHES:
         if tier == "scalar":
             continue
-        _, candidate = run_case(case, tier=tier)
+        try:
+            _, candidate = run_case(case, tier=tier)
+        except InvariantViolation:
+            raise
+        except Exception as error:
+            raise ValidationFailure(
+                f"tier.{tier}.raised",
+                f"{tier} tier raised where the scalar reference ran: "
+                f"{error!r}",
+                case,
+            ) from error
         fp = fingerprint(candidate)
         if fp != ref_fp:
             raise ValidationFailure(

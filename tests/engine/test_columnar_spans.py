@@ -165,3 +165,36 @@ def test_lone_slot_span_makes_one_bulk_fault_call(spans):
     assert spans and all(span["retired"] for span in spans)
     assert [span["bulk_calls"] for span in spans] == [1] * len(spans)
     assert machine.pipelines[0].columnar_faults_batched == WINDOW
+
+
+def test_merged_page_table_pass_follows_scalar_walk_order(spans):
+    """Two threads on two cores first-walk one never-walked 2MB region
+    in one span: thread 1 in round 0, thread 0 only in round 1.
+
+    Only the first walk of a region sees its PMD accessed bit clear and
+    withholds its PCC candidate, so the candidate belongs to whichever
+    walk comes first in scalar (round, slot) order — thread 1's. Taking
+    the walks slot by slot would hand it to thread 0 instead.
+    """
+    region_x = np.arange(0, 512)
+    region_1 = np.arange(512, 1024)
+    streams = [
+        # round 0 in region 1, then region X from round 1 on
+        np.concatenate([region_1[:64], region_x[:192]]),
+        # region X from round 0 on
+        region_x[256:512],
+    ]
+    config = _config(2)
+    reference, scalar = _run(config, streams, "scalar")
+    machine, columnar = _run(config, streams, "columnar")
+    assert _stats(columnar) == _stats(scalar)
+    # the whole first interval retired as one two-slot span
+    assert spans[0]["slots"] == 2 and spans[0]["retired"]
+
+    def candidates(m):
+        return [core.walker.stats.pcc_candidates_2mb for core in m.cores]
+
+    # each core withholds exactly one candidate: its first walk of a
+    # never-walked region (region 1 on core 0, region X on core 1)
+    assert candidates(reference) == [255, 255]
+    assert candidates(machine) == candidates(reference)

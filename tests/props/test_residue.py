@@ -91,12 +91,14 @@ def test_vectorized_l2_matches_scalar_replay(epoch):
                 target.fill(tag, _ENTRY_HUGE if kind else _ENTRY_BASE)
 
     # Classify against one copy and commit to its twin, exactly as
-    # _epoch_classify/_epoch_finish do; replay the other scalar.
+    # _epoch_classify/_epoch_finish do for a one-slot span; replay the
+    # other scalar.
     set_ids = (tags % np.uint64(nsets)).astype(np.intp)
-    classified = _classify_sets(twin.sets, set_ids, tags, ways)
+    slots = np.zeros(tags.size, dtype=np.intp)
+    classified = _classify_sets([twin], slots, set_ids, tags)
     fills = np.where(kinds, _ENTRY_HUGE, _ENTRY_BASE)
     base_evictions = twin.stats.evictions
-    _rebuild_sets(twin.sets, twin.stats, classified, fills)
+    _rebuild_sets([twin], classified, fills)
 
     ref_evictions = tlb.stats.evictions
     ref_hits = _scalar_l2_replay(tlb, tags, kinds)
@@ -140,10 +142,9 @@ def test_pwc_level_outcomes_match_sequential_walker(epoch):
     for tag in prefill:
         if not pwc.hit_fast(tag):
             pwc.fill(tag, PageSize.BASE)
-    initial = [list(entries) for entries in pwc.sets]
-
     outcomes, contents, evictions, final_last = residue.pwc_level_outcomes(
-        np.asarray(tags, dtype=np.int64), last_tag, initial, nsets, ways
+        [pwc], [last_tag], np.asarray(tags, dtype=np.int64),
+        np.zeros(len(tags), dtype=np.intp),
     )
 
     # The walker's inline sequence: memo, then pwc.lookup / pwc.fill.
@@ -164,8 +165,8 @@ def test_pwc_level_outcomes_match_sequential_walker(epoch):
     assert outcomes.tolist() == ref
     assert [list(entries) for entries in pwc.sets] == \
         [list(stack) for stack in contents]
-    assert evictions == pwc.stats.evictions - base_evictions
-    assert final_last == last
+    assert evictions.tolist() == [pwc.stats.evictions - base_evictions]
+    assert final_last == [last]
 
 
 #: Hand-checked PWC epochs: ``(nsets, ways, tags, last_tag, initial,
@@ -187,13 +188,17 @@ _PINNED_PWC_EPOCHS = {
 def test_pwc_level_outcomes_pinned_epochs(case):
     (nsets, ways, tags, last_tag, initial,
      expected, expected_contents, expected_evictions, expected_last) = case
+    pwc = TLB(TLBConfig(nsets * ways, ways, (PageSize.BASE,)), "PWC")
+    for entries, stack in zip(pwc.sets, initial):
+        entries.update(dict.fromkeys(stack, _ENTRY_BASE))
     outcomes, contents, evictions, final_last = residue.pwc_level_outcomes(
-        np.asarray(tags, dtype=np.int64), last_tag, initial, nsets, ways
+        [pwc], [last_tag], np.asarray(tags, dtype=np.int64),
+        np.zeros(len(tags), dtype=np.intp),
     )
     assert outcomes.tolist() == expected
     assert [list(stack) for stack in contents] == expected_contents
-    assert evictions == expected_evictions
-    assert final_last == expected_last
+    assert evictions.tolist() == [expected_evictions]
+    assert final_last == [expected_last]
 
 
 # ----------------------------------------------------------------------

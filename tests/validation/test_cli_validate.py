@@ -74,13 +74,16 @@ class TestReplay:
 class TestDefectSelfTest:
     @pytest.mark.parametrize(
         "defect", ["lost-fast-hits", "pcc-no-decay", "region-count-drift",
-                   "leaked-base-pages", "slot-order-faults"]
+                   "leaked-base-pages", "slot-order-faults",
+                   "span-core-alias"]
     )
     def test_planted_defect_is_caught_and_shrunk(
         self, capsys, tmp_path, defect
     ):
-        # one thread's span has a single fault window
-        extra = ["--min-threads", "2"] if defect == "slot-order-faults" else []
+        # one thread's span has a single fault window and no core offset
+        extra = (["--min-threads", "2"]
+                 if defect in ("slot-order-faults", "span-core-alias")
+                 else [])
         assert (
             cli.main(
                 [

@@ -11,16 +11,19 @@ comparison can.
 import numpy as np
 import pytest
 
-from repro.config import tiny_config
+from repro.config import TLBConfig, tiny_config
 from repro.core.pcc import PromotionCandidateCache
 from repro.engine import machine as machine_module
+from repro.engine import residue
 from repro.engine.machine import Machine, TranslationPipeline
 from repro.os.kernel import HugePagePolicy
 from repro.os.physmem import PhysicalMemory
 from repro.tlb import plru
+from repro.tlb.tlb import TLB
 from repro.validation import defects
 from repro.validation.generators import generate_case
 from repro.validation.oracle import fingerprint, run_case
+from repro.vm.address import PageSize
 from repro.vm.pagetable import PageTable
 from tests.conftest import make_workload
 
@@ -34,6 +37,7 @@ PATCHED = {
     "tlb-plru-drift": (plru, "victim"),
     "leaked-base-pages": (PhysicalMemory, "release_base_pages"),
     "slot-order-faults": (machine_module, "_fault_windows"),
+    "span-core-alias": (residue, "span_set_ids"),
 }
 
 
@@ -115,3 +119,25 @@ def test_slot_order_faults_is_inert_on_one_thread():
     with defects.inject("slot-order-faults"):
         _, broken = run_case(case, tier="columnar")
     assert fingerprint(broken) == fingerprint(healthy)
+
+
+def test_span_core_alias_is_inert_on_one_thread():
+    """A lone slot's core offset is zero: nothing to drop."""
+    case = generate_case(0)
+    assert len(case.threads) == 1
+    _, healthy = run_case(case, tier="columnar")
+    with defects.inject("span-core-alias"):
+        _, broken = run_case(case, tier="columnar")
+    assert fingerprint(broken) == fingerprint(healthy)
+
+
+def test_span_core_alias_moves_only_the_l2():
+    """The patched helper drops the offset for the L2 alone."""
+    config = TLBConfig(8, 2, (PageSize.BASE,))
+    slots = np.array([0, 1, 1], dtype=np.intp)
+    local = np.array([3, 0, 2], dtype=np.intp)
+    with defects.inject("span-core-alias"):
+        l2 = residue.span_set_ids([TLB(config, "L2")] * 2, slots, local)
+        l1 = residue.span_set_ids([TLB(config, "L1-4K")] * 2, slots, local)
+    assert l2.tolist() == [3, 0, 2]
+    assert l1.tolist() == [3, 4, 6]

@@ -56,6 +56,24 @@ def test_lost_fast_hits_fail_the_oracle_with_a_case_attached():
     assert failure.case is case
 
 
+def test_a_tier_that_raises_fails_the_oracle(monkeypatch):
+    """An engine tier crashing where the scalar reference ran is a
+    divergence with a case attached, not an error out of the harness."""
+    from repro.engine.machine import TranslationPipeline
+
+    def broken(cls, *args):
+        raise KeyError("stale entry")
+
+    monkeypatch.setattr(TranslationPipeline, "run_epoch",
+                        classmethod(broken))
+    case = generate_case(0)
+    with pytest.raises(ValidationFailure) as exc:
+        check_case(case)
+    assert exc.value.domain == "tier.columnar.raised"
+    assert "KeyError" in str(exc.value)
+    assert exc.value.case is case
+
+
 def test_fingerprint_covers_translation_outcomes():
     case = generate_case(4)
     _, result = run_case(case)
