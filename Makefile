@@ -38,7 +38,7 @@ fuzz:
 # model can see it.
 fuzz-selftest:
 	@for defect in lost-fast-hits pcc-no-decay region-count-drift \
-		leaked-base-pages; do \
+		leaked-base-pages walk-clock-at-start; do \
 		echo "=== defect: $$defect ==="; \
 		$(PYTHON) -m repro validate --fuzz 40 \
 			--inject-defect $$defect \

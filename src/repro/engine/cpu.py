@@ -33,16 +33,6 @@ class CoreStats:
         """Fraction of accesses requiring a page table walk (PTW %)."""
         return self.walks / self.accesses if self.accesses else 0.0
 
-    def as_metrics(self, prefix: str) -> dict[str, int]:
-        """Counter readings for the metrics registry, under ``prefix``."""
-        return {
-            f"{prefix}.accesses": self.accesses,
-            f"{prefix}.l1_hits": self.l1_hits,
-            f"{prefix}.l2_hits": self.l2_hits,
-            f"{prefix}.walks": self.walks,
-            f"{prefix}.translation_cycles": self.translation_cycles,
-        }
-
 
 class Core:
     """TLBs, walker and PCCs for one hardware thread."""

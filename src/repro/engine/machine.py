@@ -43,11 +43,10 @@ The columnar epoch tier
 
 ``columnar=True`` (the default, requiring the fast path it falls back
 to) leaves the per-record loop behind: between TLB-mutating events
-there is no reason to stop at quantum boundaries at all. In an
-unobserved run (walk observers wrap the per-record translate binding
-the epoch pass bypasses), the machine retires the **entire remaining
-OS-tick interval** as one span, one epoch per live thread, in one
-array pass whether one thread is live or several:
+there is no reason to stop at quantum boundaries at all. The machine
+retires the **entire remaining OS-tick interval** as one span, one
+epoch per live thread, in one array pass whether one thread is live or
+several:
 
 1. *Window*: ``Machine._columnar_span`` plans the round-robin schedule
    the scalar loop would run before its next due-check fires: every
@@ -116,12 +115,23 @@ PLRU span plans its rounds the same way, takes the fault pre-pass
 (policy-blind: faults never touch TLBs), and replays the rounds through
 the fast loop (``Machine._replay_rounds``) — the path a declined LRU
 span takes. Each PLRU span counts once as ``columnar_plru_fallbacks``.
+
+Observed runs
+-------------
+
+An observed run (a tracer, or ``REPRO_OBS``) executes the tiers the
+unobserved run executes. The quantum loops log each walk (the log is
+None when unobserved: one test per walk); a committed span hands its
+walks over in bulk. Each walk is clocked at its record's retired-access
+index in the scalar loop's (round, slot) order, so every tier reports
+the same histograms.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from dataclasses import fields
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -263,6 +273,12 @@ def _rebuild_sets(structures, epoch: _SetsEpoch, entry) -> None:
                     entries[tag] = entry
 
 
+def _stats_metrics(stats, prefix: str) -> dict[str, int]:
+    """A stats dataclass's fields as counter readings under ``prefix``."""
+    return {f"{prefix}.{field.name}": getattr(stats, field.name)
+            for field in fields(stats)}
+
+
 def _span_cat(parts) -> np.ndarray:
     """The slots' arrays joined in slot order (a lone slot's as is)."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -289,6 +305,40 @@ def _fault_windows(slots, ends) -> list:
                 start = ends[k][r - 1] if r else slot.cursor
                 windows.append([k, start, ends[k][r]])
     return windows
+
+
+def _note_walks(obs, base, slot, vpns, cycles, offsets) -> None:
+    """Hand ``slot``'s walks to the observer, clocked at their records:
+    ``offsets`` are the walking records' retired accesses since
+    ``base``, a quantum's or a span's start on the run's clock."""
+    obs.note_walks(slot.pid,
+                   np.asarray(vpns, dtype=np.uint64) >> np.uint64(_HUGE_SHIFT),
+                   np.asarray(cycles, dtype=np.int64),
+                   base + np.asarray(offsets, dtype=np.int64))
+
+
+def _span_walk_offsets(span, slots, ends, walk_round, note_walks) -> None:
+    """Hand a committed span's walks to ``note_walks``, slot by slot,
+    each at the accesses the scalar loop retires from span start before
+    its record: the exclusive prefix of the window accesses in (round,
+    slot) order, plus the record's offset inside its window."""
+    cums = [slot.stream.cum for slot in slots]
+    # slot k's round r runs records [window_starts[k][r], ends[k][r])
+    window_starts = [[start] + slot_ends[:-1]
+                     for start, slot_ends in zip(span.starts, ends)]
+    units = np.asarray([cum[slot_ends] - cum[starts] for cum, slot_ends,
+                        starts in zip(cums, ends, window_starts)]).T.ravel()
+    prefix = (np.cumsum(units) - units).reshape(len(ends[0]), len(slots)).T
+    bounds = span.walk_bounds
+    for k, slot in enumerate(slots):
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo < hi:
+            cum = cums[k]
+            records = span.walk_pos[lo:hi] - span.offsets[k] + span.starts[k]
+            window_base = prefix[k] - cum[window_starts[k]]
+            note_walks(slot, span.walk_vpns[lo:hi],
+                       span.walk_plans[k].cycles,
+                       window_base[walk_round[lo:hi]] + cum[records])
 
 
 class _SpanContext:
@@ -410,6 +460,22 @@ class TranslationPipeline:
     #: round instead
     MIN_EPOCH_RECORDS = 64
 
+    #: Tier counters, in :meth:`as_metrics` export order: records the
+    #: live L1 probe answered and records that took the full path (not
+    #: raw accesses); columnar epochs run, records they retired by L1
+    #: classification and residue records; spans the classifier
+    #: declined; residue records the L2/1GB-L1 classification retired
+    #: vs records that walked; epochs of multi-thread spans; the fault
+    #: pre-pass split (array-batched vs per-fault); and tree-PLRU spans,
+    #: which the exact-LRU classifier cannot take (pre-fault + replay).
+    COUNTERS = (
+        "fast_hits", "slow_records", "columnar_epochs", "columnar_retired",
+        "columnar_residue_records", "columnar_fallbacks",
+        "columnar_l2_retired", "columnar_live_walked", "columnar_mt_epochs",
+        "columnar_faults_batched", "columnar_faults_scalar",
+        "columnar_plru_fallbacks",
+    )
+
     def __init__(self, core: Core, fast_path: bool = True) -> None:
         self.core = core
         self.fast_path = fast_path
@@ -420,41 +486,19 @@ class TranslationPipeline:
         self._nbase = l1_base.nsets
         self._nhuge = l1_huge.nsets
         self._l1_hit_cycles = core.config.timing.l1_tlb_hit_cycles
-        # Translate indirection for observability: normally the bound
-        # method itself (identical cost to the old direct binding); an
-        # observed run swaps in a recording wrapper, so non-observed
-        # runs pay nothing per record.
-        self._translate = core.translate
+        #: the run's walk log in an observed run, else None: the quantum
+        #: loops append ``(vpn, walk cycles, offset)`` per walk, where
+        #: offset is the accesses retired in the quantum before the record
+        self.walk_log = None
         # Batched fast-hit counters, flushed by sync().
         self._pending_base_records = 0
         self._pending_huge_records = 0
         self._pending_accesses = 0
-        # Cumulative fast-path metrics (records, not raw accesses).
-        self.fast_hits = 0
-        self.slow_records = 0
-        # Columnar epoch tier counters: epochs run, records retired by
-        # classification, records run through the live-residue loop,
-        # windows the classifier declined, and a power-of-two
-        # histogram of epoch lengths in records (bucket k counts epochs
-        # of 2^(k-1) < length <= 2^k - 1 ... i.e. bit_length() == k).
-        self.columnar_epochs = 0
-        self.columnar_retired = 0
-        self.columnar_residue_records = 0
-        self.columnar_fallbacks = 0
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+        # Power-of-two histogram of epoch lengths in records: bucket k
+        # counts the epochs whose length has bit_length() == k.
         self.columnar_epoch_buckets = [0] * 32
-        # Residue breakdown: residue records retired by the vectorized
-        # L2/1GB-L1 classification vs records that walked the live page
-        # table, epochs retired as part of a multi-thread round plan,
-        # and the fault pre-pass split (array-batched vs per-fault).
-        self.columnar_l2_retired = 0
-        self.columnar_live_walked = 0
-        self.columnar_mt_epochs = 0
-        self.columnar_faults_batched = 0
-        self.columnar_faults_scalar = 0
-        # PLRU spans: the whole-epoch classifier is exact-LRU-specific,
-        # so a tree-PLRU span (counted once) runs as fault pre-pass plus
-        # fast-loop replay; bit-identical.
-        self.columnar_plru_fallbacks = 0
         # Under PLRU dict order no longer tracks recency, so the fast
         # loop probes the tag->way maps and performs the masked
         # tree touch instead of the del/reinsert (see the module
@@ -463,8 +507,6 @@ class TranslationPipeline:
         if self._plru:
             self._base_plru = l1_base.plru_views()
             self._huge_plru = l1_huge.plru_views()
-        #: the slot whose quantum most recently ran on this core
-        self._active_slot = None
 
     # ------------------------------------------------------------------
 
@@ -475,7 +517,6 @@ class TranslationPipeline:
         the ledger and per-process attribution. Faults are taken on
         first touch, before the access translates.
         """
-        self._active_slot = slot
         if self.fast_path:
             return self._run_quantum_fast(slot, budget, page_table)
         return self._run_quantum_slow(slot, budget, page_table)
@@ -489,7 +530,9 @@ class TranslationPipeline:
         seen = slot.seen
         fault = slot.fault
         is_mapped = page_table.is_mapped
-        translate = self._translate
+        translate = self.core.translate
+        walk_log = self.walk_log
+        l1_hit = self._l1_hit_cycles
         miss_level = HitLevel.MISS
         start_budget = budget
         cycles = 0
@@ -509,6 +552,9 @@ class TranslationPipeline:
             cycles += step_cycles
             if level is miss_level:
                 walks += 1
+                if walk_log is not None:
+                    walk_log.append((vpn, step_cycles - l1_hit * (repeat - 1),
+                                     start_budget - budget))
             budget -= repeat
             i += 1
         self.slow_records += i - slot.cursor
@@ -546,7 +592,9 @@ class TranslationPipeline:
         seen = slot.seen
         fault = slot.fault
         is_mapped = page_table.is_mapped
-        translate = self._translate
+        translate = self.core.translate
+        walk_log = self.walk_log
+        l1_hit = self._l1_hit_cycles
         base_sets = self._base_sets
         huge_sets = self._huge_sets
         nbase = self._nbase
@@ -632,12 +680,15 @@ class TranslationPipeline:
             cycles += step_cycles
             if level is miss_level:
                 walks += 1
+                if walk_log is not None:
+                    walk_log.append((vpn, step_cycles - l1_hit * (repeat - 1),
+                                     start_budget - budget))
             budget -= repeat
             i += 1
         accesses = start_budget - budget
         fast_units = accesses - slow_units
         fast_base = i - start - slow - fast_huge
-        cycles += self._l1_hit_cycles * fast_units
+        cycles += l1_hit * fast_units
         self._pending_base_records += fast_base
         self._pending_huge_records += fast_huge
         self._pending_accesses += fast_units
@@ -662,7 +713,8 @@ class TranslationPipeline:
     # the columnar epoch tier
 
     @classmethod
-    def run_epoch(cls, pipelines, slots, ends, tables, charge_faults):
+    def run_epoch(cls, pipelines, slots, ends, tables, charge_faults,
+                  note_walks=None):
         """Retire one planned round-robin span in one array pass.
 
         ``slots`` are the span's live slots in scheduler order,
@@ -682,6 +734,11 @@ class TranslationPipeline:
         cover, or an unmapped hole whose walk must raise the scalar
         path's error). Only the faults have happened then; the decline
         counts on the first slot that declines on its own.
+
+        In an observed run ``note_walks(slot, vpns, cycles, offsets)``
+        receives a committed span's walks slot by slot: their VPNs,
+        planned walk cycles, and each walking record's retired accesses
+        since span start in the scalar loop's (round, slot) order.
         """
         for k, start, end in _fault_windows(slots, ends):
             slot = slots[k]
@@ -728,6 +785,8 @@ class TranslationPipeline:
                 residue.page_table_pass(table, span.walk_vpns[order],
                                         span.walk_sizes[order])
             )
+        if note_walks is not None:
+            _span_walk_offsets(span, slots, ends, walk_round, note_walks)
         return cls._epoch_finish(pipelines, span)
 
     def _epoch_faults(self, slot: _ThreadSlot, start: int, end: int,
@@ -1135,24 +1194,8 @@ class TranslationPipeline:
 
     def as_metrics(self, prefix: str) -> dict[str, int]:
         """Fast-path counter readings for the metrics registry."""
-        values = {
-            f"{prefix}.fast_hits": self.fast_hits,
-            f"{prefix}.slow_records": self.slow_records,
-            f"{prefix}.columnar_epochs": self.columnar_epochs,
-            f"{prefix}.columnar_retired": self.columnar_retired,
-            f"{prefix}.columnar_residue_records":
-                self.columnar_residue_records,
-            f"{prefix}.columnar_fallbacks": self.columnar_fallbacks,
-            f"{prefix}.columnar_l2_retired": self.columnar_l2_retired,
-            f"{prefix}.columnar_live_walked": self.columnar_live_walked,
-            f"{prefix}.columnar_mt_epochs": self.columnar_mt_epochs,
-            f"{prefix}.columnar_faults_batched":
-                self.columnar_faults_batched,
-            f"{prefix}.columnar_faults_scalar":
-                self.columnar_faults_scalar,
-            f"{prefix}.columnar_plru_fallbacks":
-                self.columnar_plru_fallbacks,
-        }
+        values = {f"{prefix}.{name}": getattr(self, name)
+                  for name in self.COUNTERS}
         # Epoch-length histogram: power-of-two buckets, emitted sparsely
         # (bucket k holds epochs whose record count has bit_length k).
         for k, count in enumerate(self.columnar_epoch_buckets):
@@ -1322,6 +1365,7 @@ class Machine:
         self.cores: list[Core] = []
         self.pipelines: list[TranslationPipeline] = []
         self.ledgers: list[CycleAccounting] = []
+        #: core id -> the process whose thread is pinned there
         self._core_pid_map: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -1373,36 +1417,30 @@ class Machine:
         # audits final tick accounting against kernel state).
         self.ticks = ticks
 
-        # One observability decision per run; every hook site below
-        # guards on `obs`/`tracer` being non-None, so a non-observed
-        # run pays a couple of branches per quantum/tick and nothing
-        # per record (see _attach_walk_observers for the per-walk hook).
+        # One observability decision per run. It picks no tier: every
+        # hook site guards on `obs` being non-None, so a non-observed
+        # run pays a couple of branches per quantum/span/tick and one
+        # test per walk (the walk log, see the module docstring).
         obs = RunObserver.for_run(registry)
         self.obs = obs
-        tracer = obs.tracer if obs is not None else None
-        if obs is not None:
-            self._attach_walk_observers(obs, ticks)
+        walk_log = [] if obs is not None else None
+        pipelines = self.pipelines
+        for pipeline in pipelines:
+            pipeline.walk_log = walk_log
 
         processes = self.kernel.processes
-        pipelines = self.pipelines
         walks_by_pid = {pid: 0 for pid in processes}
+        columnar = self.columnar
 
-        # The columnar epoch tier needs the translate binding untouched:
-        # observed runs wrap it per record (walk histograms, promotion
-        # lag), which the epoch pass legitimately bypasses, so an
-        # observed run keeps the quantum tiers.
-        use_columnar = self.columnar and obs is None
-
-        # One progress decision per run, independent of the observer:
-        # riding the observe path would demote the run off the columnar
-        # tier, and progress only *reads* counters, so reported runs
-        # stay bit-identical to silent ones. When enabled the loop pays
-        # one clock check per scheduler round; when disabled, one
-        # ``is None`` branch.
+        # One progress decision per run, independent of the observer;
+        # progress only *reads* counters, so reported runs stay
+        # bit-identical to silent ones. When enabled the loop pays one
+        # clock check per scheduler round; when disabled, one ``is
+        # None`` branch.
         prog = progress_for_run(total=scheduler.remaining)
         prog_total = scheduler.remaining
         prog_tier = (
-            "columnar" if use_columnar
+            "columnar" if columnar
             else "fast" if self.fast_path
             else "scalar"
         )
@@ -1423,10 +1461,9 @@ class Machine:
             while scheduler.remaining > 0:
                 if prog is not None and prog.due():
                     report_progress()
-                if not (use_columnar and self._columnar_span(
+                if not (columnar and self._columnar_span(
                         scheduler, ticks, walks_by_pid)):
-                    self._replay_rounds(scheduler, 1, ticks, walks_by_pid,
-                                        tracer)
+                    self._replay_rounds(scheduler, 1, ticks, walks_by_pid)
                 if ticks.due:
                     self._run_tick(ticks, monitor, obs)
                     if monitor is not None:
@@ -1446,18 +1483,13 @@ class Machine:
                     "policy": self.policy.value,
                     "cores": len(self.cores),
                     "fast_path": self.fast_path,
-                    "columnar": use_columnar,
+                    "columnar": columnar,
                     "promote_every_accesses": self.config.os.promote_every_accesses,
                     "processes": sorted(processes),
                     "run_id": current_run_id(),
                 }
             )
             publish_run(result.metrics)
-        # The machine graph is cyclic (``_tick_fn`` is a bound method),
-        # so only the collector would free it: drop the last slot each
-        # pipeline ran, and its trace lists go by refcount.
-        for pipeline in pipelines:
-            pipeline._active_slot = None
         return result
 
     # ------------------------------------------------------------------
@@ -1529,15 +1561,22 @@ class Machine:
             # a fault window's kernel work, charged like a quantum's
             ledgers[slot.core_id].charge_fault_work(*drain())
 
-        results = TranslationPipeline.run_epoch(
-            [self.pipelines[slot.core_id] for slot in live], live, ends,
-            {slot.pid: processes[slot.pid].page_table for slot in live},
-            charge_faults,
-        )
-        if results is None:
-            self._replay_rounds(scheduler, len(ends[0]), ticks,
-                                walks_by_pid)
-            return True
+        obs = self.obs
+        note_walks = (None if obs is None
+                      else partial(_note_walks, obs, ticks.total_accesses))
+        with trace_span("epoch", cat="engine",
+                        tid=CORE_TID_BASE + live[0].core_id, slots=len(live),
+                        records=sum(slot_ends[-1] - slot.cursor
+                                    for slot, slot_ends in zip(live, ends))):
+            results = TranslationPipeline.run_epoch(
+                [self.pipelines[slot.core_id] for slot in live], live, ends,
+                {slot.pid: processes[slot.pid].page_table for slot in live},
+                charge_faults, note_walks,
+            )
+            if results is None:
+                self._replay_rounds(scheduler, len(ends[0]), ticks,
+                                    walks_by_pid)
+                return True
         for slot, (cursor, accesses, cycles, walks) in zip(live, results):
             scheduler.advance(slot, cursor)
             ledger = ledgers[slot.core_id]
@@ -1547,8 +1586,8 @@ class Machine:
             ticks.note(accesses)
         return True
 
-    def _replay_rounds(self, scheduler, rounds: int, ticks, walks_by_pid,
-                       tracer=None) -> None:
+    def _replay_rounds(self, scheduler, rounds: int, ticks,
+                       walks_by_pid) -> None:
         """Run ``rounds`` rounds of the scalar round-robin loop.
 
         Every live slot runs one quantum per round through the quantum
@@ -1563,10 +1602,13 @@ class Machine:
         ledgers = self.ledgers
         processes = self.kernel.processes
         drain = self.kernel.drain_fault_work
+        obs = self.obs
+        tracer = obs.tracer if obs is not None else None
         for _ in range(rounds):
             for slot in scheduler.next_round():
                 pipeline = pipelines[slot.core_id]
                 table = processes[slot.pid].page_table
+                base = ticks.total_accesses
                 if tracer is None:
                     cursor, accesses, cycles, walks = pipeline.run_quantum(
                         slot, quantum, table
@@ -1581,6 +1623,10 @@ class Machine:
                         cursor, accesses, cycles, walks = (
                             pipeline.run_quantum(slot, quantum, table)
                         )
+                walk_log = pipeline.walk_log
+                if walk_log:
+                    _note_walks(obs, base, slot, *zip(*walk_log))
+                    walk_log.clear()
                 scheduler.advance(slot, cursor)
                 ledger = ledgers[slot.core_id]
                 ledger.charge_translation(cycles)
@@ -1609,48 +1655,12 @@ class Machine:
         if obs is None:
             return tick(self.cores, self.ledgers)
         self._snapshot_state(obs, ticks)
-        with obs.span("os_tick", cat="os", final=final,
-                      accesses=ticks.total_accesses):
+        with trace_span("os_tick", cat="os", final=final,
+                        accesses=ticks.total_accesses):
             outcome = tick(self.cores, self.ledgers)
         obs.note_promotions(outcome.promoted, ticks.total_accesses)
         obs.note_tick((time.perf_counter_ns() - start_ns) / 1000.0)
         return outcome
-
-    def _attach_walk_observers(self, obs: RunObserver, ticks: OsTickDriver) -> None:
-        """Swap each pipeline's translate binding for a recording wrapper.
-
-        The wrapper delegates to the real ``Core.translate`` unchanged
-        (bit-identity by construction) and, when the access missed the
-        TLBs, records the walk's latency — the returned cycles net of
-        the repeat-hit cycles folded into the same return — plus the
-        region's first-walk stamp for promotion-lag accounting. The
-        process id comes from the pipeline's active slot (set by
-        ``run_quantum``), and "now" is the tick driver's retired-access
-        clock at quantum granularity.
-        """
-        miss_level = HitLevel.MISS
-        note_walk = obs.note_walk
-        for pipeline in self.pipelines:
-            def observed_translate(
-                vpn,
-                page_table,
-                repeat,
-                _translate=pipeline.core.translate,
-                _pipeline=pipeline,
-                _l1_hit=pipeline.core.config.timing.l1_tlb_hit_cycles,
-            ):
-                result = _translate(vpn, page_table, repeat)
-                if result[1] is miss_level:
-                    slot = _pipeline._active_slot
-                    note_walk(
-                        slot.pid if slot is not None else -1,
-                        vpn >> _HUGE_SHIFT,
-                        result[0] - _l1_hit * (repeat - 1),
-                        ticks.total_accesses,
-                    )
-                return result
-
-            pipeline._translate = observed_translate
 
     def _snapshot_state(self, obs: RunObserver, ticks: OsTickDriver) -> None:
         """Pre-tick top-K PCC region counts + TLB occupancy (read-only).
@@ -1665,7 +1675,7 @@ class Machine:
         regions: list[tuple[int, int, int]] = []
         occupancy: dict[str, int] = {}
         for core in self.cores:
-            pid = self._pid_for_core(core.core_id)
+            pid = self._core_pid_map.get(core.core_id)
             if pid is not None:
                 for entry in core.pcc.ranked():
                     regions.append((pid, entry.tag, entry.frequency))
@@ -1765,10 +1775,6 @@ class Machine:
             return None
         return TraceCache(directory)
 
-    def _pid_for_core(self, core_id: int) -> int | None:
-        """Process whose thread runs on ``core_id`` (static pinning)."""
-        return self._core_pid_map.get(core_id)
-
     def _register_metrics(self, registry: MetricsRegistry) -> None:
         """Register every stats bag of this machine into the registry."""
         for i, (core, pipeline, ledger) in enumerate(
@@ -1778,7 +1784,7 @@ class Machine:
 
             def provider(core=core, pipeline=pipeline, ledger=ledger,
                          prefix=prefix) -> dict[str, int]:
-                values = core.stats.as_metrics(prefix)
+                values = _stats_metrics(core.stats, prefix)
                 tlb = core.tlb
                 for structure in (tlb.l1_base, tlb.l1_huge, tlb.l1_giga,
                                   tlb.l2):
@@ -1787,6 +1793,12 @@ class Machine:
                             f"{prefix}.tlb.{structure.name}"
                         )
                     )
+                values.update(_stats_metrics(core.walker.stats,
+                                             f"{prefix}.walker"))
+                values.update(_stats_metrics(core.pcc.stats, f"{prefix}.pcc"))
+                if core.pcc_1gb is not None:
+                    values.update(_stats_metrics(core.pcc_1gb.stats,
+                                                 f"{prefix}.pcc_1gb"))
                 values.update(ledger.as_metrics(f"{prefix}.cycles"))
                 values.update(pipeline.as_metrics(f"{prefix}.fastpath"))
                 return values
@@ -1799,20 +1811,15 @@ class Machine:
 
     def promotion_tick(self, cores, ledgers):
         """Fig. 4: dump PCCs, let the kernel promote, apply shootdowns."""
-        obs = self.obs
-
-        def stage(name: str):
-            return obs.span(name, cat="os") if obs is not None else nullcontext()
-
         records: list[CandidateRecord] = []
         if self.policy is HugePagePolicy.PCC:
             # §3.3 offers two read styles: the periodic dump-and-clear
             # (Fig. 4) or an on-demand snapshot that leaves counters
             # accumulating across intervals.
             snapshot = self.kernel.params.pcc_dump_mode == "snapshot"
-            with stage("tick.scan"):
+            with trace_span("tick.scan", cat="os"):
                 for core in cores:
-                    pid = self._pid_for_core(core.core_id)
+                    pid = self._core_pid_map.get(core.core_id)
                     if pid is None:
                         continue
                     for pcc, size in ((core.pcc, PageSize.HUGE),
@@ -1822,14 +1829,14 @@ class Machine:
                                 pcc.ranked() if snapshot else pcc.flush(),
                                 pid=pid, core=core.core_id, page_size=size,
                             )
-            with stage("tick.rank"):
+            with trace_span("tick.rank", cat="os"):
                 records = self.dump_region.read_all()
 
         def on_shootdown(pid: int, tag: int, size: PageSize) -> None:
             for core in cores:
                 core.shootdown(tag, size)
 
-        with stage("tick.promote"):
+        with trace_span("tick.promote", cat="os"):
             return self.kernel.promotion_tick(
                 pcc_records=records, on_shootdown=on_shootdown
             )

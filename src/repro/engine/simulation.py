@@ -145,15 +145,6 @@ class Simulator:
     def thread_quantum(self, value: int) -> None:
         self.machine.thread_quantum = value
 
-    @property
-    def serialization_cycles_per_access(self) -> float:
-        """Multithread serialization charge per access (§5.2)."""
-        return self.machine.serialization_cycles_per_access
-
-    @serialization_cycles_per_access.setter
-    def serialization_cycles_per_access(self, value: float) -> None:
-        self.machine.serialization_cycles_per_access = value
-
     # ------------------------------------------------------------------
 
     def run(self, workloads: list[ProcessWorkload]) -> SimulationResult:
@@ -166,7 +157,3 @@ class Simulator:
         Overridable: the machine routes every OS tick through here.
         """
         return self.machine.promotion_tick(cores, ledgers)
-
-    def _pid_for_core(self, core_id: int) -> int | None:
-        """Process whose thread runs on ``core_id`` (static pinning)."""
-        return self.machine._pid_for_core(core_id)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from sys import intern
 from typing import Callable
 
 from repro.obs.histo import Histogram
@@ -90,11 +91,16 @@ class MetricsRegistry:
     # reading
 
     def snapshot(self) -> dict[str, int]:
-        """Current value of every counter, sorted by name."""
+        """Current value of every counter, sorted by name.
+
+        Names are interned, so every sample of a run shares one string
+        per name and a pickled result (a journal shard, a worker's
+        return) stores each name once.
+        """
         values: dict[str, int] = {c.name: c.value for c in self._counters.values()}
         for provider in self._providers:
             values.update(provider())
-        return dict(sorted(values.items()))
+        return {intern(name): value for name, value in sorted(values.items())}
 
     def delta(self, before: dict[str, int]) -> dict[str, int]:
         """Per-counter difference between now and a prior snapshot.

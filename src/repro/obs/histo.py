@@ -60,12 +60,12 @@ class Histogram:
     # ------------------------------------------------------------------
     # recording
 
-    def record(self, value: float) -> None:
-        """Count one sample."""
+    def record(self, value: float, repeat: int = 1) -> None:
+        """Count ``repeat`` samples of ``value`` (one by default)."""
         index = bucket_index(value)
-        self.counts[index] = self.counts.get(index, 0) + 1
-        self.count += 1
-        self.total += value
+        self.counts[index] = self.counts.get(index, 0) + repeat
+        self.count += repeat
+        self.total += value * repeat
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:

@@ -4,18 +4,19 @@
 decision per run: :meth:`RunObserver.for_run` returns ``None`` unless
 observation was requested, and every engine hook site guards on
 ``obs is not None`` — so a non-observed run pays a handful of attribute
-checks per scheduling quantum / OS tick and *nothing* per memory
-access (the per-walk hook swaps in a wrapped translate method only
-when an observer exists).
+checks per scheduling quantum / span / OS tick, one test per page walk,
+and *nothing* per memory access. Observation picks no engine tier: an
+observed run executes exactly what the same unobserved run executes,
+and each tier hands its walks over in bulk (:meth:`note_walks`).
 
 When a run *is* observed the bundle provides:
 
-- span/instant emission against the process's active tracer (absent
-  tracer → histograms only, e.g. ``REPRO_OBS=1 --metrics-out``);
-- the engine histograms of the ``distributions`` metrics section:
+- the engine histograms of the ``distributions`` metrics section
+  (also without a tracer, e.g. ``REPRO_OBS=1 --metrics-out``):
   ``walk_latency_cycles``, ``tick_duration_us``, and
   ``promotion_lag_accesses`` (first walk of a region → its promotion,
-  measured in retired accesses, the engine's logical clock);
+  on the run's retired-access clock; a 1GB region's first walk is the
+  first anywhere in its gigabyte);
 - top-K PCC/TLB state snapshots per OS tick, emitted as trace instant
   events for heatmap timelines.
 
@@ -26,9 +27,14 @@ read-only — which is what keeps observed stats bit-identical.
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
+
+import numpy as np
 
 from repro.obs.tracer import active_tracer, tracing_enabled
+from repro.vm.address import GIGA_PAGE_SHIFT, HUGE_PAGE_SHIFT, PageSize
+
+#: 2MB region number -> 1GB region number shift.
+_GIGA_SHIFT = GIGA_PAGE_SHIFT - HUGE_PAGE_SHIFT
 
 #: Truthy value requests observation (histograms/snapshots) even
 #: without a tracer, e.g. ``REPRO_OBS=1 repro fig7 --metrics-out ...``.
@@ -67,8 +73,8 @@ class RunObserver:
         self.walk_latency = registry.histogram("walk_latency_cycles", unit="cycles")
         self.tick_duration = registry.histogram("tick_duration_us", unit="us")
         self.promotion_lag = registry.histogram("promotion_lag_accesses", unit="accesses")
-        # (pid, region) -> total_accesses when the region first took a walk
-        self._first_walk: dict[tuple[int, int], int] = {}
+        # pid -> {2MB region -> retired-access clock of its first walk}
+        self._first_walk: dict[int, dict[int, int]] = {}
 
     @classmethod
     def for_run(cls, registry) -> "RunObserver | None":
@@ -82,30 +88,26 @@ class RunObserver:
         return cls(registry, tracer=active_tracer())
 
     # ------------------------------------------------------------------
-    # tracer passthrough (histogram-only observers get no-ops)
-
-    def span(self, name: str, **args):
-        """A tracer span, or an inert context when no tracer is active."""
-        tracer = self.tracer
-        if tracer is None:
-            return nullcontext()
-        return tracer.span(name, **args)
-
-    def instant(self, name: str, **args) -> None:
-        """A tracer instant event; dropped when no tracer is active."""
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(name, **args)
-
-    # ------------------------------------------------------------------
     # engine hooks
 
-    def note_walk(self, pid: int, region: int, cycles: int, now_accesses: int) -> None:
-        """One completed page walk: latency sample + first-walk stamp."""
-        self.walk_latency.record(cycles)
-        key = (pid, region)
-        if key not in self._first_walk:
-            self._first_walk[key] = now_accesses
+    def note_walks(self, pid: int, regions, cycles, clocks) -> None:
+        """Process ``pid``'s walks: latency samples, first-walk stamps.
+
+        One array entry per walk: its 2MB region, cycles, and clock (its
+        record's retired-access index, ascending within a batch). A
+        span's slots arrive one by one, out of clock order, so a region
+        keeps its smallest stamp.
+        """
+        values, repeats = np.unique(cycles, return_counts=True)
+        record = self.walk_latency.record
+        for value, repeat in zip(values.tolist(), repeats.tolist()):
+            record(value, repeat)
+        stamps = self._first_walk.setdefault(pid, {})
+        walked, first = np.unique(regions, return_index=True)
+        for region, clock in zip(walked.tolist(), clocks[first].tolist()):
+            stamp = stamps.get(region)
+            if stamp is None or clock < stamp:
+                stamps[region] = clock
 
     def note_tick(self, duration_us: float) -> None:
         """Wall-clock duration of one OS tick (scan+rank+promote+flush)."""
@@ -114,16 +116,20 @@ class RunObserver:
     def note_promotions(self, promoted, now_accesses: int) -> None:
         """Promotion lag per promoted region: first walk → promotion.
 
-        ``promoted`` is the kernel's list of candidate records carrying
-        ``pid`` and ``tag`` (the region number the PCC tracked).
-        Regions promoted without a recorded first walk (e.g. resident
-        before observation started) are skipped rather than guessed.
+        ``promoted`` holds the kernel's candidate records (``pid``,
+        ``tag``, ``page_size``); a 1GB record's tag is a gigabyte, first
+        walked at the first walk of any 2MB region inside it. Regions
+        promoted without a recorded first walk are skipped rather than
+        guessed.
         """
-        if not promoted:
-            return
-        first_walk = self._first_walk
         for record in promoted:
-            start = first_walk.get((record.pid, record.tag))
+            stamps = self._first_walk.get(record.pid, {})
+            if record.page_size is PageSize.GIGA:
+                start = min((clock for region, clock in stamps.items()
+                             if region >> _GIGA_SHIFT == record.tag),
+                            default=None)
+            else:
+                start = stamps.get(record.tag)
             if start is not None:
                 self.promotion_lag.record(now_accesses - start)
 

@@ -36,7 +36,12 @@ correctness mechanism the oracle and invariants are supposed to defend:
   sets: one core's fills evict and refresh another's entries, and the
   other cores' L2s never change. A lone slot's offset is zero anyway,
   so only multi-thread spans differ, and only the tier comparison sees
-  it.
+  it;
+- ``walk-clock-at-start`` — an observed run clocks every walk at the
+  start of the quantum or span that retired it instead of at its
+  record, so a region's first-walk stamp, and with it the promotion
+  lag, depends on how the tier batched the records. Simulation state
+  is untouched; only the observed tiers' histogram agreement sees it.
 
 The test suite (and ``repro validate --inject-defect``) asserts that
 each injection is *caught* — by tier divergence or an invariant — and
@@ -157,6 +162,18 @@ def span_core_alias() -> contextlib.AbstractContextManager:
     return _patched(residue, "span_set_ids", aliased)
 
 
+def walk_clock_at_start() -> contextlib.AbstractContextManager:
+    """Clock an observed run's walks at their quantum's or span's start."""
+    from repro.engine import machine
+
+    original = machine._note_walks
+
+    def at_start(obs, base, slot, vpns, cycles, offsets) -> None:
+        original(obs, base, slot, vpns, cycles, [0] * len(cycles))
+
+    return _patched(machine, "_note_walks", at_start)
+
+
 #: name -> context manager installing the defect for the duration
 DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "lost-fast-hits": lost_fast_hits,
@@ -166,6 +183,7 @@ DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "leaked-base-pages": leaked_base_pages,
     "slot-order-faults": slot_order_faults,
     "span-core-alias": span_core_alias,
+    "walk-clock-at-start": walk_clock_at_start,
 }
 
 

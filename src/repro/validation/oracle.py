@@ -6,11 +6,14 @@ moves:
 1. **Tier equivalence** (exact). The same (config, stream) runs through
    every tier of :data:`~repro.experiments.common.ENGINE_TIER_SWITCHES`:
    the scalar reference (``fast_path=False``), the per-record fast path,
-   and the columnar epoch tier. Every observable — walks, per-structure
-   hits, cycles, promotions, timelines, per-process stats, and all
-   non-fastpath metrics counters — must be bit-identical. Runtime
-   invariants (:mod:`repro.validation.invariants`) are armed on every
-   run.
+   and the columnar epoch tier, each once unobserved and once observed
+   (``REPRO_OBS`` set). Every observable — walks, per-structure hits,
+   cycles, promotions, timelines, per-process stats, and all
+   non-fastpath metrics counters (walker and PCC statistics included) —
+   must be bit-identical to the unobserved scalar reference, and the
+   observed runs' ``distributions`` must agree across tiers (all but
+   the wall-clock ``tick_duration_us``). Runtime invariants
+   (:mod:`repro.validation.invariants`) are armed on every run.
 
 2. **Metamorphic policy relations** (exact where defined). Relations
    that hold by construction, not by luck:
@@ -38,10 +41,13 @@ as advisory notes on the :class:`CaseReport` instead.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, field, replace
 
 from repro.engine.simulation import SimulationResult, Simulator
 from repro.experiments.common import ENGINE_TIER_SWITCHES
+from repro.obs.observer import OBS_ENV
 from repro.os.kernel import HugePagePolicy
 from repro.validation.generators import FuzzCase
 from repro.validation.invariants import InvariantViolation
@@ -144,6 +150,27 @@ def _counters(result: SimulationResult) -> dict:
     }
 
 
+def _distributions(result: SimulationResult) -> dict:
+    """An observed run's histograms, minus the wall-clock one."""
+    distributions = dict((result.metrics or {}).get("distributions", {}))
+    distributions.pop("tick_duration_us", None)
+    return distributions
+
+
+@contextlib.contextmanager
+def _observation(observed: bool):
+    """Set ``REPRO_OBS`` for the block (observed) or clear it."""
+    saved = os.environ.pop(OBS_ENV, None)
+    if observed:
+        os.environ[OBS_ENV] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop(OBS_ENV, None)
+        if saved is not None:
+            os.environ[OBS_ENV] = saved
+
+
 def _first_diff(a: dict, b: dict) -> str:
     """Human-readable first difference between two fingerprints."""
     for key in a:
@@ -164,45 +191,63 @@ def _first_diff(a: dict, b: dict) -> str:
 def check_tiers(
     case: FuzzCase, report: CaseReport
 ) -> tuple[Simulator, SimulationResult]:
-    """Every engine tier must be bit-identical on this case.
+    """Every engine tier, observed or not, must be bit-identical on this
+    case, and observed tiers must report the same histograms.
 
     A tier that raises where the scalar reference ran clean diverges
     too (an invariant it breaks keeps its own domain).
     """
-    simulator, reference = run_case(case, tier="scalar")
+    with _observation(False):
+        simulator, reference = run_case(case, tier="scalar")
     ref_fp = fingerprint(reference)
     ref_counters = _counters(reference)
-    for tier in ENGINE_TIER_SWITCHES:
-        if tier == "scalar":
-            continue
-        try:
-            _, candidate = run_case(case, tier=tier)
-        except InvariantViolation:
-            raise
-        except Exception as error:
-            raise ValidationFailure(
-                f"tier.{tier}.raised",
-                f"{tier} tier raised where the scalar reference ran: "
-                f"{error!r}",
-                case,
-            ) from error
-        fp = fingerprint(candidate)
-        if fp != ref_fp:
-            raise ValidationFailure(
-                f"tier.{tier}",
-                f"{tier} tier diverges from scalar reference: "
-                f"{_first_diff(ref_fp, fp)}",
-                case,
-            )
-        counters = _counters(candidate)
-        if counters != ref_counters:
-            raise ValidationFailure(
-                f"tier.{tier}.metrics",
-                f"{tier} tier metrics diverge: "
-                f"{_first_diff(ref_counters, counters)}",
-                case,
-            )
-        report.checks.append(f"tier:{tier}")
+    ref_distributions = None
+    for observed in (False, True):
+        for tier in ENGINE_TIER_SWITCHES:
+            if tier == "scalar" and not observed:
+                continue
+            label = f"{tier}.observed" if observed else tier
+            try:
+                with _observation(observed):
+                    _, candidate = run_case(case, tier=tier)
+            except InvariantViolation:
+                raise
+            except Exception as error:
+                raise ValidationFailure(
+                    f"tier.{label}.raised",
+                    f"{label} tier raised where the scalar reference "
+                    f"ran: {error!r}",
+                    case,
+                ) from error
+            fp = fingerprint(candidate)
+            if fp != ref_fp:
+                raise ValidationFailure(
+                    f"tier.{label}",
+                    f"{label} tier diverges from scalar reference: "
+                    f"{_first_diff(ref_fp, fp)}",
+                    case,
+                )
+            counters = _counters(candidate)
+            if counters != ref_counters:
+                raise ValidationFailure(
+                    f"tier.{label}.metrics",
+                    f"{label} tier metrics diverge: "
+                    f"{_first_diff(ref_counters, counters)}",
+                    case,
+                )
+            if observed:
+                distributions = _distributions(candidate)
+                if ref_distributions is None:
+                    ref_distributions = distributions
+                elif distributions != ref_distributions:
+                    raise ValidationFailure(
+                        f"tier.{label}.distributions",
+                        f"{label} tier histograms diverge from the "
+                        "observed scalar run: "
+                        f"{_first_diff(ref_distributions, distributions)}",
+                        case,
+                    )
+            report.checks.append(f"tier:{label}")
     return simulator, reference
 
 

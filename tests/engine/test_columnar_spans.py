@@ -98,10 +98,12 @@ def spans(monkeypatch):
 
     records = []
 
-    def spy(cls, pipelines, slots, ends, tables, charge_faults):
+    def spy(cls, pipelines, slots, ends, tables, charge_faults,
+            note_walks=None):
         before = len(bulk_calls)
         epochs = pipelines[0].columnar_epochs
-        results = original(pipelines, slots, ends, tables, charge_faults)
+        results = original(pipelines, slots, ends, tables, charge_faults,
+                           note_walks)
         records.append({"slots": len(slots), "retired": results is not None,
                         "epochs_before": epochs,
                         "bulk_calls": len(bulk_calls) - before})

@@ -2,10 +2,11 @@
 
 The layer's contract is that observing a run changes nothing about the
 run: enabling tracing (or ``REPRO_OBS``) must leave every simulation
-statistic bit-identical, add a ``distributions`` section to the metrics
-export, and produce a Perfetto-loadable trace whose spans nest through
-the OS tick phases — including spans shipped back from fan-out worker
-processes.
+statistic and the engine tier that ran bit-identical, add a
+``distributions`` section to the metrics export that reads the same on
+every tier, and produce a Perfetto-loadable trace whose spans nest
+through the OS tick phases — including spans shipped back from fan-out
+worker processes.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 
 from repro.engine.simulation import Simulator
 from repro.experiments.common import (
+    ENGINE_TIER_SWITCHES,
     ExperimentScale,
     build_named_workload,
     clone_workload,
@@ -41,16 +43,9 @@ def _tracing_off_between_tests(monkeypatch):
 
 
 def _fingerprint(result) -> tuple:
-    # Engine-tier instrumentation (fastpath.*) is excluded, as in the
-    # differential oracle: an observed run keeps the quantum tiers so
-    # the per-record translate wrapper sees every walk, while an
-    # unobserved run may retire whole epochs columnar — the simulation
-    # statistics must still match bit-for-bit.
-    counters = {
-        name: value
-        for name, value in result.metrics["counters"].items()
-        if ".fastpath." not in name
-    }
+    # Observation picks no tier, so every counter — the engine tier's
+    # own fastpath.* instrumentation included — matches bit-for-bit.
+    counters = result.metrics["counters"]
     return (
         result.policy,
         result.total_cycles,
@@ -65,16 +60,22 @@ def _fingerprint(result) -> tuple:
     )
 
 
-def _simulator() -> tuple[Simulator, object]:
+def _simulator(**switches) -> tuple[Simulator, object]:
     workload = build_named_workload(
         "BFS", graph_scale=TINY.graph_scale, proxy_accesses=TINY.proxy_accesses
     )
-    return Simulator(config_for(workload), policy=HugePagePolicy.PCC), workload
+    return Simulator(config_for(workload), policy=HugePagePolicy.PCC,
+                     **switches), workload
 
 
-def _run():
-    simulator, workload = _simulator()
+def _run(**switches):
+    simulator, workload = _simulator(**switches)
     return simulator.run([clone_workload(workload)])
+
+
+def _fastpath(result) -> dict:
+    return {name: value for name, value in result.metrics["counters"].items()
+            if ".fastpath." in name}
 
 
 class TestBitIdentity:
@@ -93,36 +94,40 @@ class TestBitIdentity:
         observed = _run()
         assert _fingerprint(observed) == _fingerprint(baseline)
 
-    def test_disabled_observation_is_the_unobserved_path(self):
-        # No tracer and no REPRO_OBS: the run gets no observer, no walk
-        # wrapper replaces any pipeline's translate binding, and the
-        # epochs still retire on the columnar tier.
-        simulator, workload = _simulator()
-        seen = []
-        with progress_scope("unobserved", seen.append):
-            simulator.run([clone_workload(workload)])
-        assert simulator.machine.obs is None
-        assert simulator.machine.pipelines
-        for pipeline in simulator.machine.pipelines:
-            assert pipeline._translate == pipeline.core.translate
-        assert seen[-1]["final"] is True
-        assert seen[-1]["tier"] == "columnar"
+    def test_disabled_observation_is_the_unobserved_path(self, monkeypatch):
+        # No tracer and no REPRO_OBS: the run gets no observer. An
+        # observed run executes the same columnar epochs: every engine
+        # counter, the tier's own included, is equal.
+        runs = []
+        for observed in (False, True):
+            if observed:
+                monkeypatch.setenv(OBS_ENV, "1")
+            simulator, workload = _simulator()
+            seen = []
+            with progress_scope("run", seen.append):
+                result = simulator.run([clone_workload(workload)])
+            assert (simulator.machine.obs is not None) is observed
+            assert seen[-1]["final"] is True
+            assert seen[-1]["tier"] == "columnar"
+            runs.append(result)
+        unobserved, observed = runs
+        assert _fastpath(unobserved)["core0.fastpath.columnar_epochs"] > 0
+        assert _fastpath(observed) == _fastpath(unobserved)
 
     @pytest.mark.parametrize("observed", [False, True])
     def test_metrics_meta_names_the_tier_that_ran(self, monkeypatch,
                                                   observed):
-        # An observed run keeps the quantum tiers (see above), so its
-        # meta must not claim the columnar tier; the final progress
-        # snapshot reports the same tier.
+        # Observation picks no tier: observed or not, the run and its
+        # final progress snapshot name the columnar tier.
         if observed:
             monkeypatch.setenv(OBS_ENV, "1")
         simulator, workload = _simulator()
         seen = []
         with progress_scope("meta", seen.append):
             result = simulator.run([clone_workload(workload)])
-        assert result.metrics["meta"]["columnar"] is (not observed)
+        assert result.metrics["meta"]["columnar"] is True
         assert seen[-1]["final"] is True
-        assert seen[-1]["tier"] == ("fast" if observed else "columnar")
+        assert seen[-1]["tier"] == "columnar"
 
     def test_unobserved_run_exports_empty_distributions(self):
         result = _run()
@@ -134,9 +139,24 @@ class TestBitIdentity:
         distributions = result.metrics["distributions"]
         assert distributions["walk_latency_cycles"]["count"] == result.walks
         assert distributions["tick_duration_us"]["count"] > 0
+        assert distributions["promotion_lag_accesses"]["count"] > 0
         percentiles = distributions["walk_latency_cycles"]["percentiles"]
         assert set(percentiles) == {"p50", "p95", "p99"}
         assert percentiles["p50"] <= percentiles["p95"] <= percentiles["p99"]
+
+    def test_every_tier_reports_the_same_histograms(self, monkeypatch):
+        # Walks are clocked at their record's retired-access index, not
+        # at the quantum or span that retired them.
+        monkeypatch.setenv(OBS_ENV, "1")
+        seen = []
+        for switches in ENGINE_TIER_SWITCHES.values():
+            result = _run(**switches)
+            distributions = dict(result.metrics["distributions"])
+            assert distributions["walk_latency_cycles"]["count"] == result.walks
+            del distributions["tick_duration_us"]  # wall time
+            seen.append(distributions)
+        assert seen[0]["promotion_lag_accesses"]["count"] > 0
+        assert seen[1:] == seen[:-1]
 
     def test_metrics_meta_carries_run_id(self, monkeypatch):
         monkeypatch.setenv("REPRO_RUN_ID", "abcd12340001")
@@ -145,19 +165,24 @@ class TestBitIdentity:
 
 
 class TestTraceContents:
-    def test_span_taxonomy_nests_through_tick_phases(self, tmp_path):
+    @staticmethod
+    def _spans(tmp_path, **switches) -> dict:
         tracer = tracer_module.enable(spool_dir=tmp_path / "spool")
         try:
-            _run()
+            _run(**switches)
             doc = tracer.export()
         finally:
             tracer_module.disable()
         assert validate_trace(doc) == []
-        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         by_name = {}
-        for event in spans:
-            by_name.setdefault(event["name"], []).append(event)
-        for required in ("machine.sim_loop", "quantum", "os_tick", "tick.scan",
+        for event in doc["traceEvents"]:
+            if event["ph"] == "X":
+                by_name.setdefault(event["name"], []).append(event)
+        return by_name
+
+    def test_span_taxonomy_nests_through_tick_phases(self, tmp_path):
+        by_name = self._spans(tmp_path)
+        for required in ("machine.sim_loop", "epoch", "os_tick", "tick.scan",
                          "tick.rank", "tick.promote", "machine.collect"):
             assert required in by_name, f"missing span {required!r}"
         loop_id = by_name["machine.sim_loop"][0]["args"]["span"]
@@ -169,7 +194,16 @@ class TestTraceContents:
         scan_parents = {t["args"]["parent"] for t in by_name["tick.scan"]}
         tick_ids = {t["args"]["span"] for t in by_name["os_tick"]}
         assert scan_parents <= tick_ids
-        # quantum spans ride per-core lanes, off the main lane
+        # columnar spans ride per-core lanes, off the main lane
+        assert {e["tid"] for e in by_name["epoch"]} == {10}
+        for epoch in by_name["epoch"]:
+            assert epoch["cat"] == "engine"
+            assert epoch["args"]["slots"] == 1
+            assert epoch["args"]["records"] > 0
+
+    def test_quantum_spans_ride_core_lanes_off_columnar(self, tmp_path):
+        by_name = self._spans(tmp_path, columnar=False)
+        assert "epoch" not in by_name
         assert {e["tid"] for e in by_name["quantum"]} == {10}
 
     def test_pcc_snapshots_carry_topk_and_tlb(self, tmp_path):

@@ -75,7 +75,7 @@ class TestDefectSelfTest:
     @pytest.mark.parametrize(
         "defect", ["lost-fast-hits", "pcc-no-decay", "region-count-drift",
                    "leaked-base-pages", "slot-order-faults",
-                   "span-core-alias"]
+                   "span-core-alias", "walk-clock-at-start"]
     )
     def test_planted_defect_is_caught_and_shrunk(
         self, capsys, tmp_path, defect

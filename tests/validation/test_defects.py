@@ -38,6 +38,7 @@ PATCHED = {
     "leaked-base-pages": (PhysicalMemory, "release_base_pages"),
     "slot-order-faults": (machine_module, "_fault_windows"),
     "span-core-alias": (residue, "span_set_ids"),
+    "walk-clock-at-start": (machine_module, "_note_walks"),
 }
 
 
@@ -141,3 +142,24 @@ def test_span_core_alias_moves_only_the_l2():
         l1 = residue.span_set_ids([TLB(config, "L1-4K")] * 2, slots, local)
     assert l2.tolist() == [3, 0, 2]
     assert l1.tolist() == [3, 4, 6]
+
+
+def test_walk_clock_at_start_moves_only_the_lag_histogram(monkeypatch):
+    """Every tier still simulates and samples walks exactly; the lag of
+    a region first walked mid-span now depends on the tier."""
+    from repro.obs.observer import OBS_ENV
+
+    monkeypatch.setenv(OBS_ENV, "1")
+    case = generate_case(0)
+    _, healthy = run_case(case, tier="columnar")
+    with defects.inject("walk-clock-at-start"):
+        _, scalar = run_case(case, tier="scalar")
+        _, broken = run_case(case, tier="columnar")
+    assert fingerprint(broken) == fingerprint(healthy)
+    assert fingerprint(scalar) == fingerprint(healthy)
+    healthy_d, broken_d, scalar_d = (
+        run.metrics["distributions"] for run in (healthy, broken, scalar))
+    assert broken_d["walk_latency_cycles"] == healthy_d["walk_latency_cycles"]
+    lags = [d["promotion_lag_accesses"] for d in (broken_d, scalar_d)]
+    assert lags[0]["count"] == lags[1]["count"] > 0
+    assert lags[0] != lags[1]
