@@ -75,12 +75,13 @@ def compare(report: dict[str, dict], bench: dict[str, dict], bench_name: str
                 problems.append(f"{name} {key}: missing from a report")
                 continue
             base, value = old["e2e"][key], new["e2e"][key]
-            worse = (value - base) / base
-            if metric["better"] == "higher":
-                worse = -worse
+            change = (value - base) / base
+            worse = -change if metric["better"] == "higher" else change
+            direction = "worse" if worse > 0 else "better" if worse < 0 else "same"
             verdict = "FAIL" if worse > metric["bound"] else "ok"
             print(f"  {name:<12} {key:<12} {base:>10.4f} -> {value:>10.4f} "
-                  f"{worse:>+8.1%} worse (bound {metric['bound']:.0%}) {verdict}")
+                  f"{change:>+8.1%} {direction:<6} (bound {metric['bound']:.0%}) "
+                  f"{verdict}")
             if worse > metric["bound"]:
                 problems.append(f"{name} {key}: {value:.4f} is {worse:.1%} worse "
                                 f"than {bench_name}'s {base:.4f}, bound "
@@ -91,13 +92,9 @@ def compare(report: dict[str, dict], bench: dict[str, dict], bench_name: str
 def tier_ab() -> list[str]:
     """Columnar must keep at least TIER_FLOOR of the fast tier's rate."""
     sys.path.insert(0, str(REPO / "src"))
+    from repro.engine.machine import ENGINE_TIERS
     from repro.engine.simulation import Simulator
-    from repro.experiments.common import (
-        ENGINE_TIER_SWITCHES,
-        QUICK,
-        build_named_workload,
-        config_for,
-    )
+    from repro.experiments.common import QUICK, build_named_workload, config_for
     from repro.os.kernel import HugePagePolicy
 
     workload = build_named_workload("BFS", graph_scale=QUICK.graph_scale,
@@ -105,14 +102,13 @@ def tier_ab() -> list[str]:
     config = config_for(workload)
 
     def timed(tier: str) -> float:
-        simulator = Simulator(config, policy=HugePagePolicy.PCC,
-                              **ENGINE_TIER_SWITCHES[tier])
+        simulator = Simulator(config, policy=HugePagePolicy.PCC, tier=tier)
         run_workload = copy.deepcopy(workload)
         start = time.perf_counter()
         simulator.run([run_workload])
         return time.perf_counter() - start
 
-    tiers = ("fast", "columnar")
+    tiers = ENGINE_TIERS[1:]  # fast, columnar
     for tier in tiers:  # warm-up lap: code paths hot
         timed(tier)
     best = {tier: float("inf") for tier in tiers}

@@ -94,44 +94,21 @@ class PromotionCandidateCache:
 
         Implements the right side of Fig. 3: hit increments (with
         halve-all on saturation); miss evicts the replacement victim if
-        full and inserts the tag with frequency 0.
+        full and inserts the tag with frequency 0. Returns the entry.
         """
-        self._tick += 1
-        self.stats.accesses += 1
-        entry = self._entries.get(tag)
-        if entry is not None:
-            self.stats.hits += 1
-            entry.last_use = self._tick
-            entry.promoted_leaf = entry.promoted_leaf or promoted_leaf
-            if entry.frequency >= self._counter_max:
-                self._decay()
-            entry.frequency += 1
-            return entry
-        set_index = tag % self._sets
-        if self._set_fill.get(set_index, 0) >= self._ways:
-            victim = self._select_victim(set_index)
-            del self._entries[victim.tag]
-            self._set_fill[set_index] -= 1
-            self.stats.evictions += 1
-        entry = PCCEntry(
-            tag=tag, frequency=0, last_use=self._tick, promoted_leaf=promoted_leaf
-        )
-        self._entries[tag] = entry
-        self._set_fill[set_index] = self._set_fill.get(set_index, 0) + 1
-        self.stats.insertions += 1
-        return entry
+        self.access_many(((tag, promoted_leaf),))
+        return self._entries[tag]
 
     def access_many(self, events: list[tuple[int, bool]]) -> None:
-        """Record a batch of admitted walks in order.
+        """Record a batch of ``(tag, promoted_leaf)`` walks in order.
 
-        Semantically ``for tag, promoted in events: self.access(tag,
-        promoted)`` with the per-call overhead hoisted. The columnar
-        engine tier defers a whole epoch's PCC events into one call per
-        structure (the 2MB and 1GB PCCs are independent, so per-
-        structure order is the only order that matters); the deferral
-        is exact because nothing between an epoch's walks reads the PCC
-        — the OS only consumes it at tick boundaries, which the epoch
-        never spans.
+        The one admission loop: :meth:`access` is the one-event call.
+        The columnar engine tier defers a whole epoch's PCC events into
+        one call per structure (the 2MB and 1GB PCCs are independent, so
+        per-structure order is the only order that matters); the
+        deferral is exact because nothing between an epoch's walks reads
+        the PCC — the OS only consumes it at tick boundaries, which the
+        epoch never spans.
         """
         entries = self._entries
         stats = self.stats

@@ -2,7 +2,7 @@
 
 from repro.engine.cpu import Core
 from repro.engine.machine import (
-    FaultPath,
+    ENGINE_TIERS,
     Machine,
     OsTickDriver,
     ThreadScheduler,
@@ -13,9 +13,9 @@ from repro.engine.simulation import SimulationResult, Simulator
 from repro.engine.system import ProcessWorkload, ThreadWorkload
 
 __all__ = [
+    "ENGINE_TIERS",
     "Core",
     "CycleAccounting",
-    "FaultPath",
     "Machine",
     "OsTickDriver",
     "Simulator",

@@ -1,7 +1,7 @@
 """Columnar whole-stream trace encoding and exact set-LRU classification.
 
 This module is the data layer of the columnar mega-batch engine tier
-(``columnar=True`` on :class:`~repro.engine.machine.Machine`). It holds
+(``tier="columnar"`` on :class:`~repro.engine.machine.Machine`). It holds
 two things:
 
 * :class:`ColumnarStream` — a workload thread's compressed trace

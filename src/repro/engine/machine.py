@@ -1,21 +1,22 @@
-"""The staged machine pipeline behind the online simulation.
+"""The staged machine: the one engine object behind every run.
 
-:class:`Machine` decomposes the former monolithic run loop into four
-explicit, composable stages:
+:class:`Machine` decomposes the run loop into three explicit stages:
 
 - :class:`ThreadScheduler` — round-robin over bound threads in fixed
-  access quanta (the concurrency model of §5.2);
+  access quanta (the concurrency model of §5.2); each thread slot
+  carries its process's first-touch seen-set and the kernel's fault
+  entry points, so greedy THP acts at the right moment;
 - :class:`TranslationPipeline` — the per-core TLB → walker → PCC path,
   fronted by a live L1 probe that answers repeated hits;
-- :class:`FaultPath` — first-touch fault filtering into the kernel (so
-  greedy THP acts at the right moment);
 - :class:`OsTickDriver` — the periodic OS promotion interval, timeline
-  bookkeeping, and per-interval metrics sampling.
+  bookkeeping, and per-interval metrics sampling. Each interval calls
+  :meth:`Machine.promotion_tick`, looked up on the machine when the run
+  starts, so an override or a patched method takes effect; the offline
+  replay overrides only :meth:`Machine.tick_candidates`.
 
-:class:`~repro.engine.simulation.Simulator` remains the public facade;
-it wires a Machine and delegates, so every experiment, benchmark, and
-subclass (e.g. the offline replay's scheduled simulator) keeps working
-unchanged.
+``repro.engine.simulation.Simulator`` is another name for
+:class:`Machine`. ``tier`` picks one of :data:`ENGINE_TIERS`; every
+tier is bit-identical to the scalar reference.
 
 The translation fast path
 -------------------------
@@ -41,8 +42,8 @@ across the tiers.
 The columnar epoch tier
 -----------------------
 
-``columnar=True`` (the default, requiring the fast path it falls back
-to) leaves the per-record loop behind: between TLB-mutating events
+``tier="columnar"`` (the default; it falls back to the fast path)
+leaves the per-record loop behind: between TLB-mutating events
 there is no reason to stop at quantum boundaries at all. The machine
 retires the **entire remaining OS-tick interval** as one span, one
 epoch per live thread, in one array pass whether one thread is live or
@@ -108,13 +109,15 @@ several:
 
 Epoch statistics land in the same pending counters the fast path
 uses, so ``sync()`` remains the single flush point.
-``columnar=False`` selects the quantum tiers unconditionally.
+``tier="fast"`` and ``tier="scalar"`` select the quantum tiers
+unconditionally.
 
 Under tree-PLRU the classifier's exact-LRU algebra does not apply, so a
 PLRU span plans its rounds the same way, takes the fault pre-pass
 (policy-blind: faults never touch TLBs), and replays the rounds through
 the fast loop (``Machine._replay_rounds``) — the path a declined LRU
-span takes. Each PLRU span counts once as ``columnar_plru_fallbacks``.
+span takes. Each PLRU span counts once as ``columnar_plru_fallbacks``
+and reports the ``fast`` tier that retired it.
 
 Observed runs
 -------------
@@ -161,6 +164,11 @@ from repro.vm.address import (
     PageSize,
 )
 
+#: The engine tiers, in trust order: ``scalar`` is the reference, ``fast``
+#: adds the live L1 probe, ``columnar`` (the default) retires whole
+#: spans in array passes and falls back to the fast loop.
+ENGINE_TIERS = ("scalar", "fast", "columnar")
+
 #: VPN -> 2MB region tag shift.
 _HUGE_SHIFT = HUGE_PAGE_SHIFT - BASE_PAGE_SHIFT
 #: 2MB region tag -> 1GB region tag shift.
@@ -176,6 +184,14 @@ _REGION_EMPTY = 0
 _REGION_BASE = 1
 _REGION_HUGE = 2
 _REGION_OTHER = 3
+
+
+def _checked_tier(tier: str) -> str:
+    """``tier`` if it names one of :data:`ENGINE_TIERS`, else ValueError."""
+    if tier not in ENGINE_TIERS:
+        raise ValueError(
+            f"unknown engine tier {tier!r}; expected one of {ENGINE_TIERS}")
+    return tier
 
 
 def _region_mapping_state(page_table, tag: int) -> int:
@@ -383,8 +399,9 @@ class _ThreadSlot:
         self.core_id = core_id
         self.seen = seen
         self.fault = fault
-        # Array-batched fault handler (base-backed policies only); the
-        # epoch fault pre-pass prefers it over per-fault calls.
+        # The kernel's ``handle_fault(pid, vaddr)`` and, for base-backed
+        # policies on the columnar tier, ``handle_faults_bulk(pid,
+        # vaddrs)``, which the epoch fault pre-pass prefers.
         self.bulk_fault = bulk_fault
         self.live = True
         # Whole-stream columnar encoding (repro.engine.columnar): VPNs,
@@ -420,10 +437,12 @@ class ThreadScheduler:
             bulk_fault=None) -> _ThreadSlot:
         """Register one thread's compressed trace for scheduling.
 
+        ``seen`` is the process's first-touch seen-set (shared by its
+        threads: one address space, one fault per page); ``fault`` is
+        the kernel's ``handle_fault`` and ``bulk_fault`` (optional) its
+        array-batched ``handle_faults_bulk``, both called with ``pid``.
         ``stream`` (a :class:`~repro.engine.columnar.ColumnarStream`)
-        supplies the whole-stream columns the epoch tier gathers from;
-        ``bulk_fault`` (optional) is the kernel's array-batched fault
-        entry point for this thread's process.
+        supplies the whole-stream columns the epoch tier gathers from.
         """
         slot = _ThreadSlot(vpns, counts, pid, core_id, seen, fault,
                            stream=stream, bulk_fault=bulk_fault)
@@ -476,9 +495,9 @@ class TranslationPipeline:
         "columnar_plru_fallbacks",
     )
 
-    def __init__(self, core: Core, fast_path: bool = True) -> None:
+    def __init__(self, core: Core, tier: str = "columnar") -> None:
         self.core = core
-        self.fast_path = fast_path
+        self.tier = _checked_tier(tier)
         l1_base = core.tlb.l1_base
         l1_huge = core.tlb.l1_huge
         self._base_sets = l1_base.sets
@@ -517,9 +536,9 @@ class TranslationPipeline:
         the ledger and per-process attribution. Faults are taken on
         first touch, before the access translates.
         """
-        if self.fast_path:
-            return self._run_quantum_fast(slot, budget, page_table)
-        return self._run_quantum_slow(slot, budget, page_table)
+        if self.tier == "scalar":
+            return self._run_quantum_slow(slot, budget, page_table)
+        return self._run_quantum_fast(slot, budget, page_table)
 
     def _run_quantum_slow(self, slot: _ThreadSlot, budget: int, page_table):
         """Reference loop: every record takes the full TLB object graph."""
@@ -529,6 +548,7 @@ class TranslationPipeline:
         n = slot.length
         seen = slot.seen
         fault = slot.fault
+        pid = slot.pid
         is_mapped = page_table.is_mapped
         translate = self.core.translate
         walk_log = self.walk_log
@@ -547,7 +567,7 @@ class TranslationPipeline:
                 seen.add(vpn)
                 vaddr = vpn << BASE_PAGE_SHIFT
                 if not is_mapped(vaddr):
-                    fault(vaddr)
+                    fault(pid, vaddr)
             step_cycles, level = translate(vpn, page_table, repeat)
             cycles += step_cycles
             if level is miss_level:
@@ -566,7 +586,7 @@ class TranslationPipeline:
         One tier in front of the full path probes the live L1 set dict
         directly: on a hit the *entire* state change of the real path
         is the del/reinsert LRU refresh, which the loop performs
-        itself, skipping the translate→lookup→hit_fast call stack and
+        itself, skipping the translate→lookup call stack and
         batching the statistics.
 
         Under PLRU the del/reinsert has no meaning (dict order is not
@@ -591,6 +611,7 @@ class TranslationPipeline:
         n = slot.length
         seen = slot.seen
         fault = slot.fault
+        pid = slot.pid
         is_mapped = page_table.is_mapped
         translate = self.core.translate
         walk_log = self.walk_log
@@ -647,7 +668,7 @@ class TranslationPipeline:
                 seen.add(vpn)
                 vaddr = vpn << BASE_PAGE_SHIFT
                 if not is_mapped(vaddr):
-                    fault(vaddr)
+                    fault(pid, vaddr)
             # The L1-4K probe above missed silently (the hierarchy only
             # counts a 4K miss after all L1 structures fail), matching
             # the real probe order: 4K first, then 2M.
@@ -828,7 +849,7 @@ class TranslationPipeline:
                     if not is_mapped(vaddr):
                         append(vaddr)
             if vaddrs:
-                bulk(vaddrs)
+                bulk(slot.pid, vaddrs)
                 self.columnar_faults_batched += len(vaddrs)
         else:
             fault = slot.fault
@@ -837,7 +858,7 @@ class TranslationPipeline:
                     seen.add(vpn)
                     vaddr = vpn << BASE_PAGE_SHIFT
                     if not is_mapped(vaddr):
-                        fault(vaddr)
+                        fault(slot.pid, vaddr)
                         self.columnar_faults_scalar += 1
         seen_np[cand] = True
 
@@ -1204,64 +1225,26 @@ class TranslationPipeline:
         return values
 
 
-class FaultPath:
-    """First-touch fault stage: per-process seen-sets into the kernel."""
-
-    def __init__(self, kernel: SimulatedKernel) -> None:
-        self.kernel = kernel
-        self._seen: dict[int, set[int]] = {}
-
-    def seen_for(self, pid: int) -> set[int]:
-        """The VPNs process ``pid`` has already touched (shared across
-        its threads — one address space, one fault per page)."""
-        return self._seen.setdefault(pid, set())
-
-    def handler_for(self, pid: int):
-        """A ``fault(vaddr)`` callable bound to ``pid``."""
-        handle_fault = self.kernel.handle_fault
-
-        def fault(vaddr: int, _pid: int = pid) -> None:
-            handle_fault(_pid, vaddr)
-
-        return fault
-
-    def bulk_handler_for(self, pid: int):
-        """A ``bulk_fault(vaddrs)`` callable bound to ``pid``, or None.
-
-        Only offered when the kernel's fault path is base-backed
-        regardless of VMA state (:attr:`SimulatedKernel.
-        supports_bulk_faults`), which is what makes one array pass
-        equivalent to per-fault calls.
-        """
-        if not self.kernel.supports_bulk_faults:
-            return None
-        handle_bulk = self.kernel.handle_faults_bulk
-
-        def bulk_fault(vaddrs: list, _pid: int = pid) -> None:
-            handle_bulk(_pid, vaddrs)
-
-        return bulk_fault
-
-
 class OsTickDriver:
     """The periodic OS promotion interval (the paper's 30s analogue).
 
-    Counts accesses toward the interval, fires the tick function at
-    round boundaries, accumulates promotion/demotion totals and the
-    per-interval timelines, and samples the metrics registry at every
-    tick so samples align 1:1 with ``promotion_timeline``.
+    Counts accesses toward the interval, calls ``promotion_tick(cores,
+    ledgers)`` at round boundaries, accumulates promotion/demotion
+    totals and the per-interval timelines, and samples the metrics
+    registry at every tick so samples align 1:1 with
+    ``promotion_timeline``.
     """
 
     def __init__(
         self,
         kernel: SimulatedKernel,
         interval: int,
-        tick_fn,
+        promotion_tick,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.kernel = kernel
         self.interval = interval
-        self._tick_fn = tick_fn
+        self._promotion_tick = promotion_tick
         self.registry = registry
         self.accesses_since_tick = 0
         self.total_accesses = 0
@@ -1295,8 +1278,8 @@ class OsTickDriver:
         return outcome
 
     def _fire(self, cores, ledgers):
-        """Run the tick function, then count and charge its work."""
-        outcome = self._tick_fn(cores, ledgers)
+        """Run the promotion tick, then count and charge its work."""
+        outcome = self._promotion_tick(cores, ledgers)
         self.promotions += len(outcome.promoted)
         self.demotions += len(outcome.demoted)
         if (outcome.promoted or outcome.demoted) and ledgers:
@@ -1322,12 +1305,14 @@ class OsTickDriver:
 
 
 class Machine:
-    """One simulated machine: scheduler, pipelines, fault path, ticks.
+    """One simulated machine: scheduler, pipelines, fault entry, ticks.
 
-    The composition root of the engine. The optional ``tick_fn`` lets a
-    facade (or subclass of it) intercept promotion ticks — the offline
-    replay pipeline substitutes recorded candidate schedules this way —
-    while :meth:`promotion_tick` remains the canonical implementation.
+    The composition root and the only engine object: every experiment,
+    benchmark and the offline replay construct it (also under its
+    ``Simulator`` name) and call :meth:`run`. ``tier`` names one of
+    :data:`ENGINE_TIERS`. A subclass that feeds the kernel other
+    candidates overrides :meth:`tick_candidates`
+    (``repro.engine.offline``).
     """
 
     def __init__(
@@ -1338,9 +1323,7 @@ class Machine:
         fragmentation: float = 0.0,
         thread_quantum: int = 2048,
         serialization_cycles_per_access: float = 0.0,
-        fast_path: bool = True,
-        columnar: bool = True,
-        tick_fn=None,
+        tier: str = "columnar",
         validate: bool = False,
     ) -> None:
         self.config = config
@@ -1358,10 +1341,8 @@ class Machine:
         )
         self.thread_quantum = thread_quantum
         self.serialization_cycles_per_access = serialization_cycles_per_access
-        self.fast_path = fast_path
-        self.columnar = columnar and fast_path
+        self.tier = _checked_tier(tier)
         self.dump_region = DumpRegion()
-        self._tick_fn = tick_fn or self.promotion_tick
         self.cores: list[Core] = []
         self.pipelines: list[TranslationPipeline] = []
         self.ledgers: list[CycleAccounting] = []
@@ -1372,8 +1353,6 @@ class Machine:
 
     def run(self, workloads: list[ProcessWorkload]):
         """Simulate the workloads to completion and return the result."""
-        from repro.engine.simulation import SimulationResult
-
         self._assign_ids(workloads)
         shared_pcc = None
         if self.config.pcc.shared:
@@ -1390,7 +1369,7 @@ class Machine:
             for i in range(self.config.cores)
         ]
         self.pipelines = [
-            TranslationPipeline(core, fast_path=self.fast_path)
+            TranslationPipeline(core, tier=self.tier)
             for core in self.cores
         ]
         self.ledgers = [CycleAccounting(self.config.timing) for _ in self.cores]
@@ -1402,15 +1381,14 @@ class Machine:
             monitor = InvariantMonitor(self)
         self.monitor = monitor
 
-        fault_path = FaultPath(self.kernel)
         with trace_span("machine.bind_threads", cat="engine"):
-            scheduler = self._bind_threads(workloads, fault_path)
+            scheduler = self._bind_threads(workloads)
         registry = MetricsRegistry()
         self._register_metrics(registry)
         ticks = OsTickDriver(
             self.kernel,
             self.config.os.promote_every_accesses,
-            self._tick_fn,
+            self.promotion_tick,
             registry=registry,
         )
         # Retained for post-run inspection (the validation harness
@@ -1430,40 +1408,39 @@ class Machine:
 
         processes = self.kernel.processes
         walks_by_pid = {pid: 0 for pid in processes}
-        columnar = self.columnar
+        columnar = self.tier == "columnar"
+        quantum_tier = "scalar" if self.tier == "scalar" else "fast"
 
         # One progress decision per run, independent of the observer;
         # progress only *reads* counters, so reported runs stay
         # bit-identical to silent ones. When enabled the loop pays one
         # clock check per scheduler round; when disabled, one ``is
-        # None`` branch.
+        # None`` branch. A snapshot names the tier of the span or round
+        # that just ran; the final one names the run's tier.
         prog = progress_for_run(total=scheduler.remaining)
         prog_total = scheduler.remaining
-        prog_tier = (
-            "columnar" if columnar
-            else "fast" if self.fast_path
-            else "scalar"
-        )
 
-        def report_progress(final: bool = False) -> None:
+        def report_progress(tier: str, final: bool = False) -> None:
             prog.emit(
                 done=prog_total - scheduler.remaining,
                 accesses=ticks.total_accesses,
                 ticks=len(ticks.promotion_timeline),
                 promotions=ticks.promotions,
                 epochs=sum(p.columnar_epochs for p in pipelines),
-                tier=prog_tier,
+                tier=tier,
                 final=final,
             )
 
         with trace_span("machine.sim_loop", cat="engine",
                         policy=self.policy.value, cores=len(self.cores)):
             while scheduler.remaining > 0:
-                if prog is not None and prog.due():
-                    report_progress()
-                if not (columnar and self._columnar_span(
-                        scheduler, ticks, walks_by_pid)):
+                ran = columnar and self._columnar_span(
+                    scheduler, ticks, walks_by_pid)
+                if not ran:
                     self._replay_rounds(scheduler, 1, ticks, walks_by_pid)
+                    ran = quantum_tier
+                if prog is not None and prog.due():
+                    report_progress(ran)
                 if ticks.due:
                     self._run_tick(ticks, monitor, obs)
                     if monitor is not None:
@@ -1473,8 +1450,10 @@ class Machine:
         self._run_tick(ticks, monitor, obs, final=True)
         if monitor is not None:
             monitor.after_run(ticks)
+        run_tier = ("columnar" if any(p.columnar_epochs for p in pipelines)
+                    else quantum_tier)
         if prog is not None:
-            report_progress(final=True)
+            report_progress(run_tier, final=True)
 
         with trace_span("machine.collect", cat="engine"):
             result = self._collect(workloads, ticks, walks_by_pid)
@@ -1482,8 +1461,7 @@ class Machine:
                 meta={
                     "policy": self.policy.value,
                     "cores": len(self.cores),
-                    "fast_path": self.fast_path,
-                    "columnar": columnar,
+                    "tier": run_tier,
                     "promote_every_accesses": self.config.os.promote_every_accesses,
                     "processes": sorted(processes),
                     "run_id": current_run_id(),
@@ -1495,18 +1473,20 @@ class Machine:
     # ------------------------------------------------------------------
     # columnar spans
 
-    def _columnar_span(self, scheduler, ticks, walks_by_pid) -> bool:
+    def _columnar_span(self, scheduler, ticks, walks_by_pid) -> str | None:
         """Retire one scalar round-robin span as per-core epochs.
 
         The scalar loop interleaves fixed quanta round-robin over the
         live slots and checks the tick only at round boundaries, so
         between two TLB-mutating events every core's record stream is a
         deterministic function of the plan alone (one live slot is the
-        one-slot case of the same rule). Returns False (nothing retired)
+        one-slot case of the same rule). Returns None (nothing retired)
         when a slot's window is too short to amortize an epoch or a
-        multi-slot gate fails; True when the span retired as epochs
-        (:meth:`TranslationPipeline.run_epoch`) or replayed
-        bit-identically after the fault pre-pass.
+        multi-slot gate fails; otherwise the tier that retired the span:
+        ``"columnar"`` when it committed as epochs
+        (:meth:`TranslationPipeline.run_epoch`), ``"fast"`` when it
+        replayed bit-identically through the fast loop after the fault
+        pre-pass.
         """
         live = [slot for slot in scheduler.slots
                 if slot.live and slot.cursor < slot.length]
@@ -1519,7 +1499,7 @@ class Machine:
             # interleave mid-span and cannot be classified independently.
             or len({slot.core_id for slot in live}) < len(live)
         ):
-            return False
+            return None
 
         # ---- plan the rounds the scalar loop would run before its
         # due-check fires: every round covers every live slot, in
@@ -1551,7 +1531,7 @@ class Machine:
         if any(slot_ends[-1] - slot.cursor
                < TranslationPipeline.MIN_EPOCH_RECORDS
                for slot, slot_ends in zip(live, ends)):
-            return False
+            return None
 
         processes = self.kernel.processes
         ledgers = self.ledgers
@@ -1576,7 +1556,7 @@ class Machine:
             if results is None:
                 self._replay_rounds(scheduler, len(ends[0]), ticks,
                                     walks_by_pid)
-                return True
+                return "fast"
         for slot, (cursor, accesses, cycles, walks) in zip(live, results):
             scheduler.advance(slot, cursor)
             ledger = ledgers[slot.core_id]
@@ -1584,7 +1564,7 @@ class Machine:
             ledger.charge_accesses(accesses)
             walks_by_pid[slot.pid] += walks
             ticks.note(accesses)
-        return True
+        return "columnar"
 
     def _replay_rounds(self, scheduler, rounds: int, ticks,
                        walks_by_pid) -> None:
@@ -1706,22 +1686,28 @@ class Machine:
                 process.pid = len(self.kernel.processes) + 1
             self.kernel.spawn(process.layout, pid=process.pid)
 
-    def _bind_threads(
-        self, workloads: list[ProcessWorkload], fault_path: FaultPath
-    ) -> ThreadScheduler:
-        """Pin threads to cores and build the round-robin scheduler."""
+    def _bind_threads(self, workloads: list[ProcessWorkload]) -> ThreadScheduler:
+        """Pin threads to cores and build the round-robin scheduler.
+
+        Every slot gets its process's seen-set and the kernel's fault
+        entry points. The bulk one is offered only on the columnar tier
+        and only when the kernel's fault path is base-backed regardless
+        of VMA state (:attr:`SimulatedKernel.supports_bulk_faults`),
+        which is what makes one array pass equal per-fault calls.
+        """
         scheduler = ThreadScheduler(self.thread_quantum)
         self._core_pid_map = {}
         cores = len(self.cores)
         next_core = 0
-        stream_cache = self._stream_cache()
+        columnar = self.tier == "columnar"
+        stream_cache = self._stream_cache() if columnar else None
+        kernel = self.kernel
+        fault = kernel.handle_fault
+        bulk_fault = (kernel.handle_faults_bulk
+                      if columnar and kernel.supports_bulk_faults else None)
+        seen_by_pid: dict[int, set[int]] = {}
         for process in workloads:
-            seen = fault_path.seen_for(process.pid)
-            fault = fault_path.handler_for(process.pid)
-            bulk_fault = (
-                fault_path.bulk_handler_for(process.pid)
-                if self.columnar else None
-            )
+            seen = seen_by_pid.setdefault(process.pid, set())
             for thread in process.threads:
                 core = thread.core
                 if core < 0:
@@ -1734,10 +1720,8 @@ class Machine:
                     )
                 thread.core = core
                 self._core_pid_map[core] = process.pid
-                stream = (
-                    thread.columnar_stream(cache=stream_cache)
-                    if self.columnar else None
-                )
+                stream = (thread.columnar_stream(cache=stream_cache)
+                          if columnar else None)
                 scheduler.add(
                     thread.trace.vpns.tolist(),
                     thread.trace.counts.tolist(),
@@ -1758,8 +1742,6 @@ class Machine:
         must not make plain simulation runs write to the default cache
         location behind the user's back.
         """
-        if not self.columnar:
-            return None
         import os
 
         from repro.trace.cache import (
@@ -1811,6 +1793,24 @@ class Machine:
 
     def promotion_tick(self, cores, ledgers):
         """Fig. 4: dump PCCs, let the kernel promote, apply shootdowns."""
+        records = self.tick_candidates(cores)
+
+        def on_shootdown(pid: int, tag: int, size: PageSize) -> None:
+            for core in cores:
+                core.shootdown(tag, size)
+
+        with trace_span("tick.promote", cat="os"):
+            return self.kernel.promotion_tick(
+                pcc_records=records, on_shootdown=on_shootdown
+            )
+
+    def tick_candidates(self, cores) -> list[CandidateRecord]:
+        """The candidates this tick hands the kernel.
+
+        Under the PCC policy, every core's PCCs through the dump region;
+        none under any other policy. A machine fed from elsewhere (the
+        offline replay's recorded schedule) overrides this.
+        """
         records: list[CandidateRecord] = []
         if self.policy is HugePagePolicy.PCC:
             # §3.3 offers two read styles: the periodic dump-and-clear
@@ -1831,15 +1831,7 @@ class Machine:
                             )
             with trace_span("tick.rank", cat="os"):
                 records = self.dump_region.read_all()
-
-        def on_shootdown(pid: int, tag: int, size: PageSize) -> None:
-            for core in cores:
-                core.shootdown(tag, size)
-
-        with trace_span("tick.promote", cat="os"):
-            return self.kernel.promotion_tick(
-                pcc_records=records, on_shootdown=on_shootdown
-            )
+        return records
 
     # ------------------------------------------------------------------
     # result collection

@@ -131,21 +131,20 @@ def replay_with_schedule(
 
 
 class _ScheduledSimulator(Simulator):
-    """Simulator whose promotion ticks consume a recorded schedule."""
+    """Machine whose promotion ticks consume a recorded schedule."""
 
     def __init__(self, config, schedule: PromotionSchedule, **kwargs) -> None:
         super().__init__(config, policy=HugePagePolicy.PCC, **kwargs)
         self._schedule = sorted(schedule.entries, key=lambda e: e.at_access)
         self._next_entry = 0
-        self._accesses_seen = 0
 
-    def _promotion_tick(self, cores, ledgers):
+    def tick_candidates(self, cores) -> list[CandidateRecord]:
         # Candidates become visible once their recorded time has passed.
-        self._accesses_seen = sum(core.stats.accesses for core in cores)
+        accesses_seen = sum(core.stats.accesses for core in cores)
         records: list[CandidateRecord] = []
         while (
             self._next_entry < len(self._schedule)
-            and self._schedule[self._next_entry].at_access <= self._accesses_seen
+            and self._schedule[self._next_entry].at_access <= accesses_seen
         ):
             records.append(self._schedule[self._next_entry].record)
             self._next_entry += 1
@@ -153,11 +152,4 @@ class _ScheduledSimulator(Simulator):
         # schedule stands in for them) so state matches the online loop.
         for core in cores:
             core.pcc.flush()
-
-        def on_shootdown(pid: int, tag: int, size) -> None:
-            for core in cores:
-                core.shootdown(tag, size)
-
-        return self.kernel.promotion_tick(
-            pcc_records=records, on_shootdown=on_shootdown
-        )
+        return records

@@ -314,18 +314,6 @@ def config_for(*workloads: ProcessWorkload, **overrides) -> SystemConfig:
     return scaled_config(memory_bytes=memory_for(*workloads), **overrides)
 
 
-#: Named engine tiers mapped onto :class:`Simulator` switches, in trust
-#: order: scalar is the reference and columnar the engine default. All
-#: tiers are bit-identical by the differential oracle's invariant, which
-#: walks this table. ``columnar`` is pinned in every entry because
-#: Simulator defaults it on.
-ENGINE_TIER_SWITCHES: dict[str, dict[str, bool]] = {
-    "scalar": {"fast_path": False, "columnar": False},
-    "fast": {"fast_path": True, "columnar": False},
-    "columnar": {"fast_path": True, "columnar": True},
-}
-
-
 def run_policy(
     workload: ProcessWorkload,
     policy: HugePagePolicy,

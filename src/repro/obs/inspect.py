@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.engine.machine import ENGINE_TIERS
 from repro.obs.histo import Histogram
 from repro.obs.progress import PROGRESS_SCHEMA
 from repro.obs.tracer import TRACE_SCHEMA, thread_lane_name
@@ -39,9 +40,6 @@ METRICS_SCHEMA = "repro.metrics/v1"
 
 #: Event phases the trace validator accepts (the subset the tracer emits).
 _KNOWN_PHASES = {"X", "i", "M", "s", "f"}
-
-#: Engine tiers a progress snapshot may name (see Machine.run).
-_KNOWN_TIERS = {"scalar", "fast", "columnar"}
 
 #: SSE event names the serving daemon publishes.
 _KNOWN_EVENTS = {"progress", "state", "message"}
@@ -171,7 +169,7 @@ def _validate_snapshot(snapshot, where: str, errors: list[str]) -> None:
         elif (isinstance(snapshot.get("records_done"), int)
               and snapshot["records_done"] > total):
             errors.append(f"{where}: records_done exceeds records_total")
-    if snapshot.get("tier") not in _KNOWN_TIERS:
+    if snapshot.get("tier") not in ENGINE_TIERS:
         errors.append(f"{where}: unknown tier {snapshot.get('tier')!r}")
     rate = snapshot.get("rate_rps")
     if not isinstance(rate, (int, float)) or isinstance(rate, bool) or rate < 0:

@@ -77,7 +77,7 @@ class TLBHierarchy:
         }
         self._l2_serves_huge = PageSize.HUGE in config.l2.page_sizes
         # State hoisted for the hot lookup() path, which inlines the
-        # per-structure hit_fast probes: set lists, set counts, stats
+        # per-structure hit probes: set lists, set counts, stats
         # bags, and the two refill bound methods. Each saved attribute
         # chain or call frame is paid ~10^6 times per quantum.
         self._b_sets, self._b_n = self.l1_base.sets, self.l1_base.nsets
@@ -149,8 +149,9 @@ class TLBHierarchy:
         answers (or on the 4KB structure for a clean miss, since that is
         the probe every access performs).
         """
-        # Each probe below is TLB.hit_fast inlined: dict get, LRU
-        # refresh via delete+reinsert, hit count. The call-free chain
+        # Each probe below is a TLB.lookup hit inlined, its miss count
+        # left to the hierarchy: dict get, LRU refresh via
+        # delete+reinsert, hit count. The call-free chain
         # matters more here than anywhere else in the simulator.
         self.accesses += 1
         entries = self._b_sets[vpn % self._b_n]
@@ -203,8 +204,9 @@ class TLBHierarchy:
 
     def _lookup_plru(self, vpn: int) -> AccessResult:
         """PLRU-mode lookup: same probe order and attribution as the
-        inlined LRU path. Each probe is ``TLB._hit_fast_plru`` inlined:
-        tag->way dict get, then the masked tree touch and hit count."""
+        inlined LRU path. Each probe is a ``TLB._lookup_plru`` hit
+        inlined: tag->way dict get, then the masked tree touch and hit
+        count."""
         self.accesses += 1
         si = vpn % self._b_n
         way = self._b_way_of[si].get(vpn)

@@ -89,7 +89,6 @@ class TLB:
             #: per-way touch masks: touch == (bits & keep[w]) | set[w]
             self._keep, self._setm = plru.touch_masks(config.ways)
             self.lookup = self._lookup_plru
-            self.hit_fast = self._hit_fast_plru
             self.fill = self._fill_plru
             self.invalidate = self._invalidate_plru
             self.flush = self._flush_plru
@@ -119,18 +118,6 @@ class TLB:
             self.stats.misses += 1
             return False
         # Move to MRU position.
-        del entries[tag]
-        entries[tag] = size
-        self.stats.hits += 1
-        return True
-
-    def hit_fast(self, tag: int) -> bool:
-        """Hot-path probe: refresh LRU and count a hit, but leave miss
-        accounting to the caller (the hierarchy attributes misses)."""
-        entries = self._sets[tag % self._nsets]
-        size = entries.get(tag)
-        if size is None:
-            return False
         del entries[tag]
         entries[tag] = size
         self.stats.hits += 1
@@ -182,16 +169,6 @@ class TLB:
         way = self._way_of[si].get(tag)
         if way is None:
             self.stats.misses += 1
-            return False
-        bits = self._bits
-        bits[si] = (bits[si] & self._keep[way]) | self._setm[way]
-        self.stats.hits += 1
-        return True
-
-    def _hit_fast_plru(self, tag: int) -> bool:
-        si = tag % self._nsets
-        way = self._way_of[si].get(tag)
-        if way is None:
             return False
         bits = self._bits
         bits[si] = (bits[si] & self._keep[way]) | self._setm[way]

@@ -4,8 +4,8 @@ One :class:`~repro.validation.generators.FuzzCase` is judged in three
 moves:
 
 1. **Tier equivalence** (exact). The same (config, stream) runs through
-   every tier of :data:`~repro.experiments.common.ENGINE_TIER_SWITCHES`:
-   the scalar reference (``fast_path=False``), the per-record fast path,
+   every tier of :data:`~repro.engine.machine.ENGINE_TIERS`:
+   the scalar reference (``tier="scalar"``), the per-record fast path,
    and the columnar epoch tier, each once unobserved and once observed
    (``REPRO_OBS`` set). Every observable — walks, per-structure hits,
    cycles, promotions, timelines, per-process stats, and all
@@ -45,8 +45,8 @@ import contextlib
 import os
 from dataclasses import dataclass, field, replace
 
+from repro.engine.machine import ENGINE_TIERS
 from repro.engine.simulation import SimulationResult, Simulator
-from repro.experiments.common import ENGINE_TIER_SWITCHES
 from repro.obs.observer import OBS_ENV
 from repro.os.kernel import HugePagePolicy
 from repro.validation.generators import FuzzCase
@@ -100,8 +100,8 @@ def run_case(
         params=params if params is not None else case.build_params(),
         fragmentation=case.fragmentation,
         thread_quantum=case.thread_quantum,
+        tier=tier,
         validate=validate,
-        **ENGINE_TIER_SWITCHES[tier],
     )
     result = simulator.run([case.build_workload()])
     return simulator, result
@@ -203,7 +203,7 @@ def check_tiers(
     ref_counters = _counters(reference)
     ref_distributions = None
     for observed in (False, True):
-        for tier in ENGINE_TIER_SWITCHES:
+        for tier in ENGINE_TIERS:
             if tier == "scalar" and not observed:
                 continue
             label = f"{tier}.observed" if observed else tier

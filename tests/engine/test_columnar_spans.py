@@ -17,7 +17,6 @@ from repro.config import tiny_config
 from repro.engine.machine import TranslationPipeline
 from repro.engine.simulation import Simulator
 from repro.engine.system import ProcessWorkload
-from repro.experiments.common import ENGINE_TIER_SWITCHES
 from repro.os.kernel import HugePagePolicy, SimulatedKernel
 from repro.trace.events import Trace
 from repro.validation.oracle import _counters, fingerprint
@@ -64,9 +63,9 @@ def _config(cores, replacement="lru", shared_pcc=False):
 
 def _run(config, streams, tier, policy=HugePagePolicy.PCC):
     simulator = Simulator(config, policy=policy, thread_quantum=64,
-                          validate=True, **ENGINE_TIER_SWITCHES[tier])
+                          validate=True, tier=tier)
     result = simulator.run([_workload(streams)])
-    return simulator.machine, result
+    return simulator, result
 
 
 def _stats(result) -> tuple:

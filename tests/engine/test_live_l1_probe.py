@@ -15,7 +15,6 @@ import pytest
 from repro.config import tiny_config
 from repro.engine.machine import Machine
 from repro.engine.simulation import Simulator
-from repro.experiments.common import ENGINE_TIER_SWITCHES
 from repro.os.kernel import HugePagePolicy
 from repro.validation.oracle import fingerprint
 from tests.conftest import make_workload
@@ -58,8 +57,7 @@ def _config(replacement: str):
 def _fingerprints(addresses, config, policy=HugePagePolicy.PCC):
     prints = {}
     for tier in ("scalar", "fast"):
-        simulator = Simulator(config, policy=policy,
-                              **ENGINE_TIER_SWITCHES[tier])
+        simulator = Simulator(config, policy=policy, tier=tier)
         prints[tier] = fingerprint(simulator.run([make_workload(addresses)]))
     return prints
 
@@ -108,7 +106,7 @@ def test_probe_hit_refreshes_recency(replacement):
     probe that left recency alone would evict 0 and hit on 2."""
     config = tiny_config()
     config = config.with_(tlb=config.tlb.with_replacement(replacement))
-    machine = Machine(config, policy=HugePagePolicy.NONE, columnar=False)
+    machine = Machine(config, policy=HugePagePolicy.NONE, tier="fast")
     result = machine.run([make_workload(_addresses([0, 2, 0, 4, 2]))])
     assert machine.pipelines[0].fast_hits == 1
     assert result.l1_hits == 1
@@ -117,8 +115,7 @@ def test_probe_hit_refreshes_recency(replacement):
 
 
 def test_alternating_pages_hit_the_probe_after_their_first_walk():
-    machine = Machine(tiny_config(), policy=HugePagePolicy.NONE,
-                      columnar=False)
+    machine = Machine(tiny_config(), policy=HugePagePolicy.NONE, tier="fast")
     result = machine.run([make_workload(_addresses([0, 1] * 25))])
     pipeline = machine.pipelines[0]
     assert result.walks == 2

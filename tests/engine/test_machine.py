@@ -1,4 +1,4 @@
-"""Units for the staged machine pipeline and the Simulator facade."""
+"""Units for the staged machine pipeline, the one engine object."""
 
 from dataclasses import replace
 
@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.config import tiny_config
+from repro.engine.cpu import Core
 from repro.engine.machine import (
     Machine,
     OsTickDriver,
     ThreadScheduler,
+    TranslationPipeline,
 )
 from repro.engine.simulation import Simulator
 from repro.engine.system import ProcessWorkload
@@ -66,9 +68,8 @@ class TestTranslationPipelineHints:
         assert core.tlb.accesses == core.tlb.l1_base.stats.accesses
 
     def test_fast_path_off_never_counts_fast_hits(self):
-        machine = Machine(
-            tiny_config(), policy=HugePagePolicy.NONE, fast_path=False
-        )
+        machine = Machine(tiny_config(), policy=HugePagePolicy.NONE,
+                          tier="scalar")
         machine.run([make_workload(_addresses([0, 1] * 25))])
         assert machine.pipelines[0].fast_hits == 0
         assert machine.pipelines[0].slow_records == 50
@@ -86,7 +87,7 @@ class TestColumnarWalkHeavyEpochs:
     PAGES = 512
     PASSES = 8
 
-    def _run(self, threads, **switches):
+    def _run(self, threads, **options):
         config = tiny_config(cores=threads)
         config = config.with_(
             os=replace(config.os, promote_every_accesses=512)
@@ -103,12 +104,12 @@ class TestColumnarWalkHeavyEpochs:
                  for i, scan in enumerate(scans)],
                 workload.layout, "scan",
             )
-        machine = Machine(config, policy=HugePagePolicy.NONE, **switches)
+        machine = Machine(config, policy=HugePagePolicy.NONE, **options)
         return machine, machine.run([workload])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_scan_retires_columnar_and_stays_exact(self, threads):
-        _, scalar = self._run(threads, fast_path=False)
+        _, scalar = self._run(threads, tier="scalar")
         machine, columnar = self._run(threads)
         assert fingerprint(columnar) == fingerprint(scalar)
         assert columnar.walks > self.PAGES * self.PASSES * threads // 2
@@ -155,7 +156,7 @@ class TestOsTickDriver:
             pages_migrated=2,
         )
         ticks = OsTickDriver(Kernel(), interval=10,
-                             tick_fn=lambda cores, ledgers: outcome)
+                             promotion_tick=lambda cores, ledgers: outcome)
         config = tiny_config()
         ledgers = [CycleAccounting(config.timing) for _ in range(2)]
         expected = CycleAccounting(config.timing)
@@ -168,7 +169,7 @@ class TestOsTickDriver:
         assert ledgers[1].as_metrics("c") == idle.as_metrics("c")
 
     def test_due_flag(self):
-        ticks = OsTickDriver(kernel=None, interval=10, tick_fn=None)
+        ticks = OsTickDriver(kernel=None, interval=10, promotion_tick=None)
         ticks.note(9)
         assert not ticks.due
         ticks.note(1)
@@ -220,25 +221,29 @@ class TestPerPidWalkAttribution:
         assert result.processes[0].walks == result.walks
 
 
-class TestSimulatorFacade:
-    def test_delegated_surface(self):
+class TestMachineSurface:
+    def test_simulator_is_the_machine(self):
         config = tiny_config()
         simulator = Simulator(config, policy=HugePagePolicy.PCC)
+        assert Simulator is Machine
         assert simulator.config is config
         assert simulator.policy is HugePagePolicy.PCC
-        assert simulator.kernel is simulator.machine.kernel
-        assert simulator.dump_region is simulator.machine.dump_region
-        simulator.thread_quantum = 128
-        assert simulator.machine.thread_quantum == 128
+        assert simulator.tier == "columnar"
+
+    def test_unknown_tier_raises(self):
+        with pytest.raises(ValueError, match="unknown engine tier 'turbo'"):
+            Machine(tiny_config(), tier="turbo")
+        with pytest.raises(ValueError, match="unknown engine tier"):
+            TranslationPipeline(Core(tiny_config()), tier="")
 
     def test_promotion_tick_override_is_honored(self):
         """Subclass ticks must flow through the machine's tick driver."""
         calls = []
 
         class Custom(Simulator):
-            def _promotion_tick(self, cores, ledgers):
+            def promotion_tick(self, cores, ledgers):
                 calls.append(len(cores))
-                return super()._promotion_tick(cores, ledgers)
+                return super().promotion_tick(cores, ledgers)
 
         simulator = Custom(tiny_config(), policy=HugePagePolicy.PCC)
         simulator.run([make_workload(_addresses(list(range(100)) * 3))])
@@ -257,4 +262,5 @@ class TestSimulatorFacade:
         )
         assert result.metrics["schema"] == "repro.metrics/v1"
         assert result.metrics["meta"]["policy"] == "none"
-        assert result.metrics["meta"]["fast_path"] is True
+        # three records never fill an epoch: the fast loop ran them
+        assert result.metrics["meta"]["tier"] == "fast"

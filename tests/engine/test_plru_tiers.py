@@ -14,8 +14,8 @@ counted (``columnar_plru_fallbacks``) so operators can see them in
 
 import pytest
 
+from repro.engine.machine import ENGINE_TIERS
 from repro.engine.simulation import Simulator
-from repro.experiments.common import ENGINE_TIER_SWITCHES
 from repro.obs import inspect as inspect_module
 from repro.validation.generators import generate_case
 from repro.validation.oracle import fingerprint, run_case
@@ -40,7 +40,7 @@ def _case(replacement):
 def test_all_tiers_are_bit_identical_under_plru():
     case = _case("plru")
     prints = {}
-    for tier in ENGINE_TIER_SWITCHES:
+    for tier in ENGINE_TIERS:
         _, result = run_case(case, tier=tier)
         prints[tier] = fingerprint(result)
     assert set(prints) == {"scalar", "fast", "columnar"}
@@ -62,16 +62,16 @@ def _single_thread_run(seed, tier):
         fragmentation=case.fragmentation,
         thread_quantum=64,
         validate=True,
-        **ENGINE_TIER_SWITCHES[tier],
+        tier=tier,
     )
     result = simulator.run([case.build_workload()])
-    return simulator.machine.pipelines[0], result
+    return simulator.pipelines[0], result
 
 
 @pytest.mark.parametrize("seed", [9, 11, 12])
 def test_single_thread_plru_epochs_prefault_and_stay_exact(seed):
     runs = {tier: _single_thread_run(seed, tier)
-            for tier in ENGINE_TIER_SWITCHES}
+            for tier in ENGINE_TIERS}
     prints = {tier: fingerprint(result)
               for tier, (_, result) in runs.items()}
     assert prints["fast"] == prints["scalar"]
@@ -112,10 +112,10 @@ def test_multithread_plru_spans_prefault_and_stay_exact():
             fragmentation=case.fragmentation,
             thread_quantum=64,
             validate=True,
-            **ENGINE_TIER_SWITCHES[tier],
+            tier=tier,
         )
         result = simulator.run([case.build_workload()])
-        runs[tier] = (simulator.machine.pipelines, result)
+        runs[tier] = (simulator.pipelines, result)
     assert fingerprint(runs["columnar"][1]) == fingerprint(runs["scalar"][1])
     pipelines = runs["columnar"][0]
     # Spans count once, on the first live slot's core; core 1 never
@@ -137,7 +137,7 @@ def test_plru_and_lru_actually_diverge_on_wide_sets():
 def test_columnar_fallback_is_counted_under_plru():
     simulator, _ = run_case(_case("plru"), tier="columnar")
     metrics = {}
-    for index, pipeline in enumerate(simulator.machine.pipelines):
+    for index, pipeline in enumerate(simulator.pipelines):
         metrics.update(pipeline.as_metrics(f"core{index}.fastpath"))
     fallbacks = sum(
         value
@@ -149,7 +149,7 @@ def test_columnar_fallback_is_counted_under_plru():
 
 def test_columnar_fallback_stays_zero_under_lru():
     simulator, _ = run_case(_case("lru"), tier="columnar")
-    for pipeline in simulator.machine.pipelines:
+    for pipeline in simulator.pipelines:
         assert pipeline.columnar_plru_fallbacks == 0
 
 

@@ -14,9 +14,9 @@ import os
 
 import pytest
 
+from repro.engine.machine import ENGINE_TIERS
 from repro.engine.simulation import Simulator
 from repro.experiments.common import (
-    ENGINE_TIER_SWITCHES,
     ExperimentScale,
     build_named_workload,
     clone_workload,
@@ -60,16 +60,16 @@ def _fingerprint(result) -> tuple:
     )
 
 
-def _simulator(**switches) -> tuple[Simulator, object]:
+def _simulator(**options) -> tuple[Simulator, object]:
     workload = build_named_workload(
         "BFS", graph_scale=TINY.graph_scale, proxy_accesses=TINY.proxy_accesses
     )
     return Simulator(config_for(workload), policy=HugePagePolicy.PCC,
-                     **switches), workload
+                     **options), workload
 
 
-def _run(**switches):
-    simulator, workload = _simulator(**switches)
+def _run(**options):
+    simulator, workload = _simulator(**options)
     return simulator.run([clone_workload(workload)])
 
 
@@ -106,7 +106,7 @@ class TestBitIdentity:
             seen = []
             with progress_scope("run", seen.append):
                 result = simulator.run([clone_workload(workload)])
-            assert (simulator.machine.obs is not None) is observed
+            assert (simulator.obs is not None) is observed
             assert seen[-1]["final"] is True
             assert seen[-1]["tier"] == "columnar"
             runs.append(result)
@@ -125,7 +125,7 @@ class TestBitIdentity:
         seen = []
         with progress_scope("meta", seen.append):
             result = simulator.run([clone_workload(workload)])
-        assert result.metrics["meta"]["columnar"] is True
+        assert result.metrics["meta"]["tier"] == "columnar"
         assert seen[-1]["final"] is True
         assert seen[-1]["tier"] == "columnar"
 
@@ -149,8 +149,8 @@ class TestBitIdentity:
         # at the quantum or span that retired them.
         monkeypatch.setenv(OBS_ENV, "1")
         seen = []
-        for switches in ENGINE_TIER_SWITCHES.values():
-            result = _run(**switches)
+        for tier in ENGINE_TIERS:
+            result = _run(tier=tier)
             distributions = dict(result.metrics["distributions"])
             assert distributions["walk_latency_cycles"]["count"] == result.walks
             del distributions["tick_duration_us"]  # wall time
@@ -166,10 +166,10 @@ class TestBitIdentity:
 
 class TestTraceContents:
     @staticmethod
-    def _spans(tmp_path, **switches) -> dict:
+    def _spans(tmp_path, **options) -> dict:
         tracer = tracer_module.enable(spool_dir=tmp_path / "spool")
         try:
-            _run(**switches)
+            _run(**options)
             doc = tracer.export()
         finally:
             tracer_module.disable()
@@ -202,7 +202,7 @@ class TestTraceContents:
             assert epoch["args"]["records"] > 0
 
     def test_quantum_spans_ride_core_lanes_off_columnar(self, tmp_path):
-        by_name = self._spans(tmp_path, columnar=False)
+        by_name = self._spans(tmp_path, tier="fast")
         assert "epoch" not in by_name
         assert {e["tid"] for e in by_name["quantum"]} == {10}
 

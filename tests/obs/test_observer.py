@@ -16,7 +16,8 @@ import pytest
 from repro.core.dump import CandidateRecord
 from repro.engine.simulation import Simulator
 from repro.experiments.ablations import giant_span_workload
-from repro.experiments.common import ENGINE_TIER_SWITCHES, config_for
+from repro.engine.machine import ENGINE_TIERS
+from repro.experiments.common import config_for
 from repro.metrics import MetricsRegistry
 from repro.obs.observer import OBS_ENV, RunObserver
 from repro.os.kernel import HugePagePolicy
@@ -83,15 +84,14 @@ def test_a_promotion_without_a_walk_is_skipped():
     assert observer.promotion_lag.count == 0
 
 
-@pytest.mark.parametrize("tier", sorted(ENGINE_TIER_SWITCHES))
+@pytest.mark.parametrize("tier", ENGINE_TIERS)
 def test_every_promotion_of_both_sizes_gets_a_lag_sample(monkeypatch, tier):
     monkeypatch.setenv(OBS_ENV, "1")
     workload = giant_span_workload(giga_regions=2, accesses=40_000)
     config = config_for(workload)
     config = config.with_(memory_bytes=4 << 30, pcc=replace(
         config.pcc, entries=32, giga_entries=8, giga_enabled=True))
-    simulator = Simulator(config, policy=HugePagePolicy.PCC,
-                          **ENGINE_TIER_SWITCHES[tier])
+    simulator = Simulator(config, policy=HugePagePolicy.PCC, tier=tier)
     result = simulator.run([copy.deepcopy(workload)])
     counters = result.metrics["counters"]
     assert counters["kernel.promotion.giga_promotions"] > 0

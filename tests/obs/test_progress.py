@@ -195,7 +195,7 @@ class TestSpool:
 
 class TestEngineIntegration:
     @staticmethod
-    def _run_quick():
+    def _run_quick(replacement="lru"):
         import copy
 
         from repro.engine.simulation import Simulator
@@ -206,8 +206,28 @@ class TestEngineIntegration:
             "BFS", graph_scale=8, proxy_accesses=20_000
         )
         config = config_for(workload)
+        config = config.with_(tlb=config.tlb.with_replacement(replacement))
         simulator = Simulator(config, policy=HugePagePolicy.PCC)
         return simulator.run([copy.deepcopy(workload)])
+
+    @pytest.mark.parametrize("replacement, tier", [
+        ("lru", "columnar"),
+        # the classifier declines tree-PLRU: every span replays through
+        # the fast loop, so nothing may claim the columnar tier
+        ("plru", "fast"),
+    ])
+    def test_run_reports_the_tier_that_ran(self, monkeypatch, replacement,
+                                           tier):
+        monkeypatch.setenv(progress_module.CADENCE_ENV, "0")
+        seen = []
+        with progress_scope("tier", seen.append):
+            result = self._run_quick(replacement)
+        assert seen[-1]["final"] is True
+        assert seen[-1]["tier"] == tier
+        assert result.metrics["meta"]["tier"] == tier
+        if tier == "fast":
+            assert {s["tier"] for s in seen} == {"fast"}
+            assert all(s["epochs"] == 0 for s in seen)
 
     def test_engine_emits_progress_snapshots(self, monkeypatch):
         monkeypatch.setenv(progress_module.CADENCE_ENV, "0")

@@ -309,11 +309,7 @@ def test_classifier_is_exact_on_real_bfs_traffic(monkeypatch):
 
     from repro.engine import machine, residue
     from repro.engine.simulation import Simulator
-    from repro.experiments.common import (
-        ENGINE_TIER_SWITCHES,
-        build_named_workload,
-        config_for,
-    )
+    from repro.experiments.common import build_named_workload, config_for
     from repro.os.kernel import HugePagePolicy
 
     calls = []
@@ -328,8 +324,7 @@ def test_classifier_is_exact_on_real_bfs_traffic(monkeypatch):
     workload = build_named_workload("BFS", graph_scale=10,
                                     proxy_accesses=25_000)
     simulator = Simulator(config_for(workload), policy=HugePagePolicy.PCC,
-                          fragmentation=0.9,
-                          **ENGINE_TIER_SWITCHES["columnar"])
+                          fragmentation=0.9, tier="columnar")
     simulator.run([copy.deepcopy(workload)])
     assert calls
     for args, kwargs, (hits, contents) in calls:

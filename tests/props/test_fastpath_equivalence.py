@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import tiny_config
+from repro.engine.machine import ENGINE_TIERS
 from repro.engine.simulation import SimulationResult, Simulator
 from repro.engine.system import ProcessWorkload
-from repro.experiments.common import ENGINE_TIER_SWITCHES
 from repro.os.kernel import HugePagePolicy, KernelParams
 from repro.trace.events import Trace
 from tests.conftest import make_workload
@@ -31,7 +31,7 @@ from tests.conftest import make_workload
 BASE = 0x5555_5540_0000
 
 #: the tiers held against the scalar reference
-TIERS_UNDER_TEST = ("fast", "columnar")
+TIERS_UNDER_TEST = ENGINE_TIERS[1:]
 
 POLICIES = [
     HugePagePolicy.NONE,
@@ -160,7 +160,7 @@ def _run(streams, policy, tier, *, config=None, params=None,
         policy=policy,
         params=params,
         fragmentation=fragmentation,
-        **ENGINE_TIER_SWITCHES[tier],
+        tier=tier,
     )
     return simulator.run([_workload(streams)])
 
@@ -251,8 +251,7 @@ def test_fast_path_handles_1gb_backed_regions(tier):
     )
     prints = {}
     for name in ("scalar", tier):
-        simulator = Simulator(config, policy=HugePagePolicy.PCC,
-                              **ENGINE_TIER_SWITCHES[name])
+        simulator = Simulator(config, policy=HugePagePolicy.PCC, tier=name)
         result = simulator.run([copy.deepcopy(workload)])
         assert simulator.kernel._engine.stats.giga_promotions >= 1, name
         prints[name] = _result_fingerprint(result)
@@ -268,9 +267,9 @@ def test_named_bfs_workload_is_bit_identical_on_every_tier():
     workload = build_named_workload("BFS", graph_scale=10, proxy_accesses=25_000)
     config = config_for(workload)
     prints = {}
-    for name, switches in ENGINE_TIER_SWITCHES.items():
-        simulator = Simulator(config, policy=HugePagePolicy.PCC, **switches)
-        prints[name] = fingerprint(simulator.run([copy.deepcopy(workload)]))
+    for tier in ENGINE_TIERS:
+        simulator = Simulator(config, policy=HugePagePolicy.PCC, tier=tier)
+        prints[tier] = fingerprint(simulator.run([copy.deepcopy(workload)]))
     assert set(prints) == {"scalar", "fast", "columnar"}
     assert prints["fast"] == prints["scalar"]
     assert prints["columnar"] == prints["scalar"]

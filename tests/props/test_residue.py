@@ -140,8 +140,7 @@ def test_pwc_level_outcomes_match_sequential_walker(epoch):
     nsets, ways, tags, last_tag, prefill = epoch
     pwc = TLB(TLBConfig(nsets * ways, ways, (PageSize.BASE,)), "PWC")
     for tag in prefill:
-        if not pwc.hit_fast(tag):
-            pwc.fill(tag, PageSize.BASE)
+        pwc.fill(tag, PageSize.BASE)
     outcomes, contents, evictions, final_last = residue.pwc_level_outcomes(
         [pwc], [last_tag], np.asarray(tags, dtype=np.int64),
         np.zeros(len(tags), dtype=np.intp),

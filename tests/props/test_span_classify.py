@@ -30,7 +30,6 @@ from repro.config import WalkerConfig, scaled_config, tiny_config
 from repro.engine import residue
 from repro.engine.cpu import Core
 from repro.engine.machine import (
-    FaultPath,
     Machine,
     TranslationPipeline,
     _classify_sets,
@@ -158,8 +157,7 @@ def _twin_walkers(config, cores, rng):
             for walker in (mine, twin):
                 pwc = walker._pwcs[level]
                 for tag in tags:
-                    if not pwc.hit_fast(tag):
-                        pwc.fill(tag, PageSize.BASE)
+                    pwc.fill(tag, PageSize.BASE)
                 walker._last_tags[level] = memo
     return ours, theirs
 
@@ -251,8 +249,7 @@ def _bound_machine(config, traces, policy):
     machine._assign_ids(workloads)
     machine.cores = [Core(config, core_id=i) for i in range(config.cores)]
     machine.pipelines = [TranslationPipeline(core) for core in machine.cores]
-    scheduler = machine._bind_threads(workloads,
-                                      FaultPath(machine.kernel))
+    scheduler = machine._bind_threads(workloads)
     return machine, scheduler
 
 

@@ -71,22 +71,3 @@ def test_matches_reference_lru(trace, entries_log, ways_log):
             oracle.invalidate(tag)
         assert tlb.resident_tags() == oracle.resident()
         assert tlb.occupancy() <= entries
-
-
-@given(trace=ops)
-@settings(max_examples=80, deadline=None)
-def test_hit_fast_equivalent_to_lookup(trace):
-    """hit_fast differs from lookup only in miss accounting."""
-    a = TLB(TLBConfig(8, 2, (PageSize.BASE,)))
-    b = TLB(TLBConfig(8, 2, (PageSize.BASE,)))
-    for op, tag in trace:
-        if op == "fill":
-            a.fill(tag, PageSize.BASE)
-            b.fill(tag, PageSize.BASE)
-        elif op == "lookup":
-            assert a.lookup(tag) == b.hit_fast(tag)
-        else:
-            a.invalidate(tag)
-            b.invalidate(tag)
-        assert a.resident_tags() == b.resident_tags()
-    assert a.stats.hits == b.stats.hits

@@ -73,14 +73,6 @@ class TestLRU:
         victim = tlb.fill(4, PageSize.BASE)
         assert victim == 2
 
-    def test_hit_fast_refreshes_lru(self):
-        tlb = make_tlb(entries=4, ways=2)
-        tlb.fill(0, PageSize.BASE)
-        tlb.fill(2, PageSize.BASE)
-        assert tlb.hit_fast(0)
-        victim = tlb.fill(4, PageSize.BASE)
-        assert victim == 2
-
     def test_conflicts_only_within_set(self):
         tlb = make_tlb(entries=4, ways=2)
         # set 0 gets 3 tags, set 1 untouched

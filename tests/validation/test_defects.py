@@ -108,7 +108,7 @@ def test_lost_fast_hits_keeps_every_invariant_balanced():
     case = generate_case(5)
     with defects.inject("lost-fast-hits"):
         simulator, result = run_case(case, tier="fast", validate=True)
-        simulator.machine.monitor.check_all(simulator.machine.ticks)
+        simulator.monitor.check_all(simulator.ticks)
     assert result.accesses == case.total_accesses
 
 

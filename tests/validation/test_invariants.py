@@ -2,38 +2,38 @@
 
 import pytest
 
+from repro.engine.machine import ENGINE_TIERS
 from repro.engine.simulation import Simulator
 from repro.os.kernel import HugePagePolicy
 from repro.validation import defects
 from repro.validation.generators import generate_case
 from repro.validation.invariants import InvariantViolation
-from repro.experiments.common import ENGINE_TIER_SWITCHES
 from repro.validation.oracle import run_case
 
 
 def test_monitor_is_off_by_default():
     case = generate_case(0)
     simulator, _ = run_case(case, validate=False)
-    assert simulator.machine.monitor is None
+    assert simulator.monitor is None
 
 
 def test_monitor_is_installed_and_quiet_on_healthy_runs():
     for seed in range(6):
         case = generate_case(seed)
         simulator, result = run_case(case, validate=True)
-        monitor = simulator.machine.monitor
+        monitor = simulator.monitor
         assert monitor is not None
         # the run completed, so every per-tick check already passed;
         # one more full sweep over final state must also hold
-        monitor.check_all(simulator.machine.ticks)
+        monitor.check_all(simulator.ticks)
         assert result.accesses == case.total_accesses
 
 
-@pytest.mark.parametrize("tier", sorted(ENGINE_TIER_SWITCHES))
+@pytest.mark.parametrize("tier", ENGINE_TIERS)
 def test_monitor_covers_every_tier(tier):
     case = generate_case(3)
     simulator, _ = run_case(case, tier=tier, validate=True)
-    assert simulator.machine.monitor is not None
+    assert simulator.monitor is not None
 
 
 def test_pcc_decay_defect_trips_the_counter_invariant():
@@ -70,7 +70,7 @@ def test_validate_flag_threads_through_the_simulator_facade():
         validate=True,
     )
     simulator.run([case.build_workload()])
-    assert simulator.machine.monitor is not None
+    assert simulator.monitor is not None
 
 
 def test_leaked_base_pages_defect_trips_the_frame_invariant():
@@ -88,7 +88,7 @@ def test_tier_comparison_is_blind_to_leaked_base_pages():
     with defects.inject("leaked-base-pages"):
         prints = {
             tier: fingerprint(run_case(case, tier=tier, validate=False)[1])
-            for tier in ENGINE_TIER_SWITCHES
+            for tier in ENGINE_TIERS
         }
     assert prints["fast"] == prints["scalar"] == prints["columnar"]
 
@@ -109,7 +109,7 @@ def test_frames_are_conserved_under_fragmentation(policy):
     simulator = Simulator(tiny_config(), policy=policy, params=params,
                           fragmentation=0.5, validate=True)
     simulator.run([make_workload(hot_cold_addresses(repeats=500))])
-    monitor = simulator.machine.monitor
+    monitor = simulator.monitor
     assert monitor.checks > 1
     monitor.check_frames()
 
@@ -137,5 +137,5 @@ def test_a_frame_no_leaf_maps_breaks_conservation():
     simulator, _ = run_case(case, policy=HugePagePolicy.PCC)
     simulator.kernel.physmem.allocate_huge(allow_compaction=True)
     with pytest.raises(InvariantViolation) as exc:
-        simulator.machine.monitor.check_frames()
+        simulator.monitor.check_frames()
     assert exc.value.domain == "frames.huge"
