@@ -5,13 +5,14 @@ This module is the data layer of the columnar mega-batch engine tier
 two things:
 
 * :class:`ColumnarStream` — a workload thread's compressed trace
-  pre-encoded **once** into the column arrays every epoch pass gathers
-  from: the uint64 page stream, run lengths and their prefix sums, the
-  2MB region tag per record, and dense indices into the unique-page and
-  unique-region vocabularies. The encoding is a property of the trace
-  alone, so it is cached content-addressed alongside the trace in
-  :mod:`repro.trace.cache` (keyed by a digest of the raw record bytes)
-  and memory-mapped back on later runs.
+  pre-encoded **once** into column arrays, the one form of the trace
+  every engine tier reads: the uint64 page stream, run lengths and
+  their prefix sums (whose ``searchsorted`` cuts every quantum
+  window), and dense indices into the unique-page and unique-region
+  vocabularies that the epoch passes gather from. The encoding is a
+  property of the trace alone, so it is cached content-addressed
+  alongside the trace in :mod:`repro.trace.cache` (keyed by a digest of
+  the raw record bytes) and memory-mapped back on later runs.
 
 * Exact **whole-epoch LRU classification**: given one TLB structure's
   touch stream for an epoch (program order) plus the structure's
@@ -82,7 +83,6 @@ class ColumnarStream:
     - ``cum``: prefix sums, ``cum[r]`` = accesses before record ``r``
       (length ``n + 1``) — quantum and epoch windows fall out of
       ``searchsorted`` over this array;
-    - ``htags``: the 2MB region tag (``vpn >> 9``) of each record;
     - ``page_ridx`` / ``page_tags``: dense index into the sorted
       unique-page vocabulary (the fault pre-pass keys its seen-page
       bitmap by this);
@@ -94,7 +94,6 @@ class ColumnarStream:
     vpns: np.ndarray
     counts: np.ndarray
     cum: np.ndarray
-    htags: np.ndarray
     page_ridx: np.ndarray
     page_tags: np.ndarray
     region_ridx: np.ndarray
@@ -124,14 +123,13 @@ class ColumnarStream:
         cum = np.empty(n + 1, dtype=np.int64)
         cum[0] = 0
         np.cumsum(counts, out=cum[1:])
-        htags = vpns >> np.uint64(_HUGE_SHIFT)
         page_tags, page_ridx = np.unique(vpns, return_inverse=True)
-        region_tags, region_ridx = np.unique(htags, return_inverse=True)
+        region_tags, region_ridx = np.unique(vpns >> np.uint64(_HUGE_SHIFT),
+                                             return_inverse=True)
         return cls(
             vpns=vpns,
             counts=counts,
             cum=cum,
-            htags=htags,
             page_ridx=np.ascontiguousarray(page_ridx, dtype=np.intp),
             page_tags=page_tags,
             region_ridx=np.ascontiguousarray(region_ridx, dtype=np.intp),
@@ -157,7 +155,6 @@ class ColumnarStream:
         def builder():
             stream = cls.encode(vpns, counts)
             arrays = {
-                "htags": stream.htags,
                 "page_ridx": np.asarray(stream.page_ridx, dtype=np.int64),
                 "page_tags": stream.page_tags,
                 "region_ridx": np.asarray(stream.region_ridx, dtype=np.int64),
@@ -181,7 +178,6 @@ class ColumnarStream:
             vpns=vpns,
             counts=counts,
             cum=cum,
-            htags=arrays["htags"],
             page_ridx=arrays["page_ridx"].astype(np.intp, copy=False),
             page_tags=arrays["page_tags"],
             region_ridx=arrays["region_ridx"].astype(np.intp, copy=False),

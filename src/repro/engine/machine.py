@@ -18,6 +18,16 @@
 :class:`Machine`. ``tier`` picks one of :data:`ENGINE_TIERS`; every
 tier is bit-identical to the scalar reference.
 
+Every tier reads a thread's trace in one form, its
+:class:`~repro.engine.columnar.ColumnarStream`, and cuts it with one
+window rule, :meth:`_ThreadSlot.window_end`: a quantum retires whole
+records until their accesses reach the quantum, found by one
+``searchsorted`` over the stream's access prefix sums. The quantum
+loops (``tier="scalar"`` and ``tier="fast"``, and the columnar tier's
+replays) list one window's VPNs and run lengths at a time and take a
+window's accesses from the prefix sums; a columnar span plans its
+rounds from the same windows.
+
 The translation fast path
 -------------------------
 
@@ -51,9 +61,10 @@ several:
 
 1. *Window*: ``Machine._columnar_span`` plans the round-robin schedule
    the scalar loop would run before its next due-check fires: every
-   round covers every live slot in scheduler order under the
-   per-quantum ``searchsorted`` rule, until the accumulated accesses
-   cover the remaining promotion interval or a slot runs out. Each
+   round covers every live slot in scheduler order, one quantum window
+   each (:meth:`_ThreadSlot.window_end`, the rule the quantum loops
+   run), until the accumulated accesses cover the remaining promotion
+   interval or a slot runs out. Each
    slot's epoch spans its whole share of the plan
    (:meth:`TranslationPipeline.run_epoch`), and the slots' windows
    join in scheduler order into one span stream, each record tagged
@@ -74,9 +85,10 @@ several:
    kernels take the array-batched fault path (one allocator sweep +
    one bulk PTE install for the window's first-touch set).
 3. *Classification*: each record is routed to the L1 structure its
-   region's mapping state selects, and the structure's whole span
-   touch stream — every core's — is classified hit/miss in one exact
-   vectorized LRU pass (:mod:`repro.engine.columnar`). Slot k's set s
+   region's mapping state selects (its set id and 2MB tag come from
+   its VPN; every core shares one geometry), and the structure's whole
+   span touch stream — every core's — is classified hit/miss in one
+   exact vectorized LRU pass (:mod:`repro.engine.columnar`). Slot k's set s
    is span set ``k * nsets + s`` (:func:`residue.span_set_ids`): the
    gates keep every (core, set) stream private, so one call over the
    side-by-side sets equals one call per core. Classified hits retire
@@ -109,7 +121,7 @@ several:
 
 Epoch statistics land in the same pending counters the fast path
 uses, so ``sync()`` remains the single flush point.
-``tier="fast"`` and ``tier="scalar"`` select the quantum tiers
+``tier="fast"`` and ``tier="scalar"`` select the quantum loops
 unconditionally.
 
 Under tree-PLRU the classifier's exact-LRU algebra does not apply, so a
@@ -380,21 +392,21 @@ class _SpanContext:
 
 
 class _ThreadSlot:
-    """One schedulable thread: trace cursor plus pinned identities."""
+    """One schedulable thread: its trace, a cursor, pinned identities."""
 
-    __slots__ = ("vpns", "counts", "cursor", "length", "pid", "core_id",
-                 "seen", "fault", "bulk_fault", "live", "stream", "bsets",
-                 "hsets", "region_tags", "seen_np")
+    __slots__ = ("stream", "cursor", "length", "pid", "core_id", "seen",
+                 "fault", "bulk_fault", "live", "seen_np")
 
-    def __init__(self, vpns, counts, pid, core_id, seen, fault,
-                 stream=None, bulk_fault=None):
-        # Plain Python lists iterate several times faster than numpy
-        # scalar indexing in this (unavoidably sequential) hot loop;
-        # the epoch tier reads the columnar stream's arrays instead.
-        self.vpns = vpns
-        self.counts = counts
+    def __init__(self, stream, pid, core_id, seen, fault, bulk_fault=None):
+        # The thread's one trace form, a columnar stream
+        # (repro.engine.columnar): VPNs, run lengths and their prefix
+        # sums, and the dense page/region vocabularies. The quantum
+        # loops list one window of it at a time (plain lists iterate
+        # several times faster than numpy scalar indexing in those
+        # sequential loops); spans gather from the arrays.
+        self.stream = stream
         self.cursor = 0
-        self.length = len(vpns)
+        self.length = len(stream)
         self.pid = pid
         self.core_id = core_id
         self.seen = seen
@@ -404,28 +416,32 @@ class _ThreadSlot:
         # vaddrs)``, which the epoch fault pre-pass prefers.
         self.bulk_fault = bulk_fault
         self.live = True
-        # Whole-stream columnar encoding (repro.engine.columnar): VPNs,
-        # access prefix sums, region tags and the dense page/region
-        # vocabularies the epoch tier gathers from. None off columnar.
-        self.stream = stream
         # Conservative positive cache over the unique-page index: True
         # proves the page is in the process seen-set, False means "ask
         # the set" (threads of one process share the set, so another
         # slot may have seen the page first). Allocated on first epoch.
         self.seen_np = None
-        # Per-core L1 set-index views and the region tags as Python
-        # ints, attached by the owning pipeline on first epoch.
-        self.bsets = None
-        self.hsets = None
-        self.region_tags: list[int] = []
+
+    def window_end(self, cursor: int, quantum: int) -> int:
+        """The record a quantum starting at ``cursor`` stops before.
+
+        The one window rule every tier shares: a quantum retires whole
+        records until their accesses reach ``quantum`` or the trace
+        ends, so it stops at the first record boundary whose access
+        prefix sum reaches ``cum[cursor] + quantum``. Run lengths and
+        quanta are positive, so a window holds at least one record.
+        """
+        cum = self.stream.cum
+        return min(int(cum.searchsorted(cum[cursor] + quantum)), self.length)
 
 
 class ThreadScheduler:
     """Round-robin scheduler slicing bound threads into access quanta.
 
     Threads are interleaved in fixed quanta of trace records whose
-    access counts sum to roughly ``quantum``, modelling concurrent
-    execution on the pinned cores.
+    access counts sum to roughly ``quantum``
+    (:meth:`_ThreadSlot.window_end`), modelling concurrent execution on
+    the pinned cores.
     """
 
     def __init__(self, quantum: int) -> None:
@@ -433,19 +449,20 @@ class ThreadScheduler:
         self.slots: list[_ThreadSlot] = []
         self.remaining = 0
 
-    def add(self, vpns, counts, pid, core_id, seen, fault, stream=None,
+    def add(self, stream, pid, core_id, seen, fault,
             bulk_fault=None) -> _ThreadSlot:
-        """Register one thread's compressed trace for scheduling.
+        """Register one thread's trace for scheduling.
 
-        ``seen`` is the process's first-touch seen-set (shared by its
-        threads: one address space, one fault per page); ``fault`` is
-        the kernel's ``handle_fault`` and ``bulk_fault`` (optional) its
-        array-batched ``handle_faults_bulk``, both called with ``pid``.
-        ``stream`` (a :class:`~repro.engine.columnar.ColumnarStream`)
-        supplies the whole-stream columns the epoch tier gathers from.
+        ``stream`` is the thread's trace as a
+        :class:`~repro.engine.columnar.ColumnarStream`, the one form
+        every tier reads. ``seen`` is the process's first-touch
+        seen-set (shared by its threads: one address space, one fault
+        per page); ``fault`` is the kernel's ``handle_fault`` and
+        ``bulk_fault`` (optional) its array-batched
+        ``handle_faults_bulk``, both called with ``pid``.
         """
-        slot = _ThreadSlot(vpns, counts, pid, core_id, seen, fault,
-                           stream=stream, bulk_fault=bulk_fault)
+        slot = _ThreadSlot(stream, pid, core_id, seen, fault,
+                           bulk_fault=bulk_fault)
         self.slots.append(slot)
         self.remaining += slot.length
         return slot
@@ -529,23 +546,28 @@ class TranslationPipeline:
 
     # ------------------------------------------------------------------
 
-    def run_quantum(self, slot: _ThreadSlot, budget: int, page_table) -> tuple:
+    def run_quantum(self, slot: _ThreadSlot, quantum: int,
+                    page_table) -> tuple:
         """Run one scheduling quantum of ``slot`` against this core.
 
-        Returns ``(cursor, accesses, translation_cycles, walks)`` for
-        the ledger and per-process attribution. Faults are taken on
-        first touch, before the access translates.
+        The quantum covers the records up to
+        :meth:`_ThreadSlot.window_end`. Returns ``(cursor, accesses,
+        translation_cycles, walks)`` for the ledger and per-process
+        attribution. Faults are taken on first touch, before the access
+        translates.
         """
         if self.tier == "scalar":
-            return self._run_quantum_slow(slot, budget, page_table)
-        return self._run_quantum_fast(slot, budget, page_table)
+            return self._run_quantum_slow(slot, quantum, page_table)
+        return self._run_quantum_fast(slot, quantum, page_table)
 
-    def _run_quantum_slow(self, slot: _ThreadSlot, budget: int, page_table):
+    def _run_quantum_slow(self, slot: _ThreadSlot, quantum: int, page_table):
         """Reference loop: every record takes the full TLB object graph."""
-        vpns = slot.vpns
-        counts = slot.counts
-        i = slot.cursor
-        n = slot.length
+        start = slot.cursor
+        end = slot.window_end(start, quantum)
+        stream = slot.stream
+        cum = stream.cum
+        vpns = stream.vpns[start:end].tolist()
+        counts = stream.counts[start:end].tolist()
         seen = slot.seen
         fault = slot.fault
         pid = slot.pid
@@ -554,12 +576,9 @@ class TranslationPipeline:
         walk_log = self.walk_log
         l1_hit = self._l1_hit_cycles
         miss_level = HitLevel.MISS
-        start_budget = budget
         cycles = 0
         walks = 0
-        while budget > 0 and i < n:
-            vpn = vpns[i]
-            repeat = counts[i]
+        for i, (vpn, repeat) in enumerate(zip(vpns, counts)):
             # Once a VPN has faulted in it stays mapped (promotion
             # preserves mapped-ness), so a per-process seen-set avoids
             # a page-table probe per record.
@@ -574,13 +593,11 @@ class TranslationPipeline:
                 walks += 1
                 if walk_log is not None:
                     walk_log.append((vpn, step_cycles - l1_hit * (repeat - 1),
-                                     start_budget - budget))
-            budget -= repeat
-            i += 1
-        self.slow_records += i - slot.cursor
-        return i, start_budget - budget, cycles, walks
+                                     int(cum[start + i] - cum[start])))
+        self.slow_records += end - start
+        return end, int(cum[end] - cum[start]), cycles, walks
 
-    def _run_quantum_fast(self, slot: _ThreadSlot, budget: int, page_table):
+    def _run_quantum_fast(self, slot: _ThreadSlot, quantum: int, page_table):
         """Probe loop: L1 hits bypass the TLB object graph.
 
         One tier in front of the full path probes the live L1 set dict
@@ -601,14 +618,16 @@ class TranslationPipeline:
         order matches the hierarchy's.
 
         Counter bookkeeping is hoisted out of the loop: a 4KB hit, the
-        common case, counts nothing — its records and accesses fall out
-        of the cursor and budget deltas net of the 2MB hits and the
-        full-path records — and fast-hit cycles are one multiply.
+        common case, counts nothing and reads no run length — its
+        records and accesses fall out of the window's record count and
+        prefix sums net of the 2MB hits and the full-path records — and
+        fast-hit cycles are one multiply.
         """
-        vpns = slot.vpns
-        counts = slot.counts
-        i = slot.cursor
-        n = slot.length
+        start = slot.cursor
+        end = slot.window_end(start, quantum)
+        stream = slot.stream
+        cum = stream.cum
+        counts = stream.counts[start:end].tolist()
         seen = slot.seen
         fault = slot.fault
         pid = slot.pid
@@ -625,17 +644,13 @@ class TranslationPipeline:
             b_way_of, b_bits, b_keep, b_setm = self._base_plru
             h_way_of, h_bits, h_keep, h_setm = self._huge_plru
         miss_level = HitLevel.MISS
-        start = i
-        start_budget = budget
         cycles = 0
         walks = 0
         fast_huge = 0
         slow = 0
         #: accesses that took the full path (repeat counts included)
         slow_units = 0
-        while budget > 0 and i < n:
-            vpn = vpns[i]
-            repeat = counts[i]
+        for i, vpn in enumerate(stream.vpns[start:end].tolist()):
             base_set = vpn % nbase
             if plru:
                 way = b_way_of[base_set].get(vpn)
@@ -645,8 +660,6 @@ class TranslationPipeline:
                     b_bits[base_set] = (
                         (b_bits[base_set] & b_keep[way]) | b_setm[way]
                     )
-                    budget -= repeat
-                    i += 1
                     continue
             else:
                 entries = base_sets[base_set]
@@ -658,8 +671,6 @@ class TranslationPipeline:
                     # already has it.
                     del entries[vpn]
                     entries[vpn] = size
-                    budget -= repeat
-                    i += 1
                     continue
             # Once a VPN has faulted in it stays mapped (promotion
             # preserves mapped-ness), so a per-process seen-set avoids
@@ -681,8 +692,6 @@ class TranslationPipeline:
                         (h_bits[huge_set] & h_keep[way]) | h_setm[way]
                     )
                     fast_huge += 1
-                    budget -= repeat
-                    i += 1
                     continue
             else:
                 hentries = huge_sets[huge_set]
@@ -692,9 +701,8 @@ class TranslationPipeline:
                     del hentries[huge_tag]
                     hentries[huge_tag] = hsize
                     fast_huge += 1
-                    budget -= repeat
-                    i += 1
                     continue
+            repeat = counts[i]
             slow += 1
             slow_units += repeat
             step_cycles, level = translate(vpn, page_table, repeat)
@@ -703,32 +711,17 @@ class TranslationPipeline:
                 walks += 1
                 if walk_log is not None:
                     walk_log.append((vpn, step_cycles - l1_hit * (repeat - 1),
-                                     start_budget - budget))
-            budget -= repeat
-            i += 1
-        accesses = start_budget - budget
+                                     int(cum[start + i] - cum[start])))
+        accesses = int(cum[end] - cum[start])
         fast_units = accesses - slow_units
-        fast_base = i - start - slow - fast_huge
+        fast_base = end - start - slow - fast_huge
         cycles += l1_hit * fast_units
         self._pending_base_records += fast_base
         self._pending_huge_records += fast_huge
         self._pending_accesses += fast_units
         self.fast_hits += fast_base + fast_huge
         self.slow_records += slow
-        return i, accesses, cycles, walks
-
-    def _attach_epoch_views(self, slot: _ThreadSlot) -> None:
-        """Precompute this slot's per-core set-index views, once.
-
-        Threads are statically pinned, so the L1 geometries are fixed
-        per slot; the modulo stays in uint64 (a mixed uint64/int64
-        operand would silently promote to float64) and the results are
-        cast to an indexable integer type once.
-        """
-        stream = slot.stream
-        slot.bsets = (stream.vpns % np.uint64(self._nbase)).astype(np.intp)
-        slot.hsets = (stream.htags % np.uint64(self._nhuge)).astype(np.intp)
-        slot.region_tags = stream.region_tags.tolist()
+        return end, accesses, cycles, walks
 
     # ------------------------------------------------------------------
     # the columnar epoch tier
@@ -771,9 +764,6 @@ class TranslationPipeline:
             pipelines[0].columnar_plru_fallbacks += 1
             return None
 
-        for pipeline, slot in zip(pipelines, slots):
-            if slot.bsets is None:
-                pipeline._attach_epoch_views(slot)
         span = cls._epoch_classify(pipelines, slots, ends, tables)
         if span is None:
             last = len(slots) - 1
@@ -895,18 +885,18 @@ class TranslationPipeline:
         rec_states = []
         for slot, start, stop in zip(slots, starts, stops):
             rr_w = slot.stream.region_ridx[start:stop]
-            region_tags = slot.region_tags
-            touched = np.zeros(len(region_tags), dtype=bool)
+            region_tags = slot.stream.region_tags
+            touched = np.zeros(region_tags.size, dtype=bool)
             touched[rr_w] = True
             uqr = np.flatnonzero(touched)
             page_table = tables[slot.pid]
-            states = [_region_mapping_state(page_table, region_tags[ridx])
-                      for ridx in uqr.tolist()]
+            states = [_region_mapping_state(page_table, tag)
+                      for tag in region_tags[uqr].tolist()]
             if _REGION_EMPTY in states:
                 # An unmapped hole: its walk must raise the scalar path's
                 # PageTableError at the exact access, so replay the span.
                 return None
-            region_state = np.empty(len(region_tags), dtype=np.int8)
+            region_state = np.empty(region_tags.size, dtype=np.int8)
             region_state[uqr] = states
             rec_states.append(region_state[rr_w])
         rec_state = _span_cat(rec_states)
@@ -923,24 +913,29 @@ class TranslationPipeline:
         vpns = window([slot.stream.vpns for slot in slots])
         counts = window([slot.stream.counts for slot in slots])
 
-        # ---- phase C: exact LRU classification per suppressed L1.
+        # ---- phase C: exact LRU classification per suppressed L1. Every
+        # core shares one geometry, so one modulo gives each touch its
+        # set in its own core's structure (the modulo stays in uint64: a
+        # mixed uint64/int64 operand would promote to float64).
         tlbs = [pipeline.core.tlb for pipeline in pipelines]
         base_idx = np.flatnonzero(rec_state == _REGION_BASE)
         huge_idx = np.flatnonzero(rec_state == _REGION_HUGE)
         hit_mask = np.zeros(vpns.size, dtype=bool)
         base = huge = None
         if base_idx.size:
+            b_tags = vpns[base_idx]
             base = _classify_sets(
                 [tlb.l1_base for tlb in tlbs], slot_of[base_idx],
-                window([slot.bsets for slot in slots])[base_idx],
-                vpns[base_idx],
+                (b_tags % np.uint64(pipelines[0]._nbase)).astype(np.intp),
+                b_tags,
             )
             hit_mask[base_idx[base.hits]] = True
         if huge_idx.size:
+            h_tags = vpns[huge_idx] >> np.uint64(_HUGE_SHIFT)
             huge = _classify_sets(
                 [tlb.l1_huge for tlb in tlbs], slot_of[huge_idx],
-                window([slot.hsets for slot in slots])[huge_idx],
-                window([slot.stream.htags for slot in slots])[huge_idx],
+                (h_tags % np.uint64(pipelines[0]._nhuge)).astype(np.intp),
+                h_tags,
             )
             hit_mask[huge_idx[huge.hits]] = True
         res_idx = np.flatnonzero(~hit_mask)
@@ -1339,6 +1334,10 @@ class Machine:
         self.kernel = SimulatedKernel(
             config, policy=policy, params=params, fragmentation=fragmentation
         )
+        if thread_quantum < 1:
+            # an empty quantum window retires nothing: the run would spin
+            raise ValueError(
+                f"thread_quantum must be at least 1, got {thread_quantum}")
         self.thread_quantum = thread_quantum
         self.serialization_cycles_per_access = serialization_cycles_per_access
         self.tier = _checked_tier(tier)
@@ -1503,7 +1502,8 @@ class Machine:
 
         # ---- plan the rounds the scalar loop would run before its
         # due-check fires: every round covers every live slot, in
-        # round-robin order, under ``run_quantum``'s window rule.
+        # round-robin order, one quantum window each
+        # (``_ThreadSlot.window_end``, the rule ``run_quantum`` runs).
         # Planning stops once the interval is covered or a slot
         # exhausts (the next scalar round would recompute the live
         # set; the outer loop re-enters and re-plans).
@@ -1514,13 +1514,8 @@ class Machine:
         while True:
             for slot, slot_ends in zip(live, ends):
                 c = slot_ends[-1] if slot_ends else slot.cursor
+                nxt = slot.window_end(c, quantum)
                 cum = slot.stream.cum
-                nxt = int(np.searchsorted(cum, cum[c] + quantum,
-                                          side="left"))
-                if nxt > slot.length:
-                    nxt = slot.length
-                if nxt <= c:  # pragma: no cover - counts are >= 1
-                    nxt = c + 1
                 total += int(cum[nxt] - cum[c])
                 slot_ends.append(nxt)
             if total >= interval_remaining or any(
@@ -1689,8 +1684,9 @@ class Machine:
     def _bind_threads(self, workloads: list[ProcessWorkload]) -> ThreadScheduler:
         """Pin threads to cores and build the round-robin scheduler.
 
-        Every slot gets its process's seen-set and the kernel's fault
-        entry points. The bulk one is offered only on the columnar tier
+        Every slot gets its thread's columnar stream (encoded, or loaded
+        from the trace cache, on every tier), its process's seen-set and
+        the kernel's fault entry points. The bulk one is offered only on the columnar tier
         and only when the kernel's fault path is base-backed regardless
         of VMA state (:attr:`SimulatedKernel.supports_bulk_faults`),
         which is what makes one array pass equal per-fault calls.
@@ -1699,12 +1695,12 @@ class Machine:
         self._core_pid_map = {}
         cores = len(self.cores)
         next_core = 0
-        columnar = self.tier == "columnar"
-        stream_cache = self._stream_cache() if columnar else None
+        stream_cache = self._stream_cache()
         kernel = self.kernel
         fault = kernel.handle_fault
         bulk_fault = (kernel.handle_faults_bulk
-                      if columnar and kernel.supports_bulk_faults else None)
+                      if self.tier == "columnar"
+                      and kernel.supports_bulk_faults else None)
         seen_by_pid: dict[int, set[int]] = {}
         for process in workloads:
             seen = seen_by_pid.setdefault(process.pid, set())
@@ -1720,16 +1716,12 @@ class Machine:
                     )
                 thread.core = core
                 self._core_pid_map[core] = process.pid
-                stream = (thread.columnar_stream(cache=stream_cache)
-                          if columnar else None)
                 scheduler.add(
-                    thread.trace.vpns.tolist(),
-                    thread.trace.counts.tolist(),
+                    thread.columnar_stream(cache=stream_cache),
                     process.pid,
                     core,
                     seen,
                     fault,
-                    stream=stream,
                     bulk_fault=bulk_fault,
                 )
         return scheduler

@@ -136,11 +136,6 @@ class TLBHierarchy:
         """Whether the unified L2 caches 2MB entries (Table 2: yes)."""
         return self._l2_serves_huge
 
-    @staticmethod
-    def _tag(vpn: int, size: PageSize) -> int:
-        """Region tag at ``size`` granularity for a 4KB VPN."""
-        return vpn >> (size.value - BASE_PAGE_SHIFT)
-
     def lookup(self, vpn: int) -> AccessResult:
         """Probe the hierarchy for the page holding 4KB VPN ``vpn``.
 

@@ -316,13 +316,6 @@ class TraceCache:
             return CacheEntry(key=self.key(name, params), meta=dict(meta), arrays=dict(arrays))
         return entry
 
-    def _purge_entry(self, key: str) -> None:
-        """Drop every file belonging to one array entry."""
-        self._meta_path(key).unlink(missing_ok=True)
-        for path in self.directory.glob(f"{key}.*.npy"):
-            path.unlink(missing_ok=True)
-        self.stats.purged += 1
-
     def _quarantine_entry(self, key: str) -> int:
         """Move every file of one corrupt entry into ``quarantine/``.
 

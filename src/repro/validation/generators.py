@@ -214,6 +214,8 @@ class FuzzCase:
         layout = AddressSpaceLayout.from_vmas(
             {"fuzz": (WINDOW_BASE, self.window_pages << BASE_PAGE_SHIFT)}
         )
+        # ``case_id`` digests the whole case; take it once per build
+        name = f"fuzz-{self.case_id}"
         traces = []
         for i, pages in enumerate(self.threads):
             offsets = np.asarray(pages, dtype=np.uint64) << np.uint64(
@@ -222,18 +224,14 @@ class FuzzCase:
             addresses = np.uint64(WINDOW_BASE) + offsets
             traces.append(
                 Trace(
-                    name=f"fuzz-{self.case_id}.t{i}",
+                    name=f"{name}.t{i}",
                     addresses=addresses,
                     footprint_bytes=self.window_pages << BASE_PAGE_SHIFT,
                 )
             )
         if len(traces) == 1:
-            return ProcessWorkload.single_thread(
-                traces[0], layout, name=f"fuzz-{self.case_id}"
-            )
-        return ProcessWorkload.multi_thread(
-            traces, layout, name=f"fuzz-{self.case_id}"
-        )
+            return ProcessWorkload.single_thread(traces[0], layout, name=name)
+        return ProcessWorkload.multi_thread(traces, layout, name=name)
 
     @property
     def cores(self) -> int:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import tiny_config
+from repro.engine.columnar import ColumnarStream
 from repro.engine.cpu import Core
 from repro.engine.machine import (
     Machine,
@@ -27,12 +28,17 @@ def _addresses(pages):
     return np.uint64(BASE) + np.array(pages, dtype=np.uint64) * np.uint64(4096)
 
 
+def _stream(vpns, counts):
+    return ColumnarStream.encode(np.asarray(vpns, dtype=np.uint64),
+                                 np.asarray(counts, dtype=np.int64))
+
+
 class TestThreadScheduler:
     def test_round_robin_retires_exhausted_slots(self):
         scheduler = ThreadScheduler(quantum=4)
-        a = scheduler.add([1, 2], [1, 1], pid=1, core_id=0,
+        a = scheduler.add(_stream([1, 2], [1, 1]), pid=1, core_id=0,
                           seen=set(), fault=lambda v: None)
-        b = scheduler.add([3], [1], pid=2, core_id=1,
+        b = scheduler.add(_stream([3], [1]), pid=2, core_id=1,
                           seen=set(), fault=lambda v: None)
         assert scheduler.remaining == 3
         assert list(scheduler.next_round()) == [a, b]
@@ -44,11 +50,19 @@ class TestThreadScheduler:
 
     def test_advance_tracks_partial_progress(self):
         scheduler = ThreadScheduler(quantum=4)
-        slot = scheduler.add([1, 2, 3], [1, 1, 1], pid=1, core_id=0,
-                             seen=set(), fault=lambda v: None)
+        slot = scheduler.add(_stream([1, 2, 3], [1, 1, 1]), pid=1,
+                             core_id=0, seen=set(), fault=lambda v: None)
         scheduler.advance(slot, 1)
         assert scheduler.remaining == 2
         assert list(scheduler.next_round()) == [slot]
+
+
+class TestQuantumWindow:
+    @pytest.mark.parametrize("quantum", [0, -1])
+    def test_a_quantum_below_one_access_is_rejected(self, quantum):
+        """An empty window never advances the run, so it is refused."""
+        with pytest.raises(ValueError, match="thread_quantum"):
+            Machine(tiny_config(), thread_quantum=quantum)
 
 
 class TestTranslationPipelineHints:
@@ -179,7 +193,7 @@ class TestOsTickDriver:
 class TestRunReleasesItsSlots:
     def test_finished_run_frees_its_traces_by_refcount(self):
         """The machine graph is cyclic, so a slot it still referenced
-        would live (with its trace lists) until a collection; under
+        would live (with its trace stream) until a collection; under
         PLRU the fast loop's last slot used to stay that way."""
         import gc
 

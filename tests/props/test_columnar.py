@@ -72,13 +72,11 @@ def test_encode_round_trips_every_registry_workload(name):
         )
         # Derived columns are consistent with the records they index.
         np.testing.assert_array_equal(
-            stream.htags, trace.vpns >> np.uint64(9)
-        )
-        np.testing.assert_array_equal(
             stream.page_tags[stream.page_ridx], trace.vpns
         )
         np.testing.assert_array_equal(
-            stream.region_tags[stream.region_ridx], stream.htags
+            stream.region_tags[stream.region_ridx],
+            trace.vpns >> np.uint64(9),
         )
 
 
@@ -114,7 +112,6 @@ def test_encode_round_trips_through_trace_cache(tmp_path):
     for stream in (cold, warm):
         np.testing.assert_array_equal(stream.vpns, direct.vpns)
         np.testing.assert_array_equal(stream.counts, direct.counts)
-        np.testing.assert_array_equal(stream.htags, direct.htags)
         np.testing.assert_array_equal(stream.page_tags, direct.page_tags)
         np.testing.assert_array_equal(stream.page_ridx, direct.page_ridx)
         np.testing.assert_array_equal(
