@@ -33,6 +33,8 @@ fuzz:
 # prove the harness catches planted bugs (each must fail + shrink).
 # slot-order-faults and span-core-alias need two or more threads: one
 # thread's span has a single fault window and a zero core offset.
+# plru-span-empty-way needs tree-PLRU TLBs: LRU spans never reach the
+# PLRU classifier.
 # tlb-plru-drift goes through `crosscheck`, not `validate`: every engine
 # tier shares the drifted policy, so only the independent reference
 # model can see it.
@@ -50,6 +52,10 @@ fuzz-selftest:
 			--inject-defect $$defect \
 			--corpus-dir $${TMPDIR:-/tmp}/repro-fuzz-selftest || exit 1; \
 	done
+	@echo "=== defect: plru-span-empty-way (tree-PLRU TLBs) ==="
+	@$(PYTHON) -m repro validate --fuzz 40 --tlb-replacement plru \
+		--inject-defect plru-span-empty-way \
+		--corpus-dir $${TMPDIR:-/tmp}/repro-fuzz-selftest
 	@echo "=== defect: tlb-plru-drift (reference cross-check) ==="
 	@$(PYTHON) -m repro crosscheck --cases 8 --tlb-replacement plru \
 		--inject-defect tlb-plru-drift \

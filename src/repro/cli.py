@@ -487,14 +487,19 @@ def _run_validate(args) -> int:
                   f"{failures} failing, {corrupt} unreadable")
             return 1 if failures or corrupt else 0
 
+        plru = args.tlb_replacement == "plru"
         notes = 0
         for seed in range(args.seed, args.seed + args.fuzz):
+            # Under tree-PLRU the cases rotate through the cross-check's
+            # wider geometries: the tiny default is all 2-way, where
+            # PLRU and LRU pick the same victims.
             case = generate_case(
                 seed,
                 min_threads=args.min_threads,
-                tlb_replacement=(
-                    args.tlb_replacement
-                    if args.tlb_replacement != "lru"
+                tlb_replacement="plru" if plru else None,
+                tlb_geometry=(
+                    CROSSCHECK_GEOMETRIES[seed % len(CROSSCHECK_GEOMETRIES)]
+                    if plru
                     else None
                 ),
             )

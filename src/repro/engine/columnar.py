@@ -1,8 +1,8 @@
-"""Columnar whole-stream trace encoding and exact set-LRU classification.
+"""Columnar whole-stream trace encoding and exact set classification.
 
 This module is the data layer of the columnar mega-batch engine tier
 (``tier="columnar"`` on :class:`~repro.engine.machine.Machine`). It holds
-two things:
+three things:
 
 * :class:`ColumnarStream` — a workload thread's compressed trace
   pre-encoded **once** into column arrays, the one form of the trace
@@ -21,6 +21,14 @@ two things:
   the engine retire an entire OS-tick interval of L1 probes as array
   ops and only walk the classified misses through the live object
   graph.
+
+* Its tree-PLRU counterpart, :func:`classify_plru_hits`. A PLRU set's
+  membership depends on its direction bits, not on a closed form over
+  the touch stream, so it replays each touched set's run-collapsed
+  stream in program order from the set's live state — one Python step
+  per run start instead of per-record ``TLB`` calls through the object
+  graph. It is exact for the same reason: the stream itself does not
+  depend on the outcomes.
 
 Why classification without simulation is exact
 ----------------------------------------------
@@ -57,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.tlb import plru
 from repro.vm.address import BASE_PAGE_SHIFT, HUGE_PAGE_SHIFT
 
 #: VPN -> 2MB region tag shift.
@@ -414,6 +423,98 @@ def _final_contents(p_set, p_tag, pair_order, pair_start, total, nsets,
     for lo, hi in zip(bounds, bounds[1:]):
         out.append(o_tag[max(lo, hi - ways):hi])
     return out
+
+
+# ----------------------------------------------------------------------
+# exact whole-epoch tree-PLRU classification
+
+
+def _free_way(way_tags: list, bits: int, ways: int) -> int:
+    """The way a fill takes while its set has one empty: the lowest
+    (``TLB._fill_plru``), without consulting the tree. A module
+    function, like ``plru.victim``, so a validation defect can replace
+    it."""
+    return way_tags.index(-1)
+
+
+def classify_plru_hits(
+    set_ids: np.ndarray,
+    tags: np.ndarray,
+    ways: int,
+    init_bits: list,
+    init_way_tags: list,
+    init_way_of: list,
+) -> tuple[np.ndarray, list]:
+    """Exact hit/miss classification of one tree-PLRU structure's touches.
+
+    ``set_ids``/``tags`` are the structure's touch stream in program
+    order; ``init_bits[s]`` / ``init_way_tags[s]`` / ``init_way_of[s]``
+    are set ``s``'s direction bits, way->tag list (-1 = empty way) and
+    tag->way dict (in fill order, as the live set keeps it) at start.
+    The touch stream does not depend on the outcomes (a hit touches
+    the tree, a miss fills and touches), so replaying each set's
+    touches in program order is exact; it follows ``TLB._lookup_plru``
+    and ``TLB._fill_plru``: a fill takes the lowest empty way while one
+    exists and consults the tree (``plru.victim``) only once the set is
+    full. Reads the initial state without mutating it.
+
+    Returns ``(hits, final)``: the per-touch hit mask and, per set,
+    None when no touch reached it, else its end state ``(bits,
+    way_tags, way_of)`` — ``way_of`` again in fill order.
+
+    Touches group by set (one stable sort); within a set a run of
+    touches to one tag hits after its first touch and re-touches the
+    same way (touches are idempotent), so only run starts are
+    replayed. ``plru.victim`` is read from the module at call time and
+    memoized per call by direction bits.
+    """
+    n = int(set_ids.size)
+    final: list = [None] * len(init_bits)
+    if n == 0:
+        return np.zeros(0, dtype=bool), final
+    order, g_set, g_tag, run_start, _ = _group_by_set(
+        set_ids, tags, set_ids[:0], tags[:0]
+    )
+    runs = np.flatnonzero(run_start)
+    r_set = g_set[runs]
+    r_tags = g_tag[runs].tolist()
+    cuts = np.flatnonzero(r_set[1:] != r_set[:-1]) + 1
+    lows = [0] + cuts.tolist()
+    highs = cuts.tolist() + [runs.size]
+    keep, setm = plru.touch_masks(ways)
+    victim = plru.victim
+    victims: dict[int, int] = {}
+    hit_runs: list[int] = []
+    hit = hit_runs.append
+    for s, lo, hi in zip(r_set[lows].tolist(), lows, highs):
+        bits = init_bits[s]
+        way_tags = list(init_way_tags[s])
+        way_of = dict(init_way_of[s])
+        get = way_of.get
+        for i in range(lo, hi):
+            tag = r_tags[i]
+            way = get(tag)
+            if way is not None:
+                hit(i)
+            else:
+                if len(way_of) < ways:
+                    way = _free_way(way_tags, bits, ways)
+                else:
+                    way = victims.get(bits)
+                    if way is None:
+                        way = victims[bits] = victim(bits, ways)
+                old = way_tags[way]
+                if old != -1:
+                    del way_of[old]
+                way_tags[way] = tag
+                way_of[tag] = way
+            bits = (bits & keep[way]) | setm[way]
+        final[s] = (bits, way_tags, way_of)
+    hit_g = ~run_start
+    hit_g[runs[hit_runs]] = True
+    hits = np.empty(n, dtype=bool)
+    hits[order] = hit_g
+    return hits, final
 
 
 def classify_lru_hits_ref(

@@ -88,7 +88,8 @@ several:
    region's mapping state selects (its set id and 2MB tag come from
    its VPN; every core shares one geometry), and the structure's whole
    span touch stream — every core's — is classified hit/miss in one
-   exact vectorized LRU pass (:mod:`repro.engine.columnar`). Slot k's set s
+   exact pass (:mod:`repro.engine.columnar`): vectorized under LRU, a
+   per-set tree replay under tree-PLRU (see below). Slot k's set s
    is span set ``k * nsets + s`` (:func:`residue.span_set_ids`): the
    gates keep every (core, set) stream private, so one call over the
    side-by-side sets equals one call per core. Classified hits retire
@@ -96,13 +97,13 @@ several:
    per-record Python.
 4. *Residue*: the L1-miss stream is itself classified, not replayed
    (:mod:`repro.engine.residue`). The unified L2 and the 1GB L1 are
-   two more whole-epoch LRU streams (4K records at their VPN,
+   two more whole-epoch classified streams (4K records at their VPN,
    huge-backed ones at their region tag, 1GB-backed ones at their
    giga tag); the scalar lookup's silent probes are licensed as
-   LRU-inert by a conservative alias pre-check, and windows the model
-   cannot cover (aliasing, odd fill shapes, unmapped holes) replay
-   through the quantum tiers bit-identically (the alias check keys
-   tags by core, so one check covers the span). Only classified
+   state-inert misses by a conservative alias pre-check, and windows
+   the model cannot cover (aliasing, odd fill shapes, unmapped holes)
+   replay through the quantum tiers bit-identically (the alias check
+   keys tags by core, so one check covers the span). Only classified
    L2/1GB misses walk: the walkers' cost model and their page-walk
    caches are vectorized too (each slot's memo over its own walks,
    then one LRU classification per level over every core's PWC),
@@ -111,10 +112,11 @@ several:
    epoch end (the OS only reads the PCC at ticks, which an epoch
    never spans).
 5. *Reconstruction*: the results split back per core, and every
-   classified structure's set dicts — both L1s, the L2, the 1GB L1,
-   and the PWCs — are rebuilt to their exact end-of-epoch contents
-   (the W most recently touched distinct tags per set, LRU→MRU),
-   evictions are counted from per-set fill counts against
+   classified structure's sets — both L1s, the L2, the 1GB L1, and
+   the PWCs — are rebuilt to their exact end-of-epoch state (under LRU
+   the W most recently touched distinct tags per set, LRU→MRU; under
+   tree-PLRU the replay's end state), evictions are counted from
+   per-set fill counts against
    start-of-epoch occupancy — so every later tier, tick, and
    invariant check observes precisely the state record-at-a-time
    simulation would have left.
@@ -124,12 +126,19 @@ uses, so ``sync()`` remains the single flush point.
 ``tier="fast"`` and ``tier="scalar"`` select the quantum loops
 unconditionally.
 
-Under tree-PLRU the classifier's exact-LRU algebra does not apply, so a
-PLRU span plans its rounds the same way, takes the fault pre-pass
-(policy-blind: faults never touch TLBs), and replays the rounds through
-the fast loop (``Machine._replay_rounds``) — the path a declined LRU
-span takes. Each PLRU span counts once as ``columnar_plru_fallbacks``
-and reports the ``fast`` tier that retired it.
+Under tree-PLRU a span takes the same path; only the four TLB
+structures' classifier differs (one branch on the structure's
+``replacement`` in ``_classify_sets`` and ``_rebuild_sets``). After the
+fault pre-pass no mapping changes and nothing invalidates until the
+next tick, so each structure's touch stream is the one LRU sees — a
+hit touches the tree, a miss fills — and replaying each touched set's
+stream in program order from its live direction bits and ways
+(:func:`~repro.engine.columnar.classify_plru_hits`, following
+``TLB._lookup_plru`` / ``TLB._fill_plru``) is exact. The commit
+rewrites each touched set's bits, way->tag list and dicts in place, so
+the references the fast loop and ``TLBHierarchy`` hoist stay live. The
+PWCs are always true LRU, and the residue passes never read the
+policy. A PLRU run that epochs reports the ``columnar`` tier.
 
 Observed runs
 -------------
@@ -156,6 +165,7 @@ from repro.core.dump import CandidateRecord, DumpRegion
 from repro.engine import residue
 from repro.engine.columnar import (
     classify_lru_hits,
+    classify_plru_hits,
     epoch_evictions,
 )
 from repro.engine.cpu import Core
@@ -218,14 +228,15 @@ def _region_mapping_state(page_table, tag: int) -> int:
 
 
 class _SetsEpoch(NamedTuple):
-    """One LRU structure's classified span (:func:`_classify_sets`)."""
+    """One structure's classified span (:func:`_classify_sets`)."""
 
     #: the structure's touch tags, slot by slot, program order within
     tags: np.ndarray
     #: per-touch hit mask
     hits: np.ndarray
-    #: every core's end-of-span set contents, LRU→MRU, slot k's set s
-    #: at ``k * nsets + s``
+    #: every core's end-of-span sets, slot k's set s at ``k * nsets + s``:
+    #: under LRU the contents LRU→MRU; under tree-PLRU ``(bits,
+    #: way_tags, way_of)``, or None for a set no touch reached
     final: list
     #: per slot: fills that evict, against start-of-span occupancy
     evictions: np.ndarray
@@ -234,30 +245,41 @@ class _SetsEpoch(NamedTuple):
 
 
 def _classify_sets(structures, slots, local_sets, tags) -> _SetsEpoch:
-    """Classify one LRU structure's span touch stream, read-only.
+    """Classify one TLB structure's span touch stream, read-only.
 
     ``structures`` holds the structure on each slot's core, in slot
     order; ``slots`` / ``local_sets`` / ``tags`` are the span's touches,
     slot by slot in program order: each touch's slot, its set in that
     core's structure, and its tag. Every core's sets lie side by side
     under span-wide set ids (:func:`residue.span_set_ids`), so one
-    classifier call covers all of them. The live set dicts' contents
-    (insertion order is LRU→MRU) enter as synthetic older touches,
-    which reproduces the exact recency state at span start. Evictions
-    need no replay: occupancy never falls mid-epoch (no invalidations
-    between ticks) and every classified miss fills one entry, so per
-    set the fills beyond the start-of-span headroom each evict.
+    classifier call covers all of them. Under LRU the live set dicts'
+    contents (insertion order is LRU→MRU) enter as synthetic older
+    touches, which reproduces the exact recency state at span start;
+    under tree-PLRU each touched set replays from its live direction
+    bits and ways (:func:`classify_plru_hits`). Evictions need no
+    replay: occupancy never falls mid-epoch (no invalidations between
+    ticks) and every classified miss fills one entry, so per set the
+    fills beyond the start-of-span headroom each evict.
     """
     sets_dicts = [entries for structure in structures
                   for entries in structure.sets]
     nsets = len(sets_dicts)
     ways = structures[0].config.ways
     setw = residue.span_set_ids(structures, slots, local_sets)
-    init_sets, init_tags = residue.stack_arrays(sets_dicts)
-    hits, final = classify_lru_hits(
-        setw, tags, ways, init_sets, init_tags, nsets=nsets
-    )
-    occ0 = np.bincount(init_sets, minlength=nsets)
+    if structures[0].config.replacement == "plru":
+        hits, final = classify_plru_hits(
+            setw, tags, ways,
+            [bits for s in structures for bits in s._bits],
+            [way_tags for s in structures for way_tags in s._way_tags],
+            [way_of for s in structures for way_of in s._way_of],
+        )
+        occ0 = np.fromiter(map(len, sets_dicts), np.intp, nsets)
+    else:
+        init_sets, init_tags = residue.stack_arrays(sets_dicts)
+        hits, final = classify_lru_hits(
+            setw, tags, ways, init_sets, init_tags, nsets=nsets
+        )
+        occ0 = np.bincount(init_sets, minlength=nsets)
     evictions = epoch_evictions(setw[~hits], nsets, ways, occ0,
                                 len(structures))
     bounds = np.searchsorted(slots, np.arange(len(structures) + 1))
@@ -268,13 +290,17 @@ def _rebuild_sets(structures, epoch: _SetsEpoch, entry) -> None:
     """Commit a :func:`_classify_sets` result to the live structures.
 
     For each core that touched the structure, counts its evictions and
-    rebuilds every set dict to its end-of-span contents, LRU→MRU.
-    ``entry`` is the value a fill stores: one int, or — for the unified
-    L2, whose 4K and 2MB fills store different values — an array of one
-    value per touch; a hit keeps the stored value, so the core's fill
-    history is replayed over its initial values.
+    rebuilds its sets to their end-of-span state in place: under LRU
+    every set dict, LRU→MRU; under tree-PLRU each touched set's
+    direction bits, way->tag list, tag->way dict and entry dict (both
+    dicts in fill order, as live fills leave them). ``entry`` is the
+    value a fill stores: one int, or — for the unified L2, whose 4K and
+    2MB fills store different values — an array of one value per
+    touch; a hit keeps the stored value, so the core's fill history is
+    replayed over its initial values.
     """
     bounds = epoch.bounds
+    plru = structures[0].config.replacement == "plru"
     for k, structure in enumerate(structures):
         lo, hi = bounds[k], bounds[k + 1]
         if lo == hi:
@@ -283,6 +309,7 @@ def _rebuild_sets(structures, epoch: _SetsEpoch, entry) -> None:
         sets_dicts = structure.sets
         nsets = len(sets_dicts)
         final = epoch.final[k * nsets:(k + 1) * nsets]
+        value_of = None
         if isinstance(entry, np.ndarray):
             value_of = {}
             for entries in sets_dicts:
@@ -290,15 +317,29 @@ def _rebuild_sets(structures, epoch: _SetsEpoch, entry) -> None:
             miss = ~epoch.hits[lo:hi]
             value_of.update(zip(epoch.tags[lo:hi][miss].tolist(),
                                 entry[lo:hi][miss].tolist()))
-            for entries, content in zip(sets_dicts, final):
-                entries.clear()
-                for tag in content:
-                    entries[tag] = value_of[tag]
+        if plru:
+            # the tree state here; the entry dicts, in fill order, below
+            targets = []
+            for si, state in enumerate(final):
+                if state is not None:
+                    structure._bits[si], way_tags, content = state
+                    structure._way_tags[si][:] = way_tags
+                    way_of = structure._way_of[si]
+                    way_of.clear()
+                    way_of.update(content)
+                    targets.append((sets_dicts[si], content))
         else:
-            for entries, content in zip(sets_dicts, final):
+            targets = zip(sets_dicts, final)
+        if value_of is None:
+            for entries, content in targets:
                 entries.clear()
                 for tag in content:
                     entries[tag] = entry
+        else:
+            for entries, content in targets:
+                entries.clear()
+                for tag in content:
+                    entries[tag] = value_of[tag]
 
 
 def _stats_metrics(stats, prefix: str) -> dict[str, int]:
@@ -377,7 +418,7 @@ class _SpanContext:
     one merged page-table pass per process between them. Arrays run
     over the whole span, slot by slot; ``offsets`` / ``res_bounds`` /
     ``walk_bounds`` cut records, residue records and walks per slot.
-    ``base``/``huge``/``l2``/``giga`` are the four classified LRU
+    ``base``/``huge``/``l2``/``giga`` are the four classified TLB
     structures (L1-4K, L1-2M, unified L2, L1-1G), each a
     :class:`_SetsEpoch` or None when no slot touches it.
     """
@@ -439,13 +480,12 @@ class ThreadScheduler:
     """Round-robin scheduler slicing bound threads into access quanta.
 
     Threads are interleaved in fixed quanta of trace records whose
-    access counts sum to roughly ``quantum``
+    access counts sum to roughly the machine's ``thread_quantum``
     (:meth:`_ThreadSlot.window_end`), modelling concurrent execution on
     the pinned cores.
     """
 
-    def __init__(self, quantum: int) -> None:
-        self.quantum = quantum
+    def __init__(self) -> None:
         self.slots: list[_ThreadSlot] = []
         self.remaining = 0
 
@@ -501,15 +541,13 @@ class TranslationPipeline:
     #: raw accesses); columnar epochs run, records they retired by L1
     #: classification and residue records; spans the classifier
     #: declined; residue records the L2/1GB-L1 classification retired
-    #: vs records that walked; epochs of multi-thread spans; the fault
-    #: pre-pass split (array-batched vs per-fault); and tree-PLRU spans,
-    #: which the exact-LRU classifier cannot take (pre-fault + replay).
+    #: vs records that walked; epochs of multi-thread spans; and the
+    #: fault pre-pass split (array-batched vs per-fault).
     COUNTERS = (
         "fast_hits", "slow_records", "columnar_epochs", "columnar_retired",
         "columnar_residue_records", "columnar_fallbacks",
         "columnar_l2_retired", "columnar_live_walked", "columnar_mt_epochs",
         "columnar_faults_batched", "columnar_faults_scalar",
-        "columnar_plru_fallbacks",
     )
 
     def __init__(self, core: Core, tier: str = "columnar") -> None:
@@ -743,11 +781,11 @@ class TranslationPipeline:
         commits (:meth:`_epoch_finish`). Returns one ``(cursor,
         accesses, translation_cycles, walks)`` tuple per slot, or None
         when the caller must replay the plan through the quantum tiers:
-        a tree-PLRU span, or a span the classifier declines (L2
-        aliasing the model cannot license, a fill shape it does not
-        cover, or an unmapped hole whose walk must raise the scalar
-        path's error). Only the faults have happened then; the decline
-        counts on the first slot that declines on its own.
+        a span the classifier declines (L2 aliasing the model cannot
+        license, a fill shape it does not cover, or an unmapped hole
+        whose walk must raise the scalar path's error). Only the faults
+        have happened then; the decline counts on the first slot that
+        declines on its own.
 
         In an observed run ``note_walks(slot, vpns, cycles, offsets)``
         receives a committed span's walks slot by slot: their VPNs,
@@ -758,12 +796,6 @@ class TranslationPipeline:
             slot = slots[k]
             pipelines[k]._epoch_faults(slot, start, end, tables[slot.pid])
             charge_faults(slot)
-        if pipelines[0]._plru:
-            # The classifier proves hits against exact-LRU stack depths;
-            # no such closed form exists for tree-PLRU.
-            pipelines[0].columnar_plru_fallbacks += 1
-            return None
-
         span = cls._epoch_classify(pipelines, slots, ends, tables)
         if span is None:
             last = len(slots) - 1
@@ -859,7 +891,7 @@ class TranslationPipeline:
         The slots' windows join in scheduler order into one span stream,
         each record tagged with its slot. Region states, L1-4K/L1-2M
         classification, then the residue pipeline: the unified L2 and
-        the 1GB L1 as two more classified LRU streams, the live-walk
+        the 1GB L1 as two more classified streams, the live-walk
         subset, and the vectorized walker cost plan. Each structure is
         one classifier call over every core's sets, and one alias check
         covers every core's L2 (tags keyed by core); the span gates (one
@@ -876,7 +908,8 @@ class TranslationPipeline:
         fill — outcome-independent, so one classification pass is
         exact). The silent L2 probes the scalar lookup also performs
         (a 4K VPN for a huge/1GB-backed record, a 2MB tag for a
-        4K/1GB-backed one) are guaranteed misses — LRU-inert — exactly
+        4K/1GB-backed one) are guaranteed misses — they change no
+        replacement state — exactly
         when :func:`residue.l2_alias_conflict` clears the span.
         """
         # ---- phase B: post-fault region states, slot by slot.
@@ -913,7 +946,7 @@ class TranslationPipeline:
         vpns = window([slot.stream.vpns for slot in slots])
         counts = window([slot.stream.counts for slot in slots])
 
-        # ---- phase C: exact LRU classification per suppressed L1. Every
+        # ---- phase C: exact classification per suppressed L1. Every
         # core shares one geometry, so one modulo gives each touch its
         # set in its own core's structure (the modulo stays in uint64: a
         # mixed uint64/int64 operand would promote to float64).
@@ -1104,9 +1137,8 @@ class TranslationPipeline:
             ))
 
         # ---- phase E: reconstruct every classified structure. No live
-        # code touched their dicts since classification, and the final
-        # content of a W-way LRU set is the last W distinct tags by
-        # last touch.
+        # code touched their sets since classification; the classifier
+        # computed each one's end state (_rebuild_sets).
         tlbs = [pipeline.core.tlb for pipeline in pipelines]
         plan = tlbs[0]._fill_plan
         if span.base is not None:
@@ -1568,7 +1600,7 @@ class Machine:
         Every live slot runs one quantum per round through the quantum
         tiers, charged to its core, with no due check in between. The
         run loop takes one round at a time; a columnar span that must
-        replay (tree-PLRU, or a classifier decline) takes its whole
+        replay (a classifier decline) takes its whole
         plan, which already stops where the scalar loop's due-check
         would fire and whose faults have already fired.
         """
@@ -1691,7 +1723,7 @@ class Machine:
         of VMA state (:attr:`SimulatedKernel.supports_bulk_faults`),
         which is what makes one array pass equal per-fault calls.
         """
-        scheduler = ThreadScheduler(self.thread_quantum)
+        scheduler = ThreadScheduler()
         self._core_pid_map = {}
         cores = len(self.cores)
         next_core = 0

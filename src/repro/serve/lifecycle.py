@@ -185,10 +185,11 @@ class JobStore:
 _TIER_COUNTER_MARKER = ".fastpath."
 
 #: The columnar tier's span counters, exported from the first served
-#: job on even at zero (a PLRU-only daemon never epochs; an LRU one may
-#: never fall back), so every scrape has all four series.
+#: job on even at zero (an LRU daemon may never fall back, and a
+#: single-thread one never runs a multi-thread epoch), so every scrape
+#: has all three series.
 _SPAN_COUNTERS = ("columnar_epochs", "columnar_mt_epochs",
-                  "columnar_fallbacks", "columnar_plru_fallbacks")
+                  "columnar_fallbacks")
 
 
 def accumulate_engine_counters(results) -> None:

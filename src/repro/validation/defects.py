@@ -37,6 +37,12 @@ correctness mechanism the oracle and invariants are supposed to defend:
   other cores' L2s never change. A lone slot's offset is zero anyway,
   so only multi-thread spans differ, and only the tier comparison sees
   it;
+- ``plru-span-empty-way`` — the columnar span's tree-PLRU classifier
+  consults the tree for a fill even while its set has an empty way,
+  so a span can place a tag in another way than the live
+  ``TLB._fill_plru`` would, or evict a resident while a way stands
+  free. Only PLRU spans that fill a set with an empty way the tree does
+  not point at differ, and only the tier comparison sees it;
 - ``walk-clock-at-start`` — an observed run clocks every walk at the
   start of the quantum or span that retired it instead of at its
   record, so a region's first-walk stamp, and with it the promotion
@@ -162,6 +168,17 @@ def span_core_alias() -> contextlib.AbstractContextManager:
     return _patched(residue, "span_set_ids", aliased)
 
 
+def plru_span_empty_way() -> contextlib.AbstractContextManager:
+    """Make the span PLRU classifier fill by the tree while a way is free."""
+    from repro.engine import columnar
+    from repro.tlb import plru
+
+    def tree_way(way_tags, bits, ways) -> int:
+        return plru.victim(bits, ways)
+
+    return _patched(columnar, "_free_way", tree_way)
+
+
 def walk_clock_at_start() -> contextlib.AbstractContextManager:
     """Clock an observed run's walks at their quantum's or span's start."""
     from repro.engine import machine
@@ -183,6 +200,7 @@ DEFECTS: dict[str, Callable[[], contextlib.AbstractContextManager]] = {
     "leaked-base-pages": leaked_base_pages,
     "slot-order-faults": slot_order_faults,
     "span-core-alias": span_core_alias,
+    "plru-span-empty-way": plru_span_empty_way,
     "walk-clock-at-start": walk_clock_at_start,
 }
 

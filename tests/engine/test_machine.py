@@ -35,7 +35,7 @@ def _stream(vpns, counts):
 
 class TestThreadScheduler:
     def test_round_robin_retires_exhausted_slots(self):
-        scheduler = ThreadScheduler(quantum=4)
+        scheduler = ThreadScheduler()
         a = scheduler.add(_stream([1, 2], [1, 1]), pid=1, core_id=0,
                           seen=set(), fault=lambda v: None)
         b = scheduler.add(_stream([3], [1]), pid=2, core_id=1,
@@ -49,7 +49,7 @@ class TestThreadScheduler:
         assert not a.live and not b.live
 
     def test_advance_tracks_partial_progress(self):
-        scheduler = ThreadScheduler(quantum=4)
+        scheduler = ThreadScheduler()
         slot = scheduler.add(_stream([1, 2, 3], [1, 1, 1]), pid=1,
                              core_id=0, seen=set(), fault=lambda v: None)
         scheduler.advance(slot, 1)

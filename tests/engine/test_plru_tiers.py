@@ -4,17 +4,17 @@ The engine's upper tiers were built on LRU shortcuts (dict
 reinsert as recency, the columnar epoch classifier's exact-LRU
 algebra). Under ``tlb_replacement="plru"`` the fast loop's live-hit
 tier performs the masked tree touch instead of the reinsert, and the
-columnar tier runs each span, one live thread or several, as fault
-pre-pass plus fast-loop replay (the classifier has no PLRU analogue). The observable
-simulation must stay bit-identical across all three tiers — the same
-guarantee the differential oracle enforces for LRU. PLRU epochs are
-counted (``columnar_plru_fallbacks``) so operators can see them in
-``repro inspect``.
+columnar tier classifies each span, one live thread or several, with
+the per-set tree-PLRU replay (``columnar.classify_plru_hits``) after
+the same fault pre-pass. The observable simulation must stay
+bit-identical across all three tiers — the same guarantee the
+differential oracle enforces for LRU — and PLRU spans must commit as
+columnar epochs, not fall back to the quantum loop.
 """
 
 import pytest
 
-from repro.engine.machine import ENGINE_TIERS
+from repro.engine.machine import ENGINE_TIERS, TranslationPipeline
 from repro.engine.simulation import Simulator
 from repro.obs import inspect as inspect_module
 from repro.validation.generators import generate_case
@@ -78,16 +78,18 @@ def test_single_thread_plru_epochs_prefault_and_stay_exact(seed):
     assert prints["columnar"] == prints["scalar"]
 
     columnar = runs["columnar"][0]
-    assert columnar.columnar_plru_fallbacks > 0
+    assert columnar.columnar_epochs > 0
+    assert columnar.columnar_fallbacks == 0
     assert columnar.columnar_faults_batched > 0
 
     # Tier 2 answers every live L1-4K and L1-2M hit itself, so only
-    # walks, L2 hits and L1-1G hits reach translate.
+    # walks, L2 hits and L1-1G hits reach translate; on the columnar
+    # tier the spans' L1-miss residue accounts for the rest of them.
     for tier in ("fast", "columnar"):
         pipeline = runs[tier][0]
         core = pipeline.core
         assert core.tlb.l1_huge.stats.hits > 0
-        assert pipeline.slow_records == (
+        assert pipeline.slow_records + pipeline.columnar_residue_records == (
             core.stats.walks
             + core.stats.l2_hits
             + core.tlb.l1_giga.stats.hits
@@ -97,7 +99,7 @@ def test_single_thread_plru_epochs_prefault_and_stay_exact(seed):
 def test_multithread_plru_spans_prefault_and_stay_exact():
     """Two threads of equal length never leave a single live thread, so
     every columnar window is a multi-thread span: each must take the
-    per-(round, slot) fault pre-pass before its replay."""
+    per-(round, slot) fault pre-pass and commit as one epoch per core."""
     case = generate_case(0, tlb_replacement="plru", tlb_geometry=WIDE)
     shift = case.window_pages // 2
     first = case.threads[0]
@@ -118,11 +120,10 @@ def test_multithread_plru_spans_prefault_and_stay_exact():
         runs[tier] = (simulator.pipelines, result)
     assert fingerprint(runs["columnar"][1]) == fingerprint(runs["scalar"][1])
     pipelines = runs["columnar"][0]
-    # Spans count once, on the first live slot's core; core 1 never
-    # ran a single-thread epoch.
-    assert pipelines[0].columnar_plru_fallbacks > 0
-    assert pipelines[1].columnar_plru_fallbacks == 0
-    assert all(p.columnar_faults_batched > 0 for p in pipelines)
+    for pipeline in pipelines:
+        assert pipeline.columnar_mt_epochs > 0
+        assert pipeline.columnar_fallbacks == 0
+        assert pipeline.columnar_faults_batched > 0
 
 
 def test_plru_and_lru_actually_diverge_on_wide_sets():
@@ -134,28 +135,27 @@ def test_plru_and_lru_actually_diverge_on_wide_sets():
     assert fingerprint(lru) != fingerprint(plru)
 
 
-def test_columnar_fallback_is_counted_under_plru():
-    simulator, _ = run_case(_case("plru"), tier="columnar")
-    metrics = {}
-    for index, pipeline in enumerate(simulator.pipelines):
-        metrics.update(pipeline.as_metrics(f"core{index}.fastpath"))
-    fallbacks = sum(
-        value
-        for name, value in metrics.items()
-        if name.endswith(".columnar_plru_fallbacks")
-    )
-    assert fallbacks > 0
+def test_plru_spans_commit_as_columnar_epochs(monkeypatch):
+    """Every span of the default-quantum case is long enough to epoch:
+    it commits on every core, no quantum runs, and the run reports the
+    columnar tier."""
+    quanta = []
+    original = TranslationPipeline.run_quantum
 
+    def counting(self, slot, quantum, page_table):
+        quanta.append(slot.core_id)
+        return original(self, slot, quantum, page_table)
 
-def test_columnar_fallback_stays_zero_under_lru():
-    simulator, _ = run_case(_case("lru"), tier="columnar")
-    for pipeline in simulator.pipelines:
-        assert pipeline.columnar_plru_fallbacks == 0
+    monkeypatch.setattr(TranslationPipeline, "run_quantum", counting)
+    simulator, result = run_case(_case("plru"), tier="columnar")
+    assert quanta == []
+    assert all(p.columnar_epochs > 0 for p in simulator.pipelines)
+    assert result.metrics["meta"]["tier"] == "columnar"
 
 
 def test_inspect_renders_the_fallback_counter():
-    """The counter rides the generic ``core<N>.fastpath.*`` export, so
-    ``repro inspect`` must fold and print it with the other tier
+    """Span counters ride the generic ``core<N>.fastpath.*`` export, so
+    ``repro inspect`` must fold and print them with the other tier
     instrumentation."""
     doc = {
         "schema": "repro.metrics/v1",
@@ -164,15 +164,15 @@ def test_inspect_renders_the_fallback_counter():
             {
                 "meta": {},
                 "counters": {
-                    "core0.fastpath.columnar_plru_fallbacks": 3,
-                    "core1.fastpath.columnar_plru_fallbacks": 2,
+                    "core0.fastpath.columnar_fallbacks": 3,
+                    "core1.fastpath.columnar_fallbacks": 2,
                 },
             }
         ],
     }
     summary = inspect_module.summarize_metrics(doc)
-    assert summary["engine_tiers"]["columnar_plru_fallbacks"] == 5
+    assert summary["engine_tiers"]["columnar_fallbacks"] == 5
     rendered = inspect_module.render(
         inspect_module.inspect_document(doc, top=5)
     )
-    assert "columnar_plru_fallbacks" in rendered
+    assert "columnar_fallbacks" in rendered

@@ -210,15 +210,21 @@ class TestEngineIntegration:
         simulator = Simulator(config, policy=HugePagePolicy.PCC)
         return simulator.run([copy.deepcopy(workload)])
 
-    @pytest.mark.parametrize("replacement, tier", [
-        ("lru", "columnar"),
-        # the classifier declines tree-PLRU: every span replays through
-        # the fast loop, so nothing may claim the columnar tier
-        ("plru", "fast"),
+    @pytest.mark.parametrize("replacement, declined, tier", [
+        ("lru", False, "columnar"),
+        ("plru", False, "columnar"),
+        # a span the classifier declines replays through the fast loop,
+        # so when every span declines nothing may claim the columnar tier
+        ("lru", True, "fast"),
     ])
     def test_run_reports_the_tier_that_ran(self, monkeypatch, replacement,
-                                           tier):
+                                           declined, tier):
+        from repro.engine.machine import TranslationPipeline
+
         monkeypatch.setenv(progress_module.CADENCE_ENV, "0")
+        if declined:
+            monkeypatch.setattr(TranslationPipeline, "_epoch_classify",
+                                classmethod(lambda cls, *args: None))
         seen = []
         with progress_scope("tier", seen.append):
             result = self._run_quick(replacement)

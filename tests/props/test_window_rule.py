@@ -98,7 +98,7 @@ def _workload(name, pages, counts) -> ProcessWorkload:
 @settings(max_examples=150, deadline=None)
 def test_window_end_matches_the_brute_force_loop(case):
     quantum, pages, counts = case
-    slot = ThreadScheduler(quantum).add(
+    slot = ThreadScheduler().add(
         _stream(pages, counts), pid=1, core_id=0, seen=set(),
         fault=lambda pid, vaddr: None)
     for cursor in range(len(counts)):

@@ -169,8 +169,8 @@ class TestLiveEndpoints:
 
     def test_span_counters_sum_over_served_jobs(self, serve_factory,
                                                  monkeypatch):
-        """Every columnar span of a tree-PLRU job replays, so its PLRU
-        fallbacks reach ``/metrics``; all four span counters appear."""
+        """A tree-PLRU job's columnar spans commit as epochs, which
+        reach ``/metrics``; all three span counters appear."""
         from dataclasses import replace
 
         from repro.serve.protocol import JobRequest
@@ -187,10 +187,10 @@ class TestLiveEndpoints:
         handle.wait_for_state("prom-plru")
         after = handle.counters()
         names = [f"repro_engine_columnar_{short}_total" for short in
-                 ("epochs", "mt_epochs", "fallbacks", "plru_fallbacks")]
+                 ("epochs", "mt_epochs", "fallbacks")]
         assert set(names) <= set(after)
-        plru = "repro_engine_columnar_plru_fallbacks_total"
-        assert after[plru] > before.get(plru, 0.0)
+        epochs = "repro_engine_columnar_epochs_total"
+        assert after[epochs] > before.get(epochs, 0.0)
 
     def test_removed_json_metrics_route_is_a_404(self, serve_factory):
         handle = serve_factory()

@@ -19,6 +19,37 @@ class TestFuzz:
         assert "seeds 40..41" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("replacement", ["lru", "plru"])
+    def test_plru_cases_rotate_the_crosscheck_geometries(
+        self, capsys, monkeypatch, replacement
+    ):
+        """The tiny default is all 2-way, where tree-PLRU picks LRU's
+        victims; PLRU cases rotate through the wider shapes by seed,
+        while LRU cases keep the generator's own case."""
+        from types import SimpleNamespace
+
+        from repro.validation import oracle
+
+        cases = []
+
+        def record(case):
+            cases.append(case)
+            return SimpleNamespace(notes=[])
+
+        monkeypatch.setattr(oracle, "check_case", record)
+        assert cli.main(["validate", "--fuzz", "5", "--seed", "2",
+                         "--tlb-replacement", replacement]) == 0
+        capsys.readouterr()
+        for seed, case in zip(range(2, 7), cases, strict=True):
+            if replacement == "lru":
+                assert case == generate_case(seed)
+                continue
+            geometry = cli.CROSSCHECK_GEOMETRIES[
+                seed % len(cli.CROSSCHECK_GEOMETRIES)]
+            assert case.tlb_replacement == "plru"
+            assert case.tlb_geometry == (geometry or {})
+
+
 class TestReplay:
     def test_replay_of_passing_corpus_returns_zero(self, capsys, tmp_path):
         for seed in (0, 1):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import TLBConfig, tiny_config
 from repro.core.pcc import PromotionCandidateCache
+from repro.engine import columnar
 from repro.engine import machine as machine_module
 from repro.engine import residue
 from repro.engine.machine import Machine, TranslationPipeline
@@ -22,7 +23,12 @@ from repro.tlb import plru
 from repro.tlb.tlb import TLB
 from repro.validation import defects
 from repro.validation.generators import generate_case
-from repro.validation.oracle import fingerprint, run_case
+from repro.validation.oracle import (
+    ValidationFailure,
+    check_case,
+    fingerprint,
+    run_case,
+)
 from repro.vm.address import PageSize
 from repro.vm.pagetable import PageTable
 from tests.conftest import make_workload
@@ -38,6 +44,7 @@ PATCHED = {
     "leaked-base-pages": (PhysicalMemory, "release_base_pages"),
     "slot-order-faults": (machine_module, "_fault_windows"),
     "span-core-alias": (residue, "span_set_ids"),
+    "plru-span-empty-way": (columnar, "_free_way"),
     "walk-clock-at-start": (machine_module, "_note_walks"),
 }
 
@@ -142,6 +149,28 @@ def test_span_core_alias_moves_only_the_l2():
         l1 = residue.span_set_ids([TLB(config, "L1-4K")] * 2, slots, local)
     assert l2.tolist() == [3, 0, 2]
     assert l1.tolist() == [3, 4, 6]
+
+
+def test_plru_span_empty_way_is_caught_by_the_tier_oracle():
+    """One fixed 3-way PLRU case, unshrunk: the tree's pick for a fill
+    into a set with an empty way is not the lowest empty way, so the
+    columnar span diverges from the scalar reference."""
+    case = generate_case(1, tlb_replacement="plru",
+                         tlb_geometry={"l1_base": [6, 3], "l2": [12, 3]})
+    check_case(case)
+    with defects.inject("plru-span-empty-way"):
+        with pytest.raises(ValidationFailure) as excinfo:
+            check_case(case)
+    assert excinfo.value.domain == "tier.columnar"
+
+
+def test_plru_span_empty_way_is_inert_under_lru():
+    """LRU spans never reach the PLRU classifier."""
+    case = generate_case(1, tlb_geometry={"l1_base": [6, 3], "l2": [12, 3]})
+    _, healthy = run_case(case, tier="columnar")
+    with defects.inject("plru-span-empty-way"):
+        _, broken = run_case(case, tier="columnar")
+    assert fingerprint(broken) == fingerprint(healthy)
 
 
 def test_walk_clock_at_start_moves_only_the_lag_histogram(monkeypatch):
